@@ -128,7 +128,9 @@ def eval_basis(exps, pts, center, h, deriv=(0, 0)):
     ----------
     exps : (nb, 2) int array of exponent pairs
     pts : (..., 2) array of physical points
-    center, h : element centroid and diameter defining the scaling
+    center, h : element centroid (..., 2) and diameter (...) defining the
+        scaling; both broadcast against pts, so one call can evaluate
+        every element of a mesh at once
     deriv : (dx_order, dy_order)
 
     Returns
@@ -136,13 +138,14 @@ def eval_basis(exps, pts, center, h, deriv=(0, 0)):
     (..., nb) array
     """
     pts = np.asarray(pts, dtype=float)
-    xi = (pts[..., 0] - center[0]) / h
-    eta = (pts[..., 1] - center[1]) / h
+    center = np.asarray(center, dtype=float)
+    xi = (pts[..., 0] - center[..., 0]) / h
+    eta = (pts[..., 1] - center[..., 1]) / h
     max_exp = int(exps.max()) if len(exps) else 0
     px = _power_table(xi, max_exp)
     py = _power_table(eta, max_exp)
     dx, dy = deriv
-    out = np.zeros(pts.shape[:-1] + (len(exps),))
+    out = np.zeros(xi.shape + (len(exps),))
     for idx, (a, b) in enumerate(exps):
         if a < dx or b < dy:
             continue
@@ -155,14 +158,57 @@ def eval_basis(exps, pts, center, h, deriv=(0, 0)):
     return out
 
 
+def _basis_tables(exps, pts, center, h):
+    """Values (..., nb), gradients (..., nb, 2) and Hessians (..., nb, 2, 2)."""
+    def d(deriv):
+        return eval_basis(exps, pts, center, h, deriv=deriv)
+
+    dxy = d((1, 1))
+    grad = np.stack([d((1, 0)), d((0, 1))], axis=-1)
+    hess = np.stack([np.stack([d((2, 0)), dxy], -1), np.stack([dxy, d((0, 2))], -1)], -2)
+    return d((0, 0)), grad, hess
+
+
 def _linear_power_coeffs(c0, c1, kmax):
-    """Coefficient rows of (c0 + c1*t)**a in t, for a = 0..kmax."""
-    table = np.zeros((kmax + 1, kmax + 1))
-    table[0, 0] = 1.0
+    """Coefficient rows of (c0 + c1*t)**a in t, for a = 0..kmax.
+
+    c0 and c1 are arrays of equal shape; the table gets two trailing axes.
+    """
+    table = np.zeros(np.shape(c0) + (kmax + 1, kmax + 1))
+    table[..., 0, 0] = 1.0
     for a in range(1, kmax + 1):
         for m in range(a + 1):
-            table[a, m] = comb(a, m) * c0 ** (a - m) * c1**m
+            table[..., a, m] = comb(a, m) * c0 ** (a - m) * c1**m
     return table
+
+
+def _convolve(x, y):
+    """Polynomial product of coefficient vectors along the last axis."""
+    n = y.shape[-1]
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (x.shape[-1] + n - 1,))
+    for i in range(x.shape[-1]):
+        out[..., i : i + n] += x[..., i, None] * y
+    return out
+
+
+def _trace_tables(exps, px, py, h, degree):
+    """Trace coefficients of a scaled-monomial basis along affine edges.
+
+    px, py hold the powers of the x and y scaled coordinates along each
+    edge (see _linear_power_coeffs). Returns the value table
+    (..., degree+1, nb) and the gradient table (..., 2, degree+1, nb).
+    """
+    val = np.zeros(px.shape[:-2] + (degree + 1, len(exps)))
+    grad = np.zeros(px.shape[:-2] + (2, degree + 1, len(exps)))
+    for idx, (a, b) in enumerate(exps):
+        val[..., : a + b + 1, idx] = _convolve(px[..., a, : a + 1], py[..., b, : b + 1])
+        if a >= 1:
+            prod = _convolve(px[..., a - 1, :a], py[..., b, : b + 1])
+            grad[..., 0, : a + b, idx] = (a / h) * prod
+        if b >= 1:
+            prod = _convolve(px[..., a, : a + 1], py[..., b - 1, :b])
+            grad[..., 1, : a + b, idx] = (b / h) * prod
+    return val, grad
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +247,48 @@ class DofLayout:
         self.M = mesh.num_elements * self.mw
         self.NB = len(boundary) * self.nvb
 
+        # Whole-mesh index arrays; -1 marks "not in this vector".
+        # vb_cols (E, nvb) and vb_bnd (E, nvb) place vb blocks in the
+        # unknowns and in the boundary-data vector; vg_cols is (2, E, nvg).
+        T = mesh.num_elements
+        rb = np.arange(self.nvb)
+        self.vb_cols = np.where(
+            self.interior_index[:, None] >= 0,
+            self.N1 + self.interior_index[:, None] * self.nvb + rb,
+            -1,
+        )
+        self.vb_bnd = np.where(
+            self.boundary_index[:, None] >= 0,
+            self.boundary_index[:, None] * self.nvb + rb,
+            -1,
+        )
+        self.vg_cols = (
+            self.N1
+            + self.N2
+            + np.arange(2)[:, None, None] * self.N3
+            + np.arange(mesh.num_edges)[:, None] * self.nvg
+            + np.arange(self.nvg)
+        )
+        # Element-local DOF order (T, nloc): the v0 block, vb per local
+        # edge, vg component 1 per local edge, then vg component 2.
+        ee = mesh.elem_edges
+        self.elem_cols = np.concatenate(
+            [
+                np.arange(self.N1).reshape(T, self.nv0),
+                self.vb_cols[ee].reshape(T, -1),
+                self.vg_cols[:, ee].transpose(1, 0, 2, 3).reshape(T, -1),
+            ],
+            axis=1,
+        )
+        self.elem_bnd = np.concatenate(
+            [
+                np.full((T, self.nv0), -1),
+                self.vb_bnd[ee].reshape(T, -1),
+                np.full((T, 6 * self.nvg), -1),
+            ],
+            axis=1,
+        )
+
     def v0_slice(self, t):
         return slice(t * self.nv0, (t + 1) * self.nv0)
 
@@ -216,9 +304,6 @@ class DofLayout:
         """Slice of gradient component j (0 or 1) on edge e."""
         start = self.N1 + self.N2 + j * self.N3 + e * self.nvg
         return slice(start, start + self.nvg)
-
-    def w_slice(self, t):
-        return slice(t * self.mw, (t + 1) * self.mw)
 
     def boundary_vb_slice(self, e):
         """Slice into the boundary-data vector for boundary edge e."""
@@ -260,6 +345,18 @@ class WeakFunction:
             return np.zeros(self.layout.NB)
         return self.boundary
 
+    def local_dofs(self):
+        """(T, nloc) element-local DOF vectors in the order of layout.elem_cols.
+
+        Boundary vb slots read the boundary data, or zero when it is absent.
+        """
+        layout = self.layout
+        # index -1 reads a dummy entry that np.where then discards
+        out = np.where(layout.elem_cols >= 0, self.coeffs[layout.elem_cols], 0.0)
+        if self.boundary is not None:
+            out = np.where(layout.elem_bnd >= 0, self.boundary[layout.elem_bnd], out)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # assembled caches
@@ -287,8 +384,6 @@ class Discretization:
         self.tri_pts_ref, self.tri_w_ref = triangle_rule(degree)
         self.edge_pts, self.edge_w = edge_rule((degree + 1 + 1) // 2)
 
-        T = mesh.num_elements
-        q = len(self.tri_w_ref)
         p0 = mesh.vertices[mesh.elements[:, 0]]
         e1 = mesh.vertices[mesh.elements[:, 1]] - p0
         e2 = mesh.vertices[mesh.elements[:, 2]] - p0
@@ -300,39 +395,24 @@ class Discretization:
         )
         self.quad_w = np.outer(2.0 * mesh.elem_area, self.tri_w_ref)
 
-        nv0, mw = self.layout.nv0, self.layout.mw
-        self.basis_v = np.empty((T, q, nv0))
-        self.basis_v_grad = np.empty((T, q, nv0, 2))
-        self.basis_v_hess = np.empty((T, q, nv0, 2, 2))
-        self.basis_w = np.empty((T, q, mw))
-        self.basis_w_grad = np.empty((T, q, mw, 2))
-        self.basis_w_hess = np.empty((T, q, mw, 2, 2))
-        for t in range(T):
-            c = mesh.elem_centroid[t]
-            h = mesh.elem_h[t]
-            pts = self.quad_pts[t]
-            for exps, val, grad, hess in (
-                (self.exps_v, self.basis_v, self.basis_v_grad, self.basis_v_hess),
-                (self.exps_w, self.basis_w, self.basis_w_grad, self.basis_w_hess),
-            ):
-                val[t] = eval_basis(exps, pts, c, h)
-                grad[t, :, :, 0] = eval_basis(exps, pts, c, h, deriv=(1, 0))
-                grad[t, :, :, 1] = eval_basis(exps, pts, c, h, deriv=(0, 1))
-                hess[t, :, :, 0, 0] = eval_basis(exps, pts, c, h, deriv=(2, 0))
-                hess[t, :, :, 0, 1] = eval_basis(exps, pts, c, h, deriv=(1, 1))
-                hess[t, :, :, 1, 0] = hess[t, :, :, 0, 1]
-                hess[t, :, :, 1, 1] = eval_basis(exps, pts, c, h, deriv=(0, 2))
+        center = mesh.elem_centroid[:, None, :]
+        h = mesh.elem_h[:, None]
+        self.basis_v, self.basis_v_grad, self.basis_v_hess = _basis_tables(
+            self.exps_v, self.quad_pts, center, h
+        )
+        self.basis_w, self.basis_w_grad, self.basis_w_hess = _basis_tables(
+            self.exps_w, self.quad_pts, center, h
+        )
 
         self.mass_v = np.einsum("tq,tqi,tqj->tij", self.quad_w, self.basis_v, self.basis_v)
         self.mass_w = np.einsum("tq,tqi,tqj->tij", self.quad_w, self.basis_w, self.basis_w)
         self.mass_v_inv = np.linalg.inv(self.mass_v)
         self.mass_w_inv = np.linalg.inv(self.mass_w)
 
-        # Hilbert-type Gram of t^m on [0,1]; edge mass = h_e * this.
+        # Hilbert-type Gram of t^m on [0,1]; edge mass = h_e * this. Its
+        # leading k x k block is the Gram of the degree k-1 gradients.
         idx = np.arange(k + 1)
         self.edge_gram = 1.0 / (idx[:, None] + idx[None, :] + 1.0)
-        idxg = np.arange(k)
-        self.edge_gram_g = 1.0 / (idxg[:, None] + idxg[None, :] + 1.0)
 
         # Vandermonde of t^m at edge quadrature nodes, both degrees.
         self.tmat = np.power.outer(self.edge_pts, np.arange(k + 1))  # (qe, k+1)
@@ -349,44 +429,17 @@ class Discretization:
         k+1 with a zero top coefficient). trace_w_val / trace_w_grad are
         the analogues for the test-space basis (degrees l and l-1).
         """
-        mesh, cfg = self.mesh, self.cfg
-        k, l = cfg.k, cfg.l
-        nv0, mw = self.layout.nv0, self.layout.mw
-        T = mesh.num_elements
-        self.trace_val = np.zeros((T, 3, k + 1, nv0))
-        self.trace_grad = np.zeros((T, 3, 2, k + 1, nv0))
-        self.trace_w_val = np.zeros((T, 3, l + 1, mw))
-        self.trace_w_grad = np.zeros((T, 3, 2, l + 1, mw))
-        for t in range(T):
-            c = mesh.elem_centroid[t]
-            h = mesh.elem_h[t]
-            for le in range(3):
-                e = mesh.elem_edges[t, le]
-                lo, hi = mesh.edges[e]
-                p_lo = mesh.vertices[lo]
-                p_hi = mesh.vertices[hi]
-                xi0 = (p_lo - c) / h
-                xid = (p_hi - p_lo) / h
-                px = _linear_power_coeffs(xi0[0], xid[0], k)
-                py = _linear_power_coeffs(xi0[1], xid[1], k)
-                for idx, (a, b) in enumerate(self.exps_v):
-                    prod = np.convolve(px[a, : a + 1], py[b, : b + 1])
-                    self.trace_val[t, le, : a + b + 1, idx] = prod
-                    if a >= 1:
-                        prod = np.convolve(px[a - 1, :a], py[b, : b + 1])
-                        self.trace_grad[t, le, 0, : a + b, idx] = (a / h) * prod
-                    if b >= 1:
-                        prod = np.convolve(px[a, : a + 1], py[b - 1, :b])
-                        self.trace_grad[t, le, 1, : a + b, idx] = (b / h) * prod
-                for idx, (a, b) in enumerate(self.exps_w):
-                    prod = np.convolve(px[a, : a + 1], py[b, : b + 1])
-                    self.trace_w_val[t, le, : a + b + 1, idx] = prod
-                    if a >= 1:
-                        prod = np.convolve(px[a - 1, :a], py[b, : b + 1])
-                        self.trace_w_grad[t, le, 0, : a + b, idx] = (a / h) * prod
-                    if b >= 1:
-                        prod = np.convolve(px[a, : a + 1], py[b - 1, :b])
-                        self.trace_w_grad[t, le, 1, : a + b, idx] = (b / h) * prod
+        mesh, k = self.mesh, self.cfg.k
+        ends = mesh.vertices[mesh.edges[mesh.elem_edges]]  # (T, 3, lo/hi, 2)
+        h = mesh.elem_h[:, None, None]
+        xi0 = (ends[:, :, 0] - mesh.elem_centroid[:, None, :]) / h
+        xid = (ends[:, :, 1] - ends[:, :, 0]) / h
+        px = _linear_power_coeffs(xi0[..., 0], xid[..., 0], k)
+        py = _linear_power_coeffs(xi0[..., 1], xid[..., 1], k)
+        self.trace_val, self.trace_grad = _trace_tables(self.exps_v, px, py, h, k)
+        self.trace_w_val, self.trace_w_grad = _trace_tables(
+            self.exps_w, px, py, h, self.cfg.l
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -409,35 +462,39 @@ def project_Qh(u, grad_u, disc):
     """
     layout = disc.layout
     mesh = disc.mesh
+    k = disc.cfg.k
     out = np.zeros(layout.N)
-    bnd = np.zeros(layout.NB)
 
     uq = u(disc.quad_pts)
     rhs = np.einsum("tq,tq,tqi->ti", disc.quad_w, uq, disc.basis_v)
     v0 = np.einsum("tij,tj->ti", disc.mass_v_inv, rhs)
     out[: layout.N1] = v0.ravel()
 
-    gram_inv = np.linalg.inv(disc.edge_gram)
-    gram_g_inv = np.linalg.inv(disc.edge_gram_g)
-    k = disc.cfg.k
-    for e in range(mesh.num_edges):
-        lo, hi = mesh.edges[e]
-        pts = mesh.vertices[lo] + np.multiply.outer(
-            disc.edge_pts, mesh.vertices[hi] - mesh.vertices[lo]
-        )
-        tvals = u(pts)
-        moments = disc.tmat.T @ (disc.edge_w * tvals)
-        coeffs = gram_inv @ moments
-        sl = layout.vb_slice(e)
-        if sl is None:
-            bnd[layout.boundary_vb_slice(e)] = coeffs
-        else:
-            out[sl] = coeffs
-        gvals = grad_u(pts)
-        for j in range(2):
-            moments = disc.tmat[:, :k].T @ (disc.edge_w * gvals[:, j])
-            out[layout.vg_slice(e, j)] = gram_g_inv @ moments
+    pts = _edge_points(disc, np.arange(mesh.num_edges))
+    vb = _edge_projection(disc, u(pts), k)
+    interior = mesh.interior_edges()
+    out[layout.vb_cols[interior]] = vb[interior]
+    out[layout.vg_cols] = _edge_projection(disc, np.moveaxis(grad_u(pts), -1, 0), k - 1)
+    bnd = np.zeros(layout.NB)
+    boundary = mesh.boundary_edges()
+    bnd[layout.vb_bnd[boundary]] = vb[boundary]
     return WeakFunction(layout, out, boundary=bnd)
+
+
+def _edge_points(disc, edges):
+    """(len(edges), qe, 2) edge quadrature points in the global parametrization."""
+    ends = disc.mesh.vertices[disc.mesh.edges[edges]]
+    return ends[:, None, 0] + disc.edge_pts[:, None] * (ends[:, 1] - ends[:, 0])[:, None]
+
+
+def _edge_projection(disc, vals, degree):
+    """L2 projection onto P_degree of values (..., qe) at the edge quadrature points.
+
+    Returns the t-monomial coefficients, shape (..., degree+1).
+    """
+    tm = disc.tmat[:, : degree + 1]
+    gram_inv = np.linalg.inv(disc.edge_gram[: degree + 1, : degree + 1])
+    return ((disc.edge_w * vals) @ tm) @ gram_inv.T
 
 
 def project_Wh(g, disc):
@@ -450,16 +507,11 @@ def project_Wh(g, disc):
 def project_boundary(u, disc):
     """Q_b of the trace of u on boundary edges only (length NB vector)."""
     layout = disc.layout
-    mesh = disc.mesh
+    boundary = disc.mesh.boundary_edges()
     bnd = np.zeros(layout.NB)
-    gram_inv = np.linalg.inv(disc.edge_gram)
-    for e in mesh.boundary_edges():
-        lo, hi = mesh.edges[e]
-        pts = mesh.vertices[lo] + np.multiply.outer(
-            disc.edge_pts, mesh.vertices[hi] - mesh.vertices[lo]
-        )
-        moments = disc.tmat.T @ (disc.edge_w * u(pts))
-        bnd[layout.boundary_vb_slice(e)] = gram_inv @ moments
+    bnd[layout.vb_bnd[boundary]] = _edge_projection(
+        disc, u(_edge_points(disc, boundary)), disc.cfg.k
+    )
     return bnd
 
 

@@ -58,7 +58,7 @@ class SolverConfig:
     tol: float = 1e-10
     residual_tol: float = 1e-8
     max_iters: int = 200000
-    prox_method: str = "exact"
+    prox_method: str = "wl1"
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -164,12 +164,21 @@ def make_bn(state, A, B, fvec, alpha, beta, prox, c=None):
     if c is not None:
         Bu = Bu + c
     P = prox(Bu + state.y)
+    return _step_rhs(state, P, A.T, B.T, alpha, beta, beta * fvec, c)
+
+
+def _step_rhs(state, P, AT, BT, alpha, beta, b3, c=None):
+    """b^n from the prox P = prox(Bu + c + y) of the current iterate.
+
+    The one copy of the step shared by make_bn and solve_p1, so the
+    public step functions replay the solver's iteration bit for bit.
+    """
     b1 = state.y - P
     if c is not None:
         b1 = b1 + c
         P = P - c
-    b2 = alpha * (B.T @ P) + beta * (A.T @ state.x)
-    return np.concatenate([b1, b2, beta * fvec])
+    b2 = alpha * (BT @ P) + beta * (AT @ state.x)
+    return np.concatenate([b1, b2, b3])
 
 
 def fixed_point_step(state, smat, bn):
@@ -202,7 +211,8 @@ def solve_p1(system, bmat, k, cfg, g=None):
     matrices for p=1, g the optional boundary vb data. Stops when the
     relative step or the fixed-point residual drops below its
     tolerance; hitting max_iters returns the best iterate seen (by
-    worst-case residual) with converged=False.
+    worst-case residual) with converged=False, and so does a residual
+    that is not finite (stop_reason "nonfinite").
 
     Returns (u_coeffs, state, diagnostics).
     """
@@ -249,6 +259,9 @@ def solve_p1(system, bmat, k, cfg, g=None):
         res_hist.append((r1, r2, r3))
         energy_y.append(np.dot(state.y, state.y))
         energy_Bu.append(np.dot(Ju, Ju))
+        if not np.isfinite(r1 + r2 + r3):
+            reason = "nonfinite"
+            break
         worst = max(r1, r2, r3)
         if worst < best[0]:
             best = (worst, state)
@@ -261,9 +274,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
             reason = "step"
             break
 
-        b1 = state.y - P + c
-        b2 = alpha * (BT @ (P - c)) + beta * (AT @ state.x)
-        new = fixed_point_step(state, smat, np.concatenate([b1, b2, b3]))
+        new = fixed_point_step(state, smat, _step_rhs(state, P, AT, BT, alpha, beta, b3, c))
         Ju_new = B @ new.u + c
         inc_Bu.append(np.sum((Ju_new - Ju) ** 2))
         inc_y.append(np.sum((new.y - state.y) ** 2))

@@ -20,6 +20,12 @@ p = 1 the vector mismatch |grad v0 - vg| is measured componentwise
 (the norm under which that identity holds); p = 2 uses the Euclidean
 norm, and p = infinity takes the componentwise maximum.
 
+The p=2 stabilizer matrix is not assembled on its own: it is derived
+from the p=2 jump matrix as B' W B, with W block diagonal holding the
+edge Gram matrix divided by each block's scaling (see assemble_S2).
+eval_s works from the trace tables directly, so it stays an
+independent check of that matrix.
+
 Every integral of |poly| is computed exactly: real roots inside (0,1)
 split the interval into sign-constant pieces, and the antiderivative is
 summed piecewise. Quadrature would lose many digits at the kinks.
@@ -70,64 +76,54 @@ def block_slice(bmat, kind, pair):
     return slice(start, start + bs)
 
 
+def _jump_weights(disc, p):
+    """Scalings (w_val, w_grad), each (T, 3), of the value and gradient jump blocks."""
+    mesh = disc.mesh
+    he = mesh.edge_length[mesh.elem_edges]
+    hT = mesh.elem_h[:, None]
+    return he * hT ** (1 - 2 * p), he * hT ** (1 - p)
+
+
+def _sparse(entries, shape):
+    """CSR matrix from (rows, cols, vals) triples of broadcastable arrays.
+
+    Exact zeros and entries with a negative column are left out.
+    """
+    parts = [np.broadcast_arrays(*e) for e in entries]
+    rows, cols, vals = (np.concatenate([p[i].ravel() for p in parts]) for i in range(3))
+    keep = (vals != 0) & (cols >= 0)
+    return sp.csr_matrix(
+        sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    )
+
+
 def assemble_B(disc, p):
     """Build the jump matrix pair (B, Bb) for p in {1, 2}."""
     if p not in (1, 2):
         raise ValueError(f"unsupported p={p} for jump assembly")
     layout = disc.layout
-    mesh = disc.mesh
-    k = disc.cfg.k
-    bs = k + 1
-    T = mesh.num_elements
+    ee = disc.mesh.elem_edges
+    bs = layout.nvb
+    T = disc.mesh.num_elements
     num_pairs = 3 * T
     section = bs * num_pairs
+    w_val, w_grad = _jump_weights(disc, p)
+    w_val, w_grad = w_val[..., None], w_grad[..., None]
 
-    rows, cols, vals = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-
-    def put(r0, block, col0, to_boundary=False):
-        # scatter a dense (bs, ncols) block at rows r0.., cols col0..
-        rr, cc = np.nonzero(block)
-        if to_boundary:
-            rows_b.extend(r0 + rr)
-            cols_b.extend(col0 + cc)
-            vals_b.extend(block[rr, cc])
-        else:
-            rows.extend(r0 + rr)
-            cols.extend(col0 + cc)
-            vals.extend(block[rr, cc])
-
-    for t in range(T):
-        hT = mesh.elem_h[t]
-        v0 = layout.v0_slice(t)
-        for le in range(3):
-            e = mesh.elem_edges[t, le]
-            he = mesh.edge_length[e]
-            pair = 3 * t + le
-            w_val = he * hT ** (1 - 2 * p)
-            w_grad = he * hT ** (1 - p)
-
-            r0 = pair * bs
-            put(r0, w_val * disc.trace_val[t, le], v0.start)
-            sl = layout.vb_slice(e)
-            eye = -w_val * np.eye(bs)
-            if sl is None:
-                put(r0, eye, layout.boundary_vb_slice(e).start, to_boundary=True)
-            else:
-                put(r0, eye, sl.start)
-
-            for j in range(2):
-                r0 = (1 + j) * section + pair * bs
-                put(r0, w_grad * disc.trace_grad[t, le, j], v0.start)
-                block = np.zeros((bs, layout.nvg))
-                block[: layout.nvg] = -w_grad * np.eye(layout.nvg)
-                put(r0, block, layout.vg_slice(e, j).start)
+    rows = np.arange(section).reshape(T, 3, bs)  # value-jump rows of each pair
+    v0 = layout.elem_cols[:, None, None, : layout.nv0]
+    entries = [
+        (rows[..., None], v0, w_val[..., None] * disc.trace_val),
+        (rows, layout.vb_cols[ee], -w_val),
+    ]
+    for j in range(2):
+        r = (1 + j) * section + rows
+        entries.append((r[..., None], v0, w_grad[..., None] * disc.trace_grad[:, :, j]))
+        entries.append((r[..., : layout.nvg], layout.vg_cols[j][ee], -w_grad))
 
     shape = (3 * section, layout.N)
-    B = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=shape))
-    Bb = sp.csr_matrix(
-        sp.coo_matrix((vals_b, (rows_b, cols_b)), shape=(3 * section, layout.NB))
-    )
+    B = _sparse(entries, shape)
+    Bb = _sparse([(rows, layout.vb_bnd[ee], -w_val)], (3 * section, layout.NB))
     return BMatrix(B=B, Bb=Bb, p=p, block_size=bs, num_pairs=num_pairs)
 
 
@@ -139,70 +135,25 @@ def assemble_S2(disc):
     u' Suu u + 2 u' Sub g up to a constant in g; the gradient of the
     p=2 stabilizer at u is then Suu u + Sub g. The boundary-boundary
     block is dropped since it never enters the Euler-Lagrange system.
+
+    The form is derived from the p=2 jump matrices: Suu = B' W B and
+    Sub = B' W Bb, where W is block diagonal with edge_gram / w for a
+    jump block scaled by w (w^2 / w gives back h_e/h_T^3 and h_e/h_T).
+    W is applied as D'D with D = blockdiag(L' / sqrt(w)) and
+    edge_gram = L L', so Suu = (DB)'(DB) is exactly symmetric.
     """
-    layout = disc.layout
-    mesh = disc.mesh
-    bs = layout.nvb
-    nv0 = layout.nv0
-    nvg = layout.nvg
-    nloc = nv0 + bs + 2 * nvg
-    gram = disc.edge_gram
-
-    rows, cols, vals = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-
-    for t in range(mesh.num_elements):
-        hT = mesh.elem_h[t]
-        v0 = layout.v0_slice(t)
-        for le in range(3):
-            e = mesh.elem_edges[t, le]
-            he = mesh.edge_length[e]
-
-            glob = np.full(nloc, -1, dtype=int)
-            bnd = np.full(nloc, -1, dtype=int)
-            glob[:nv0] = np.arange(v0.start, v0.stop)
-            sl = layout.vb_slice(e)
-            if sl is None:
-                bsl = layout.boundary_vb_slice(e)
-                bnd[nv0 : nv0 + bs] = np.arange(bsl.start, bsl.stop)
-            else:
-                glob[nv0 : nv0 + bs] = np.arange(sl.start, sl.stop)
-            for j in range(2):
-                gsl = layout.vg_slice(e, j)
-                lo = nv0 + bs + j * nvg
-                glob[lo : lo + nvg] = np.arange(gsl.start, gsl.stop)
-
-            jval = np.zeros((bs, nloc))
-            jval[:, :nv0] = disc.trace_val[t, le]
-            jval[:, nv0 : nv0 + bs] = -np.eye(bs)
-            local = (he / hT**3) * (jval.T @ gram @ jval)
-            for j in range(2):
-                jg = np.zeros((bs, nloc))
-                jg[:, :nv0] = disc.trace_grad[t, le, j]
-                lo = nv0 + bs + j * nvg
-                jg[:nvg, lo : lo + nvg] = -np.eye(nvg)
-                local += (he / hT) * (jg.T @ gram @ jg)
-
-            rr, cc = np.nonzero(local)
-            for r, c in zip(rr, cc):
-                if glob[r] < 0:
-                    continue
-                if glob[c] >= 0:
-                    rows.append(glob[r])
-                    cols.append(glob[c])
-                    vals.append(local[r, c])
-                elif bnd[c] >= 0:
-                    rows_b.append(glob[r])
-                    cols_b.append(bnd[c])
-                    vals_b.append(local[r, c])
-
-    Suu = sp.csr_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(layout.N, layout.N))
-    )
-    Sub = sp.csr_matrix(
-        sp.coo_matrix((vals_b, (rows_b, cols_b)), shape=(layout.N, layout.NB))
-    )
-    return Suu, Sub
+    bmat = assemble_B(disc, 2)
+    w_val, w_grad = _jump_weights(disc, 2)
+    w = np.concatenate([w_val.ravel(), w_grad.ravel(), w_grad.ravel()])
+    L = np.linalg.cholesky(disc.edge_gram)
+    nblocks = len(w)
+    D = sp.bsr_matrix(
+        (L.T / np.sqrt(w)[:, None, None], np.arange(nblocks), np.arange(nblocks + 1)),
+        shape=(bmat.num_rows, bmat.num_rows),
+    ).tocsr()
+    C = D @ bmat.B
+    Ct = C.T.tocsr()
+    return Ct @ C, Ct @ (D @ bmat.Bb)
 
 
 # ---------------------------------------------------------------------------
@@ -260,67 +211,46 @@ def eval_phi(q, k):
 # stabilizer evaluation
 
 
-def _pair_jump_coeffs(disc, v, t, le):
-    """Raw t-coefficients of (v0-vb, d1 v0-vg1, d2 v0-vg2) on one incidence."""
+def _jump_coeffs(disc, v):
+    """Raw t-coefficients of the jumps on every (element, local edge) pair.
+
+    Returns v0-vb as (T, 3, k+1) and grad v0 - vg as (T, 3, 2, k+1).
+    """
     layout = v.layout
-    mesh = disc.mesh
-    e = mesh.elem_edges[t, le]
-    v0 = v.coeffs[layout.v0_slice(t)]
-
-    jv = disc.trace_val[t, le] @ v0
-    sl = layout.vb_slice(e)
-    if sl is None:
-        if v.boundary is not None:
-            jv = jv - v.boundary[layout.boundary_vb_slice(e)]
-    else:
-        jv = jv - v.coeffs[sl]
-
-    jg = np.empty((2, layout.nvb))
-    for j in range(2):
-        jg[j] = disc.trace_grad[t, le, j] @ v0
-        jg[j, : layout.nvg] -= v.coeffs[layout.vg_slice(e, j)]
+    T = disc.mesh.num_elements
+    nv0, nvb, nvg = layout.nv0, layout.nvb, layout.nvg
+    loc = v.local_dofs()
+    v0 = loc[:, :nv0]
+    jv = np.einsum("tlrn,tn->tlr", disc.trace_val, v0)
+    jv -= loc[:, nv0 : nv0 + 3 * nvb].reshape(T, 3, nvb)
+    jg = np.einsum("tljrn,tn->tljr", disc.trace_grad, v0)
+    jg[..., :nvg] -= loc[:, nv0 + 3 * nvb :].reshape(T, 2, 3, nvg).transpose(0, 2, 1, 3)
     return jv, jg
 
 
 def eval_s(disc, v, p):
     """Evaluate the stabilizer for p in {1, 2, inf}."""
+    if p not in (1, 2, np.inf):
+        raise ValueError(f"unsupported p={p}")
     mesh = disc.mesh
+    he = mesh.edge_length[mesh.elem_edges]
+    hT = mesh.elem_h[:, None]
+    jv, jg = _jump_coeffs(disc, v)
     if p == 1:
-        total = 0.0
-        for t in range(mesh.num_elements):
-            hT = mesh.elem_h[t]
-            for le in range(3):
-                he = mesh.edge_length[mesh.elem_edges[t, le]]
-                jv, jg = _pair_jump_coeffs(disc, v, t, le)
-                total += he / hT * integral_abs_poly(jv)
-                total += he * (integral_abs_poly(jg[0]) + integral_abs_poly(jg[1]))
-        return total
+        bs = jv.shape[-1]
+        iv = np.array([integral_abs_poly(c) for c in jv.reshape(-1, bs)]).reshape(he.shape)
+        ig = np.array([integral_abs_poly(c) for c in jg.reshape(-1, bs)]).reshape(jg.shape[:-1])
+        return float(np.sum(he / hT * iv + he * ig.sum(axis=-1)))
     if p == 2:
         gram = disc.edge_gram
-        total = 0.0
-        for t in range(mesh.num_elements):
-            hT = mesh.elem_h[t]
-            for le in range(3):
-                he = mesh.edge_length[mesh.elem_edges[t, le]]
-                jv, jg = _pair_jump_coeffs(disc, v, t, le)
-                total += he / hT**3 * (jv @ gram @ jv)
-                total += he / hT * (jg[0] @ gram @ jg[0] + jg[1] @ gram @ jg[1])
-        return 0.5 * total
-    if p == np.inf:
-        ts = np.concatenate([[0.0], disc.edge_pts, [1.0]])
-        tm = np.power.outer(ts, np.arange(disc.cfg.k + 1))
-        worst = 0.0
-        for t in range(mesh.num_elements):
-            hT = mesh.elem_h[t]
-            mval = 0.0
-            mgrad = 0.0
-            for le in range(3):
-                jv, jg = _pair_jump_coeffs(disc, v, t, le)
-                mval = max(mval, np.abs(tm @ jv).max())
-                mgrad = max(mgrad, np.abs(tm @ jg.T).max())
-            worst = max(worst, mval / hT**2 + mgrad / hT)
-        return worst
-    raise ValueError(f"unsupported p={p}")
+        qv = np.einsum("tlr,rs,tls->tl", jv, gram, jv)
+        qg = np.einsum("tljr,rs,tljs->tl", jg, gram, jg)
+        return 0.5 * float(np.sum(he / hT**3 * qv + he / hT * qg))
+    ts = np.concatenate([[0.0], disc.edge_pts, [1.0]])
+    tm = np.power.outer(ts, np.arange(disc.cfg.k + 1))
+    mval = np.abs(jv @ tm.T).max(axis=(1, 2))
+    mgrad = np.abs(jg @ tm.T).max(axis=(1, 2, 3))
+    return float((mval / mesh.elem_h**2 + mgrad / mesh.elem_h).max())
 
 
 def eval_s_tilde(disc, v, p):

@@ -82,45 +82,50 @@ def local_dof_columns(disc, t):
     arrays of length nloc where exactly one of glob[i], bnd[i] is >= 0;
     bnd indexes the separate boundary-data vector.
     """
-    layout = disc.layout
-    mesh = disc.mesh
-    k = disc.cfg.k
-    glob = []
-    bnd = []
-
-    sl = layout.v0_slice(t)
-    glob.extend(range(sl.start, sl.stop))
-    bnd.extend([-1] * layout.nv0)
-    for le in range(3):
-        e = mesh.elem_edges[t, le]
-        sl = layout.vb_slice(e)
-        if sl is None:
-            sb = layout.boundary_vb_slice(e)
-            glob.extend([-1] * layout.nvb)
-            bnd.extend(range(sb.start, sb.stop))
-        else:
-            glob.extend(range(sl.start, sl.stop))
-            bnd.extend([-1] * layout.nvb)
-    for j in range(2):
-        for le in range(3):
-            e = mesh.elem_edges[t, le]
-            sl = layout.vg_slice(e, j)
-            glob.extend(range(sl.start, sl.stop))
-            bnd.extend([-1] * layout.nvg)
-    return np.array(glob), np.array(bnd)
-
-
-def n_local(layout):
-    return layout.nv0 + 3 * layout.nvb + 6 * layout.nvg
+    return disc.layout.elem_cols[t], disc.layout.elem_bnd[t]
 
 
 def gather_local(disc, t, v):
     """Local DOF sub-vector of a WeakFunction on element t."""
-    glob, bnd = local_dof_columns(disc, t)
-    out = np.where(glob >= 0, v.coeffs[np.maximum(glob, 0)], 0.0)
-    if v.boundary is not None:
-        out = np.where(bnd >= 0, v.boundary[np.maximum(bnd, 0)], out)
-    return out
+    return v.local_dofs()[t]
+
+
+def _weak_hessian_maps(disc, i, j):
+    """(T, mw, nloc) P_l coefficient maps of the (i,j) weak second derivative.
+
+    Element t's slice C gives D_ij = sum_m (C v_loc)_m psi_m for the
+    local DOF order of local_dof_columns.
+    """
+    layout = disc.layout
+    mesh = disc.mesh
+    l = disc.cfg.l
+    T = mesh.num_elements
+    nv0, nvb, nvg, mw = layout.nv0, layout.nvb, layout.nvg, layout.mw
+    R = np.zeros((T, mw, layout.elem_cols.shape[1]))
+
+    # (v0, d2_ji psi)_T by volume quadrature (vanishes for l <= 1)
+    R[:, :, :nv0] = np.einsum(
+        "tq,tqn,tqm->tmn", disc.quad_w, disc.basis_v, disc.basis_w_hess[..., j, i]
+    )
+    he = mesh.edge_length[mesh.elem_edges]
+    nrm = mesh.elem_normals
+
+    def edge_blocks(scale, gram, trace):
+        # (T, 3, mw, ncols) blocks scale * (gram @ trace)^T, laid out per local
+        # edge; matmul rounds each block exactly as a per-element product would
+        blocks = scale[..., None, None] * np.swapaxes(gram @ trace, -1, -2)
+        return blocks.transpose(0, 2, 1, 3).reshape(T, mw, -1)
+
+    # -<vb n_i, d_j psi>
+    R[:, :, nv0 : nv0 + 3 * nvb] = edge_blocks(
+        -nrm[..., i] * he, _hilbert_gram(nvb, l + 1), disc.trace_w_grad[:, :, j]
+    )
+    # +<vg_i, psi n_j>
+    c0 = nv0 + 3 * nvb + i * 3 * nvg
+    R[:, :, c0 : c0 + 3 * nvg] = edge_blocks(
+        nrm[..., j] * he, _hilbert_gram(nvg, l + 1), disc.trace_w_val
+    )
+    return disc.mass_w_inv @ R
 
 
 def local_weak_hessian(disc, t, i, j):
@@ -129,42 +134,12 @@ def local_weak_hessian(disc, t, i, j):
     Returns the (mw, nloc) matrix C with D_ij = sum_m (C v_loc)_m psi_m
     for the local DOF order of local_dof_columns. Indices i, j are 0 or 1.
     """
-    layout = disc.layout
-    mesh = disc.mesh
-    k = disc.cfg.k
-    nv0, nvb, nvg, mw = layout.nv0, layout.nvb, layout.nvg, layout.mw
-    nloc = n_local(layout)
-    R = np.zeros((mw, nloc))
-
-    # (v0, d2_ji psi)_T by volume quadrature (vanishes for l <= 1)
-    R[:, :nv0] = np.einsum(
-        "q,qn,qm->mn", disc.quad_w[t], disc.basis_v[t], disc.basis_w_hess[t][:, :, j, i]
-    )
-
-    gram_b = _hilbert_gram(nvb, disc.cfg.l + 1)
-    gram_g = _hilbert_gram(nvg, disc.cfg.l + 1)
-    for le in range(3):
-        e = mesh.elem_edges[t, le]
-        he = mesh.edge_length[e]
-        nrm = mesh.elem_normals[t, le]
-        # -<vb n_i, d_j psi>
-        block = -nrm[i] * he * (gram_b @ disc.trace_w_grad[t, le, j]).T
-        c0 = nv0 + le * nvb
-        R[:, c0 : c0 + nvb] += block
-        # +<vg_i, psi n_j>
-        block = nrm[j] * he * (gram_g @ disc.trace_w_val[t, le]).T
-        c0 = nv0 + 3 * nvb + i * 3 * nvg + le * nvg
-        R[:, c0 : c0 + nvg] += block
-    return disc.mass_w_inv[t] @ R
+    return _weak_hessian_maps(disc, i, j)[t]
 
 
 def weak_hessian_apply(disc, v, i, j):
     """(T, mw) coefficients of the (i,j) weak second derivative of v."""
-    T = disc.mesh.num_elements
-    out = np.empty((T, disc.layout.mw))
-    for t in range(T):
-        out[t] = local_weak_hessian(disc, t, i, j) @ gather_local(disc, t, v)
-    return out
+    return np.einsum("tmn,tn->tm", _weak_hessian_maps(disc, i, j), v.local_dofs())
 
 
 @dataclass
@@ -188,49 +163,37 @@ def assemble_A(disc, field):
     coefficients are handled without pre-projection.
     """
     layout = disc.layout
-    mesh = disc.mesh
-    T = mesh.num_elements
+    T = disc.mesh.num_elements
     mw = layout.mw
-    nloc = n_local(layout)
 
     aq = np.asarray(field.a(disc.quad_pts))  # (T, q, 2, 2)
     fq = np.asarray(field.f(disc.quad_pts))
     fvec = np.einsum("tq,tq,tqm->tm", disc.quad_w, fq, disc.basis_w).ravel()
 
-    rows_A, cols_A, vals_A = [], [], []
-    rows_C, cols_C, vals_C = [], [], []
-    for t in range(T):
-        local = np.zeros((mw, nloc))
-        for i in range(2):
-            for j in range(2):
-                C_ij = local_weak_hessian(disc, t, i, j)
-                # (a_ij D_ij, psi_m) with D_ij expanded in the W basis
-                W_a = np.einsum(
-                    "q,q,qm,qc->mc",
-                    disc.quad_w[t],
-                    aq[t, :, i, j],
-                    disc.basis_w[t],
-                    disc.basis_w[t],
-                )
-                local += W_a @ C_ij
-        glob, bnd = local_dof_columns(disc, t)
-        r0 = layout.w_slice(t).start
-        for c in range(nloc):
-            col_rows = np.arange(r0, r0 + mw)
-            if glob[c] >= 0:
-                rows_A.extend(col_rows)
-                cols_A.extend([glob[c]] * mw)
-                vals_A.extend(local[:, c])
-            else:
-                rows_C.extend(col_rows)
-                cols_C.extend([bnd[c]] * mw)
-                vals_C.extend(local[:, c])
+    local = 0.0
+    for i in range(2):
+        for j in range(2):
+            # (a_ij D_ij, psi_m) with D_ij expanded in the W basis
+            W_a = np.einsum(
+                "tq,tq,tqm,tqc->tmc", disc.quad_w, aq[:, :, i, j], disc.basis_w, disc.basis_w
+            )
+            local = local + W_a @ _weak_hessian_maps(disc, i, j)
 
+    rows, glob, bnd = np.broadcast_arrays(
+        np.arange(T * mw).reshape(T, mw, 1),
+        layout.elem_cols[:, None, :],
+        layout.elem_bnd[:, None, :],
+    )
+    inner = glob >= 0
     A = sp.csr_matrix(
-        sp.coo_matrix((vals_A, (rows_A, cols_A)), shape=(layout.M, layout.N))
+        sp.coo_matrix(
+            (local[inner], (rows[inner], glob[inner])), shape=(layout.M, layout.N)
+        )
     )
     Cb = sp.csr_matrix(
-        sp.coo_matrix((vals_C, (rows_C, cols_C)), shape=(layout.M, layout.NB))
+        sp.coo_matrix(
+            (local[~inner], (rows[~inner], bnd[~inner])), shape=(layout.M, layout.NB)
+        )
     )
     return ConstraintSystem(A=A, Cb=Cb, fvec=fvec)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdwg import analysis
 from pdwg.analysis import (
     ProblemCase,
     builtin_case,
@@ -168,6 +169,21 @@ def test_run_study_p1_smoke():
     assert rep.converged
     assert rep.iterations > 10
     assert rep.e_L < 0.5
+
+
+def test_run_study_rejects_non_elliptic_field_before_solving(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("assembled or solved a non-elliptic problem")
+
+    for name in ("assemble_A", "solve_p1", "solve_p2"):
+        monkeypatch.setattr(analysis, name, never)
+    indefinite = CoefficientField(
+        a=lambda p: np.broadcast_to(np.array([[1.0, 3.0], [3.0, 1.0]]), p.shape[:-1] + (2, 2)),
+        f=lambda p: np.zeros(p.shape[:-1]),
+    )
+    for p in (1, 2):
+        with pytest.raises(ValueError, match="positive definite"):
+            run_study(ProblemCase("indefinite", indefinite), p, [2])
 
 
 def test_run_study_rejects_odd_disc_and_bad_p():

@@ -105,6 +105,31 @@ def test_layout_slices_partition():
     assert np.all(hitb == 1)
 
 
+def test_layout_index_arrays_match_slices():
+    mesh = build_uniform(2)
+    layout = make_layout(mesh, SpaceConfig(k=2))
+    span = lambda sl: np.arange(sl.start, sl.stop)  # noqa: E731
+    for e in range(mesh.num_edges):
+        if mesh.edge_is_boundary[e]:
+            assert np.all(layout.vb_cols[e] == -1)
+            assert np.array_equal(layout.vb_bnd[e], span(layout.boundary_vb_slice(e)))
+        else:
+            assert np.array_equal(layout.vb_cols[e], span(layout.vb_slice(e)))
+            assert np.all(layout.vb_bnd[e] == -1)
+        for j in range(2):
+            assert np.array_equal(layout.vg_cols[j, e], span(layout.vg_slice(e, j)))
+    for t in range(mesh.num_elements):
+        glob, bnd = layout.elem_cols[t], layout.elem_bnd[t]
+        assert np.array_equal(glob[: layout.nv0], span(layout.v0_slice(t)))
+        edges = mesh.elem_edges[t]
+        vb = slice(layout.nv0, layout.nv0 + 3 * layout.nvb)
+        assert np.array_equal(glob[vb], layout.vb_cols[edges].ravel())
+        assert np.array_equal(bnd[vb], layout.vb_bnd[edges].ravel())
+        assert np.all(bnd[: layout.nv0] == -1) and np.all(bnd[vb.stop :] == -1)
+        vg = np.concatenate([span(layout.vg_slice(e, j)) for j in range(2) for e in edges])
+        assert np.array_equal(glob[vb.stop :], vg)
+
+
 def test_weak_function_validation():
     layout = make_layout(build_uniform(1), SpaceConfig(k=2))
     with pytest.raises(ValueError):
@@ -143,6 +168,35 @@ def test_trace_coefficients_match_point_evaluation():
                 ) @ coeffs
                 via_trace = tm @ (disc.trace_grad[t, le, j] @ coeffs)
                 assert np.allclose(via_trace, direct, atol=1e-12)
+
+
+def test_discretization_tables_match_per_element_evaluation():
+    # the whole-mesh tables against eval_basis called one element at a time
+    k = 3
+    disc = Discretization(build_uniform(3), SpaceConfig(k=k))
+    mesh = disc.mesh
+    exps = poly_exponents(k)
+    ts = np.linspace(0.0, 1.0, 7)
+    tm = np.power.outer(ts, np.arange(k + 1))
+    hess_orders = {(0, 0): (2, 0), (0, 1): (1, 1), (1, 0): (1, 1), (1, 1): (0, 2)}
+    for t in range(mesh.num_elements):
+        c, h = mesh.elem_centroid[t], mesh.elem_h[t]
+        pts = disc.quad_pts[t]
+        assert np.array_equal(disc.basis_v[t], eval_basis(exps, pts, c, h))
+        for (i, j), d in hess_orders.items():
+            want = eval_basis(exps, pts, c, h, deriv=d)
+            assert np.array_equal(disc.basis_v_hess[t, :, :, i, j], want)
+        for le in range(3):
+            lo, hi = mesh.edges[mesh.elem_edges[t, le]]
+            epts = mesh.vertices[lo] + np.multiply.outer(
+                ts, mesh.vertices[hi] - mesh.vertices[lo]
+            )
+            want = eval_basis(exps, epts, c, h)
+            assert np.allclose(tm @ disc.trace_val[t, le], want, rtol=0, atol=1e-13)
+            for j, d in ((0, (1, 0)), (1, (0, 1))):
+                want = eval_basis(exps, epts, c, h, deriv=d)
+                got = tm @ disc.trace_grad[t, le, j]
+                assert np.allclose(got, want, rtol=0, atol=1e-12 / h)
 
 
 def test_trace_gradient_top_coefficient_is_zero():

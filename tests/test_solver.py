@@ -24,7 +24,7 @@ from pdwg.solver import (
     solve_p2,
 )
 from pdwg.stabilizer import assemble_B, assemble_S2, eval_s
-from pdwg.weak_assembly import CoefficientField, assemble_A
+from pdwg.weak_assembly import CoefficientField, ConstraintSystem, assemble_A
 
 
 def poly_field():
@@ -62,6 +62,25 @@ def test_solver_config_validation():
     ):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
+
+
+def test_default_config_runs():
+    _, system, bmat = setup(1, builtin_case("const").field)
+    _, _, diag = solve_p1(system, bmat, 2, SolverConfig(max_iters=5))
+    assert diag.stop_reason == "max_iters"
+    assert len(diag.residual_history) == 5
+
+
+def test_p1_stops_on_nonfinite_residual():
+    _, system, bmat = setup(1, builtin_case("const").field)
+    fvec = system.fvec.copy()
+    fvec[0] = np.nan
+    bad = ConstraintSystem(A=system.A, Cb=system.Cb, fvec=fvec)
+    _, state, diag = solve_p1(bad, bmat, 2, SolverConfig())
+    assert diag.stop_reason == "nonfinite"
+    assert not diag.converged
+    assert len(diag.residual_history) <= 2
+    assert np.all(np.isfinite(state.u))
 
 
 def test_make_prox_selectors():
@@ -251,9 +270,13 @@ def test_solve_p2_polynomial_exact_and_multiplier_vanishes():
         assert res <= 1e-10
 
 
-def test_s2_matrix_matches_stabilizer_quadratic_form():
-    disc, _, _ = setup(1, poly_field(), p=2)
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [1, 3])
+def test_s2_matrix_matches_stabilizer_quadratic_form(n, k):
+    # eval_s works from the trace tables, not from B2 or S2
+    disc = Discretization(build_uniform(n), SpaceConfig(k=k))
     suu, sub = assemble_S2(disc)
+    assert (suu != suu.T).nnz == 0
     rng = np.random.default_rng(7)
     v = rng.normal(size=disc.layout.N)
     vf = WeakFunction(disc.layout, v)
