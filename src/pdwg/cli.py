@@ -36,7 +36,6 @@ class RunConfig:
     tol: float = 1e-10
     residual_tol: float = 1e-8
     max_iters: int = 200000
-    prox: str = "wl1"
     out: str = None
     format: str = "csv"
 
@@ -74,7 +73,6 @@ def parse_args(argv):
     solve.add_argument("--tol", type=float, default=1e-10)
     solve.add_argument("--residual-tol", type=float, default=1e-8)
     solve.add_argument("--max-iters", type=int, default=200000)
-    solve.add_argument("--prox", choices=("exact", "wl1", "oracle"), default="wl1")
     solve.add_argument("--out", default=None)
     solve.add_argument("--format", choices=("csv", "md"), default="csv")
 
@@ -99,7 +97,6 @@ def parse_args(argv):
         tol=ns.tol,
         residual_tol=ns.residual_tol,
         max_iters=ns.max_iters,
-        prox=ns.prox,
         out=ns.out,
         format=ns.format,
     )
@@ -117,8 +114,6 @@ def parse_args(argv):
         raise UsageError("tolerances must be positive")
     if cfg.max_iters < 1:
         raise UsageError("--max-iters must be at least 1")
-    if cfg.prox == "exact" and cfg.k >= 2:
-        raise UsageError("no exact prox for k>=2; use --prox wl1 or oracle")
     return cfg
 
 
@@ -156,7 +151,7 @@ def _config_echo(cfg):
     lines.append(
         f"# alpha={cfg.alpha:g} beta={cfg.beta:g} tol={cfg.tol:g} "
         f"residual_tol={cfg.residual_tol:g} max_iters={cfg.max_iters} "
-        f"prox={cfg.prox}"
+        "prox=wl1"
     )
     return lines
 
@@ -228,7 +223,6 @@ def _run_solve(cfg):
         tol=cfg.tol,
         residual_tol=cfg.residual_tol,
         max_iters=cfg.max_iters,
-        prox_method=cfg.prox,
     )
     table = run_study(case, cfg.p, list(cfg.n_list), k=cfg.k, l=cfg.l, cfg=solver_cfg)
     rows = _study_rows(table)

@@ -75,7 +75,10 @@ class Mesh:
             [elems[:, [0, 1]], elems[:, [1, 2]], elems[:, [2, 0]]], axis=1
         )  # (T, 3, 2)
         pairs = np.sort(local.reshape(-1, 2), axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        # lo * V + hi orders the pairs lexicographically, as rows would.
+        nv = verts.shape[0]
+        keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
+        edges = np.stack([keys // nv, keys % nv], axis=1)
         self.edges = edges
         self.elem_edges = inverse.reshape(num_elems, 3)
 
@@ -84,14 +87,19 @@ class Mesh:
             verts[edges[:, 1]] - verts[edges[:, 0]], axis=1
         )
 
+        # Incident elements per edge in ascending element order: a stable
+        # sort of the (element, local edge) incidences by edge id.
+        flat = self.elem_edges.ravel()
+        count = np.bincount(flat, minlength=num_edges)
+        if np.any(count > 2):
+            e = int(np.argmax(count > 2))
+            raise ValueError(f"edge {e} belongs to more than two elements")
+        elem_of = np.argsort(flat, kind="stable") // 3
+        first = np.cumsum(count) - count
         edge_elements = np.full((num_edges, 2), -1, dtype=int)
-        count = np.zeros(num_edges, dtype=int)
-        for t in range(num_elems):
-            for e in self.elem_edges[t]:
-                if count[e] >= 2:
-                    raise ValueError(f"edge {e} belongs to more than two elements")
-                edge_elements[e, count[e]] = t
-                count[e] += 1
+        edge_elements[:, 0] = elem_of[first]
+        shared = count == 2
+        edge_elements[shared, 1] = elem_of[first[shared] + 1]
         self.edge_elements = edge_elements
         self.edge_is_boundary = count == 1
 
@@ -157,19 +165,13 @@ def build_uniform(n):
     xs, ys = np.meshgrid(side, side)
     vertices = np.column_stack([xs.ravel(), ys.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            elements.append((a, b, c))
-            elements.append((a, c, d))
-    return Mesh(vertices, np.array(elements, dtype=int), n=n)
+    # Cells row by row; cell (i, j) has corners a, b = a+1 (right),
+    # c = b+n+1 (up-right), d = a+n+1 (up) and children (a,b,c), (a,c,d).
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n))
+    a = (jj * (n + 1) + ii).ravel()
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    elements = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return Mesh(vertices, elements, n=n)
 
 
 def refine(mesh):
@@ -185,17 +187,13 @@ def refine(mesh):
     new_vertices = np.vstack([verts, midpoints])
     offset = mesh.num_vertices
 
-    new_elements = []
-    for t in range(mesh.num_elements):
-        v0, v1, v2 = mesh.elements[t]
-        m01 = offset + mesh.elem_edges[t, 0]
-        m12 = offset + mesh.elem_edges[t, 1]
-        m20 = offset + mesh.elem_edges[t, 2]
-        new_elements.extend(
-            [(v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20)]
-        )
+    # Columns v0, v1, v2, m01, m12, m20; children (v0, m01, m20),
+    # (m01, v1, m12), (m20, m12, v2), (m01, m12, m20) per parent.
+    corners = np.hstack([mesh.elements, offset + mesh.elem_edges])
+    children = [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]
+    new_elements = corners[:, children].reshape(-1, 3)
     new_n = 2 * mesh.n if mesh.n is not None else None
-    return Mesh(new_vertices, np.array(new_elements, dtype=int), n=new_n)
+    return Mesh(new_vertices, new_elements, n=new_n)
 
 
 def edge_param(mesh, edge_id):

@@ -16,9 +16,11 @@ independent small problems, one per block of size k+1:
   j-th coefficient by 1/(a*j), the exact prox of the separable
   surrogate sum_j |q_j|/j that brackets the block integral.
 
-A derivative-free numerical prox (Nelder-Mead plus pattern-search
-polish on the true objective) serves as an independent oracle in tests;
-it is never on the production path.
+The spaces always have k >= 2, so prox_phi_weighted_l1 is the only
+operator the solver uses. The closed-form k <= 1 proxes and a
+derivative-free numerical prox (Nelder-Mead plus pattern-search polish
+on the true objective) are reference functions for tests and
+`pdwg verify`, not solver options.
 """
 
 import numpy as np

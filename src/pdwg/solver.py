@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .fe_space import WeakFunction
-from .prox import prox_phi_k1, prox_phi_oracle, prox_phi_weighted_l1, soft_threshold
+from .prox import prox_phi_weighted_l1
 
 __all__ = [
     "SolverConfig",
@@ -67,8 +67,10 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.prox_method not in ("exact", "wl1", "oracle"):
-            raise ValueError(f"unknown prox method {self.prox_method!r}")
+        if self.prox_method != "wl1":
+            raise ValueError(
+                f"unknown prox method {self.prox_method!r}; the only one is 'wl1'"
+            )
 
 
 @dataclass
@@ -88,9 +90,6 @@ class SMatrix:
     lu: object
     nB: int
     N: int
-    M: int
-    alpha: float
-    beta: float
 
 
 @dataclass
@@ -103,32 +102,18 @@ class Diagnostics:
     r3: float = np.inf
     wall_time: float = 0.0
     residual_history: np.ndarray = None
-    step_history: np.ndarray = None
-    energy_y: np.ndarray = None
-    energy_Bu: np.ndarray = None
-    inc_y: np.ndarray = None
-    inc_Bu: np.ndarray = None
 
 
 def make_prox(method, k, alpha):
-    """Blockwise prox of (1/alpha)*phi as a callable on stacked vectors."""
-    if method == "exact":
-        if k == 0:
-            return lambda q: soft_threshold(q, 1.0 / alpha)
-        if k == 1:
-            return lambda q: prox_phi_k1(q, alpha)
-        raise ValueError(
-            f"no exact prox is known for k={k}; use 'wl1' (or 'oracle' on tiny problems)"
-        )
-    if method == "wl1":
-        return lambda q: prox_phi_weighted_l1(q, alpha, k)
-    if method == "oracle":
-        def oracle(q):
-            blocks = np.asarray(q, dtype=float).reshape(-1, k + 1)
-            return np.concatenate([prox_phi_oracle(b, alpha, k) for b in blocks])
+    """Blockwise prox of (1/alpha)*phi as a callable on stacked vectors.
 
-        return oracle
-    raise ValueError(f"unknown prox method {method!r}")
+    The spaces have k >= 2, where only the weighted-l1 surrogate is
+    usable; the closed-form k <= 1 proxes and the numerical oracle in
+    prox.py are reference functions, not solver options.
+    """
+    if method != "wl1":
+        raise ValueError(f"unknown prox method {method!r}; the only one is 'wl1'")
+    return lambda q: prox_phi_weighted_l1(q, alpha, k)
 
 
 def assemble_S(A, B, alpha, beta):
@@ -136,7 +121,6 @@ def assemble_S(A, B, alpha, beta):
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     nB, N = B.shape
-    M = A.shape[0]
     S = sp.bmat(
         [
             [sp.eye(nB), -B, None],
@@ -151,7 +135,7 @@ def assemble_S(A, B, alpha, beta):
         raise RuntimeError(
             "factorization of S failed; A may be rank-deficient"
         ) from exc
-    return SMatrix(S=S, lu=lu, nB=nB, N=N, M=M, alpha=alpha, beta=beta)
+    return SMatrix(S=S, lu=lu, nB=nB, N=N)
 
 
 def make_bn(state, A, B, fvec, alpha, beta, prox, c=None):
@@ -164,11 +148,12 @@ def make_bn(state, A, B, fvec, alpha, beta, prox, c=None):
     if c is not None:
         Bu = Bu + c
     P = prox(Bu + state.y)
-    return _step_rhs(state, P, A.T, B.T, alpha, beta, beta * fvec, c)
+    return _step_rhs(state, P, A.T @ state.x, B.T, alpha, beta, beta * fvec, c)
 
 
-def _step_rhs(state, P, AT, BT, alpha, beta, b3, c=None):
-    """b^n from the prox P = prox(Bu + c + y) of the current iterate.
+def _step_rhs(state, P, ATx, BT, alpha, beta, b3, c=None):
+    """b^n from the prox P = prox(Bu + c + y) and ATx = A^T x of the
+    current iterate.
 
     The one copy of the step shared by make_bn and solve_p1, so the
     public step functions replay the solver's iteration bit for bit.
@@ -177,7 +162,7 @@ def _step_rhs(state, P, AT, BT, alpha, beta, b3, c=None):
     if c is not None:
         b1 = b1 + c
         P = P - c
-    b2 = alpha * (BT @ P) + beta * (AT @ state.x)
+    b2 = alpha * (BT @ P) + beta * ATx
     return np.concatenate([b1, b2, b3])
 
 
@@ -192,16 +177,32 @@ def fixed_point_step(state, smat, bn):
     )
 
 
+def _residuals(state, Ju, P, ATx, A, BT, fvec, alpha, beta):
+    """Sup-norm residuals of the three fixed-point equations, given the
+    jumps Ju = Bu + c, their prox P = prox(Ju + y) and ATx = A^T x."""
+    r1 = np.abs(beta * ATx + alpha * (BT @ state.y)).max()
+    r2 = np.abs(P - Ju).max()
+    r3 = np.abs(A @ state.u - fvec).max()
+    return r1, r2, r3
+
+
+def _relative_step(old, new):
+    """|new - old| / (1 + |old|) over the stacked (y, u, x), blockwise."""
+    d2 = n2 = 0.0
+    for a, b in ((old.y, new.y), (old.u, new.u), (old.x, new.x)):
+        d = b - a
+        d2 += np.dot(d, d)
+        n2 += np.dot(a, a)
+    return np.sqrt(d2) / (1.0 + np.sqrt(n2))
+
+
 def residual_2_90(state, A, B, fvec, alpha, beta, prox, c=None):
     """Sup-norm residuals of the three fixed-point equations."""
-    r1 = np.abs(beta * (A.T @ state.x) + alpha * (B.T @ state.y)).max()
     Ju = B @ state.u
     if c is not None:
         Ju = Ju + c
     P = prox(Ju + state.y)
-    r2 = np.abs(P - Ju).max()
-    r3 = np.abs(A @ state.u - fvec).max()
-    return r1, r2, r3
+    return _residuals(state, Ju, P, A.T @ state.x, A, B.T, fvec, alpha, beta)
 
 
 def solve_p1(system, bmat, k, cfg, g=None):
@@ -209,10 +210,12 @@ def solve_p1(system, bmat, k, cfg, g=None):
 
     system is the assembled constraint (A, Cb, fvec), bmat the jump
     matrices for p=1, g the optional boundary vb data. Stops when the
-    relative step or the fixed-point residual drops below its
-    tolerance; hitting max_iters returns the best iterate seen (by
-    worst-case residual) with converged=False, and so does a residual
-    that is not finite (stop_reason "nonfinite").
+    fixed-point residual or the relative step drops below its
+    tolerance (stop_reason "residual" or "step"); hitting max_iters
+    returns the best iterate seen (by worst-case residual) with
+    converged=False, and so does a residual that is not finite
+    (stop_reason "nonfinite"). Only the residuals of each iterate are
+    kept (Diagnostics.residual_history).
 
     Returns (u_coeffs, state, diagnostics).
     """
@@ -235,11 +238,6 @@ def solve_p1(system, bmat, k, cfg, g=None):
 
     t0 = time.perf_counter()
     res_hist = []
-    step_hist = []
-    energy_y = []
-    energy_Bu = []
-    inc_y = []
-    inc_Bu = []
     best = (np.inf, state)
     converged = False
     reason = "max_iters"
@@ -251,14 +249,10 @@ def solve_p1(system, bmat, k, cfg, g=None):
 
     Ju = B @ state.u + c
     for _ in range(cfg.max_iters):
-        w = Ju + state.y
-        P = prox(w)
-        r1 = np.abs(beta * (AT @ state.x) + alpha * (BT @ state.y)).max()
-        r2 = np.abs(P - Ju).max() if len(P) else 0.0
-        r3 = np.abs(A @ state.u - fp).max()
+        P = prox(Ju + state.y)
+        ATx = AT @ state.x
+        r1, r2, r3 = _residuals(state, Ju, P, ATx, A, BT, fp, alpha, beta)
         res_hist.append((r1, r2, r3))
-        energy_y.append(np.dot(state.y, state.y))
-        energy_Bu.append(np.dot(Ju, Ju))
         if not np.isfinite(r1 + r2 + r3):
             reason = "nonfinite"
             break
@@ -274,16 +268,10 @@ def solve_p1(system, bmat, k, cfg, g=None):
             reason = "step"
             break
 
-        new = fixed_point_step(state, smat, _step_rhs(state, P, AT, BT, alpha, beta, b3, c))
-        Ju_new = B @ new.u + c
-        inc_Bu.append(np.sum((Ju_new - Ju) ** 2))
-        inc_y.append(np.sum((new.y - state.y) ** 2))
-        prev_step = np.linalg.norm(new.flat() - state.flat()) / (
-            1.0 + np.linalg.norm(state.flat())
-        )
-        step_hist.append(prev_step)
+        new = fixed_point_step(state, smat, _step_rhs(state, P, ATx, BT, alpha, beta, b3, c))
+        prev_step = _relative_step(state, new)
         state = new
-        Ju = Ju_new
+        Ju = B @ state.u + c
 
     if not converged:
         state = best[1]
@@ -294,11 +282,6 @@ def solve_p1(system, bmat, k, cfg, g=None):
         iterations=state.iteration,
         wall_time=time.perf_counter() - t0,
         residual_history=np.array(res_hist),
-        step_history=np.array(step_hist),
-        energy_y=np.array(energy_y),
-        energy_Bu=np.array(energy_Bu),
-        inc_y=np.array(inc_y),
-        inc_Bu=np.array(inc_Bu),
     )
     if len(res_hist):
         diag.r1, diag.r2, diag.r3 = res_hist[min(state.iteration, len(res_hist) - 1)]

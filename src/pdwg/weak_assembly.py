@@ -60,8 +60,12 @@ def check_ellipticity(field, pts):
     A = np.asarray(field.a(np.asarray(pts, dtype=float)))
     if not np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-12):
         raise ValueError("coefficient matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(A)
-    lo, hi = eigs.min(), eigs.max()
+    # closed-form eigenvalues mid -+ rad of [[a, b], [b, d]], reading the
+    # lower triangle as eigvalsh does
+    a, b, d = A[..., 0, 0], A[..., 1, 0], A[..., 1, 1]
+    mid = 0.5 * (a + d)
+    rad = np.hypot(0.5 * (a - d), b)
+    lo, hi = (mid - rad).min(), (mid + rad).max()
     if lo <= 0:
         raise ValueError(f"coefficient matrix not positive definite (min eig {lo:g})")
     return lo, hi

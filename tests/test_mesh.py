@@ -42,6 +42,13 @@ def test_ccw_orientation_required():
         Mesh(verts, np.array([[0, 2, 1]]))
 
 
+def test_edge_in_three_elements_rejected():
+    # three positively oriented triangles on the edge (0, 1)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(ValueError, match="more than two elements"):
+        Mesh(verts, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+
+
 def test_build_uniform_rejects_bad_n():
     with pytest.raises(ValueError):
         build_uniform(0)
@@ -136,6 +143,36 @@ def test_refine_matches_uniform_geometry():
     want = set(map(tuple, np.round(direct.vertices, 12)))
     assert got == want
     assert fine.elem_area.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def _incident_elements(mesh):
+    edge_elements = np.full((mesh.num_edges, 2), -1)
+    count = np.zeros(mesh.num_edges, dtype=int)
+    for t in range(mesh.num_elements):
+        for e in mesh.elem_edges[t]:
+            edge_elements[e, count[e]] = t
+            count[e] += 1
+    return edge_elements
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_build_and_refine_match_per_cell_construction(n):
+    mesh = build_uniform(n)
+    elements = []
+    for j in range(n):
+        for i in range(n):
+            a, d = j * (n + 1) + i, (j + 1) * (n + 1) + i
+            elements += [(a, a + 1, d + 1), (a, d + 1, d)]
+    assert np.array_equal(mesh.elements, elements)
+    assert np.array_equal(mesh.edge_elements, _incident_elements(mesh))
+
+    fine = refine(mesh)
+    m = mesh.num_vertices + mesh.elem_edges
+    children = []
+    for (v0, v1, v2), (m01, m12, m20) in zip(mesh.elements, m):
+        children += [(v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20)]
+    assert np.array_equal(fine.elements, children)
+    assert np.array_equal(fine.edge_elements, _incident_elements(fine))
 
 
 def test_refine_halves_h():

@@ -52,6 +52,20 @@ def test_check_ellipticity():
     )
     with pytest.raises(ValueError):
         check_ellipticity(indef, pts)
+    # the closed form agrees with eigvalsh on random SPD fields
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        theta = rng.uniform(0.0, np.pi, 40)
+        rot = np.stack(
+            [np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)], axis=-1
+        ).reshape(-1, 2, 2)
+        mats = rot * rng.uniform(0.1, 10.0, (40, 1, 2)) @ np.swapaxes(rot, -1, -2)
+        mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+        spd = CoefficientField(a=lambda p, m=mats: m, f=lambda p: np.zeros(p.shape[:-1]))
+        lo, hi = check_ellipticity(spd, pts)
+        eigs = np.linalg.eigvalsh(mats)
+        assert np.isclose(lo, eigs.min(), rtol=1e-12, atol=0)
+        assert np.isclose(hi, eigs.max(), rtol=1e-12, atol=0)
 
 
 def test_local_columns_cover_local_dofs():
