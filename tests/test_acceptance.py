@@ -177,6 +177,7 @@ def test_04_discontinuous_w2h_rate_window(p2_tables):
     print(f"PASS 4b disc W2h rates {np.round(rc['e_W2'], 2)} in [0.7,1.1]")
 
 
+@pytest.mark.slow
 def test_05_fixed_point_p1_study(p1_study):
     errors = {}
     for n, (disc, case, u, _, diag) in p1_study.items():
@@ -195,6 +196,7 @@ def test_05_fixed_point_p1_study(p1_study):
     )
 
 
+@pytest.mark.slow
 def test_05_summed_increment_energy_bound(p1_study):
     """The per-iteration energy inequality behind the convergence proof.
 
@@ -253,6 +255,7 @@ def test_05_summed_increment_energy_bound(p1_study):
     )
 
 
+@pytest.mark.slow
 def test_06_prox_correctness():
     rng = np.random.default_rng(42)
     worst_k1 = 0.0

@@ -164,6 +164,7 @@ def test_prox_phi_k1_moreau_identity():
         assert np.abs(pv + proj - v).max() < 1e-14
 
 
+@pytest.mark.slow
 def test_prox_phi_k1_matches_oracle():
     rng = np.random.default_rng(5)
     for _ in range(200):

@@ -291,6 +291,38 @@ def test_solve_p2_polynomial_exact_and_multiplier_vanishes():
         assert res <= 1e-10
 
 
+def test_solve_p2_matches_dense_solve():
+    field = builtin_case("disc").field
+    disc = Discretization(build_uniform(2), SpaceConfig(k=3))
+    system = assemble_A(disc, field)
+    suu, sub = assemble_S2(disc)
+    # the disc solution vanishes on the boundary; a nonzero trace also
+    # exercises the Sub and Cb shifts of the right side
+    g = project_boundary(lambda p: 1.0 + p[..., 0] * np.exp(p[..., 1]), disc)
+    assert np.abs(g).max() > 0.5
+    u, lam, res = solve_p2(system, suu, sub, g=g)
+
+    A = system.A
+    K = sp.bmat([[suu, A.T], [A, None]], format="csc")
+    rhs = np.concatenate([-(sub @ g), system.fvec - system.Cb @ g])
+    z = np.linalg.solve(K.toarray(), rhs)
+    N = A.shape[1]
+    assert np.abs(u - z[:N]).max() <= 1e-10 * np.abs(z[:N]).max()
+    assert np.abs(lam - z[N:]).max() <= 1e-10 * np.abs(z[N:]).max()
+    assert res == np.abs(K @ np.concatenate([u, lam]) - rhs).max()
+
+
+def test_solve_p2_singular_saddle_raises():
+    field = poly_field()
+    disc, system, _ = setup(1, field, p=2)
+    suu, sub = assemble_S2(disc)
+    A = system.A.tolil()
+    A[0, :] = 0.0  # a zero constraint row makes K rank-deficient
+    bad = ConstraintSystem(A=A.tocsr(), Cb=system.Cb, fvec=system.fvec)
+    with pytest.raises(RuntimeError, match="saddle system is singular"):
+        solve_p2(bad, suu, sub, g=project_boundary(field.u, disc))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("n", [1, 3])
 def test_s2_matrix_matches_stabilizer_quadratic_form(n, k):
