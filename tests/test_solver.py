@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from pdwg.analysis import builtin_case
 from pdwg.fe_space import (
@@ -124,8 +125,44 @@ def test_S_factorization_no_zero_pivots():
             piv = np.abs(smat.lu.U.diagonal())
             assert piv.min() > 1e-12 * (1.0 + piv.max())
             b = rng.normal(size=smat.S.shape[0])
-            z = smat.lu.solve(b)
+            state = SaddleState(
+                y=np.zeros(bmat.B.shape[0]),
+                u=np.zeros(bmat.B.shape[1]),
+                x=np.zeros(system.A.shape[0]),
+            )
+            z = fixed_point_step(state, smat, b).flat()
             assert np.abs(smat.S @ z - b).max() <= 1e-10 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 2.0), (16.0, 1.0)])
+def test_fixed_point_step_matches_dense_solve(alpha, beta):
+    # the step solves only the (u, x) block and substitutes for y; the
+    # dense solve of the full S checks both stages and their coupling
+    field = builtin_case("const").field
+    disc, system, bmat = setup(2, field)
+    A, B = system.A, bmat.B
+    smat = assemble_S(A, B, alpha, beta)
+    S = smat.S.toarray()
+    rng = np.random.default_rng(17)
+    state = SaddleState(
+        y=rng.normal(size=B.shape[0]),
+        u=rng.normal(size=B.shape[1]),
+        x=rng.normal(size=A.shape[0]),
+    )
+    # a nonzero boundary trace gives a nonzero jump offset c = Bb g
+    g = project_boundary(lambda p: 1.0 + p[..., 0] * np.exp(p[..., 1]), disc)
+    c = bmat.Bb @ g
+    assert np.abs(c).max() > 0.1
+    prox = make_prox("wl1", 2, alpha)
+    fp = system.fvec - system.Cb @ g
+    for bn in (
+        rng.normal(size=S.shape[0]),
+        make_bn(state, A, B, fp, alpha, beta, prox, c=c),
+    ):
+        z = np.linalg.solve(S, bn)
+        new = fixed_point_step(state, smat, bn)
+        assert new.iteration == state.iteration + 1
+        assert np.abs(new.flat() - z).max() <= 1e-10 * np.abs(z).max()
 
 
 def test_assemble_S_singular_raises():
@@ -251,6 +288,35 @@ def test_p1_vanishing_increments_and_bounded_energy():
     assert total.max() <= 4.0 * (total[-1] + 1e-12)
     # the step criterion decays overall: late steps far below early ones
     assert steps[-1] <= 1e-3 * steps[: max(len(steps) // 10, 1)].mean()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_p1_objective_matches_lp_optimum(n):
+    # with the separable wl1 surrogate the p=1 problem is an LP:
+    # minimise w's subject to -s <= Bu <= s and Au = f, solved by HiGHS
+    # independently of the iteration; minimisers need not be unique, so
+    # only the objective values are compared
+    field = builtin_case("const").field
+    _, system, bmat = setup(n, field)
+    A, B, f = system.A, bmat.B, system.fvec
+    u, _, diag = solve_p1(system, bmat, 2, SolverConfig(alpha=16.0))
+    assert diag.converged
+    w = np.tile(1.0 / np.arange(1, 4), B.shape[0] // 3)
+    obj = w @ np.abs(B @ u)
+
+    nB, N = B.shape
+    eye = sp.eye(nB)
+    lp = linprog(
+        np.concatenate([np.zeros(N), w]),
+        A_ub=sp.bmat([[B, -eye], [-B, -eye]], format="csr"),
+        b_ub=np.zeros(2 * nB),
+        A_eq=sp.hstack([A, sp.csr_matrix((A.shape[0], nB))], format="csr"),
+        b_eq=f,
+        bounds=[(None, None)] * N + [(0, None)] * nB,
+        method="highs",
+    )
+    assert lp.status == 0, lp.message
+    assert abs(obj - lp.fun) <= 1e-6 * lp.fun
 
 
 def test_p1_nonconvergence_flag_returns_best_iterate():
