@@ -108,13 +108,21 @@ def parse_args(argv):
         raise UsageError(f"--l must be k-2 or k-1, got l={cfg.l} with k={cfg.k}")
     if cfg.problem == "disc" and any(n % 2 for n in cfg.n_list):
         raise UsageError("the disc case needs even n (mesh lines on the jumps)")
-    if cfg.alpha <= 0 or cfg.beta <= 0:
-        raise UsageError("--alpha and --beta must be positive")
-    if cfg.tol <= 0 or cfg.residual_tol <= 0:
-        raise UsageError("tolerances must be positive")
-    if cfg.max_iters < 1:
-        raise UsageError("--max-iters must be at least 1")
+    try:
+        _solver_config(cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return cfg
+
+
+def _solver_config(cfg):
+    return SolverConfig(
+        alpha=cfg.alpha,
+        beta=cfg.beta,
+        tol=cfg.tol,
+        residual_tol=cfg.residual_tol,
+        max_iters=cfg.max_iters,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +225,9 @@ def _emit(text, out):
 
 def _run_solve(cfg):
     case = builtin_case(cfg.problem)
-    solver_cfg = SolverConfig(
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        tol=cfg.tol,
-        residual_tol=cfg.residual_tol,
-        max_iters=cfg.max_iters,
+    table = run_study(
+        case, cfg.p, list(cfg.n_list), k=cfg.k, l=cfg.l, cfg=_solver_config(cfg)
     )
-    table = run_study(case, cfg.p, list(cfg.n_list), k=cfg.k, l=cfg.l, cfg=solver_cfg)
     rows = _study_rows(table)
     render = _render_md if cfg.format == "md" else _render_csv
     code = _emit(render(_config_echo(cfg), rows), cfg.out)

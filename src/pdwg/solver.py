@@ -19,14 +19,15 @@ KKT block
 
 gives (u, x) from (b2, b3), and substitution gives y = b1 + Bu. K0 never
 changes, so it alone is factorized, once, and reused for every
-iteration: sparse LU in SuperLU's symmetric mode, with minimum degree
-ordering on K0 + K0^T and a diagonal pivot threshold of 1e-3. Its
-factors hold about half the nonzeros of a COLAMD-ordered LU of S. S
-itself is built only so that callers can check a step against it.
+iteration. S itself is built only so that callers can check a step
+against it.
 
 For p=2 the stabilizer is quadratic and the constrained minimization is
 one symmetric indefinite solve: [[S2, A^T], [A, 0]] (u; lambda) = (0; f)
 with S2 the stabilizer's second-derivative matrix.
+
+Both saddle matrices have the form [[H, C^T], [C, 0]] and are factorized
+the same way, by _factor_kkt.
 
 Inhomogeneous boundary values enter both paths the same way: boundary
 vb data g shifts the jump vector by c = Bb g and the constraint right
@@ -101,11 +102,9 @@ class SaddleState:
 class SMatrix:
     """The iteration matrix S and the factorization that solves with it.
 
-    S is the full (y, u, x) matrix. lu is the symmetric-mode SuperLU
-    factorization of its (u, x) block K0 only (minimum degree on
-    K0 + K0^T, diagonal pivot threshold 1e-3; see assemble_S), and
-    BA = [B; A] in CSR form gives y = b1 + Bu and the constraint
-    residual from u.
+    S is the full (y, u, x) matrix. lu factorizes its (u, x) block K0
+    only (see _factor_kkt), and BA = [B; A] in CSR form gives
+    y = b1 + Bu and the constraint residual from u.
     """
 
     S: sp.csc_matrix
@@ -139,41 +138,49 @@ def make_prox(method, k, alpha):
     return lambda q: prox_phi_weighted_l1(q, alpha, k)
 
 
-def assemble_S(A, B, alpha, beta):
-    """Build S and factorize its (u, x) block K0 (one time per config).
+def _factor_kkt(H, C, failure):
+    """Build and factorize the symmetric saddle matrix K = [[H, C^T], [C, 0]].
 
-    K0 = [[alpha B^T B, beta A^T], [beta A, 0]] is symmetric, so SuperLU
-    runs in symmetric mode: minimum degree on K0 + K0^T (MMD_AT_PLUS_A)
-    and a diagonal pivot threshold of 1e-3, so a diagonal pivot is kept
-    unless it is below 1e-3 of its column's largest entry. The zero
-    (x, x) block fills in before it is reached: on const, k=2, n=1..8
-    every pivot is diagonal. At n=3 the factors hold 10,890 nonzeros,
-    against 20,634 for S under the default COLAMD ordering.
+    Both schemes solve with such a K: p=2 with H = S2 and C = A, every
+    p=1 step with H = alpha B^T B and C = beta A. SuperLU runs in
+    symmetric mode: minimum degree ordering on the pattern of K + K^T
+    (MMD_AT_PLUS_A), applied to rows and columns alike, and a diagonal
+    pivot threshold of 0, so a pivot leaves the diagonal only where the
+    diagonal entry is exactly zero. The zero block of K fills in before
+    its pivots are reached, so on the built-in cases every pivot stays
+    on the diagonal. A positive threshold would let a pivot leave the
+    diagonal wherever the diagonal entry is small against its column,
+    which undoes the ordering: on the p=2 K of var, k=2, n=24 that moves
+    235 pivots and grows the factors from 3.2M to 5.2M L+U nonzeros.
+
+    Returns (K, lu) with K in CSC form. A singular K raises RuntimeError
+    with the message failure.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    nB, N = B.shape
-    BtB = alpha * (B.T @ B)
-    K0 = sp.bmat([[BtB, beta * A.T], [beta * A, None]], format="csc")
-    S = sp.bmat(
-        [
-            [sp.eye(nB), -B, None],
-            [None, BtB, beta * A.T],
-            [None, beta * A, None],
-        ],
-        format="csc",
-    )
+    K = sp.bmat([[H, C.T], [C, None]], format="csc")
     try:
         lu = splu(
-            K0,
+            K,
             permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=1e-3,
+            diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
-        raise RuntimeError(
-            "factorization of S failed; A may be rank-deficient"
-        ) from exc
+        raise RuntimeError(failure) from exc
+    return K, lu
+
+
+def assemble_S(A, B, alpha, beta):
+    """Build S and factorize its (u, x) block K0 (one time per config)."""
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("alpha and beta must be positive")
+    nB, N = B.shape
+    K0, lu = _factor_kkt(
+        alpha * (B.T @ B),
+        beta * A,
+        "factorization of S failed; A may be rank-deficient",
+    )
+    top = sp.hstack([-B, sp.csr_matrix((nB, A.shape[0]))])
+    S = sp.bmat([[sp.eye(nB), top], [None, K0]], format="csc")
     return SMatrix(S=S, lu=lu, nB=nB, N=N, BA=sp.vstack([B, A], format="csr"))
 
 
@@ -209,8 +216,8 @@ def fixed_point_step(state, smat, bn):
     """One iteration: solve S v^{n+1} = b^n and split the blocks.
 
     S is block upper-triangular: (u, x) solves K0 (u, x) = (b2, b3)
-    with the symmetric-mode factorization from assemble_S, then
-    y = b1 + Bu. The new state keeps [B; A] u for the next step.
+    with the factorization from assemble_S, then y = b1 + Bu. The new
+    state keeps [B; A] u for the next step.
     """
     nB, N = smat.nB, smat.N
     ux = smat.lu.solve(bn[nB:])
@@ -350,12 +357,13 @@ def solve_p1(system, bmat, k, cfg, g=None):
 def solve_p2(system, s2uu, s2ub=None, g=None):
     """Direct solve of the p=2 Euler-Lagrange saddle system.
 
-    K = [[S2, A^T], [A, 0]] is factorized by sparse LU with SuperLU's
-    MMD_ATA column ordering (minimum degree on K^T K), which fills the
-    factors far less than the default COLAMD on these systems. One step
-    of iterative refinement with the same factors follows: without it
-    the error norms of a k=3 study move by about 2e-6 relative between
-    the two orderings, with it by about 2e-7.
+    K = [[S2, A^T], [A, 0]] is factorized by _factor_kkt. One step of
+    iterative refinement with the same factors follows, because the
+    error norms of a study are differences of near-equal numbers and
+    move with the roundoff of the solve: on disc, k=3, n=32, e_L from
+    this factorization and from one with minimum degree ordering on
+    K^T K and partial pivoting differ by about 1.9e-6 relative
+    unrefined, and agree to about 2e-8 refined.
 
     Returns (u_coeffs, lam, residual) where residual is the sup-norm of
     the full linear system at the refined solution.
@@ -363,18 +371,14 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
     A, fvec = system.A, system.fvec
     N = A.shape[1]
     M = A.shape[0]
-    K = sp.bmat([[s2uu, A.T], [A, None]], format="csc")
     rhs = np.zeros(N + M)
     rhs[N:] = fvec
     if g is not None:
         rhs[:N] -= s2ub @ g
         rhs[N:] -= system.Cb @ g
-    try:
-        lu = splu(K, permc_spec="MMD_ATA")
-    except RuntimeError as exc:
-        raise RuntimeError(
-            "saddle system is singular; the mesh may be too coarse"
-        ) from exc
+    K, lu = _factor_kkt(
+        s2uu, A, "saddle system is singular; the mesh may be too coarse"
+    )
     z = lu.solve(rhs)
     z += lu.solve(rhs - K @ z)
     residual = np.abs(K @ z - rhs).max()

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.linalg import splu
 
+import pdwg.solver
 from pdwg.analysis import builtin_case
 from pdwg.fe_space import (
     Discretization,
@@ -357,13 +359,15 @@ def test_solve_p2_polynomial_exact_and_multiplier_vanishes():
         assert res <= 1e-10
 
 
-def test_solve_p2_matches_dense_solve():
-    field = builtin_case("disc").field
-    disc = Discretization(build_uniform(2), SpaceConfig(k=3))
+@pytest.mark.parametrize("case, k", [("disc", 3), ("var", 2)])
+def test_solve_p2_matches_dense_solve(case, k):
+    # the settings of the two p=2 benchmark workloads
+    field = builtin_case(case).field
+    disc = Discretization(build_uniform(2), SpaceConfig(k=k))
     system = assemble_A(disc, field)
     suu, sub = assemble_S2(disc)
-    # the disc solution vanishes on the boundary; a nonzero trace also
-    # exercises the Sub and Cb shifts of the right side
+    # the built-in solutions vanish on the boundary; a nonzero trace
+    # also exercises the Sub and Cb shifts of the right side
     g = project_boundary(lambda p: 1.0 + p[..., 0] * np.exp(p[..., 1]), disc)
     assert np.abs(g).max() > 0.5
     u, lam, res = solve_p2(system, suu, sub, g=g)
@@ -376,6 +380,27 @@ def test_solve_p2_matches_dense_solve():
     assert np.abs(u - z[:N]).max() <= 1e-10 * np.abs(z[:N]).max()
     assert np.abs(lam - z[N:]).max() <= 1e-10 * np.abs(z[N:]).max()
     assert res == np.abs(K @ np.concatenate([u, lam]) - rhs).max()
+
+
+@pytest.mark.parametrize("case, k", [("const", 2), ("disc", 3)])
+def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
+    # both saddle factorizations keep the symmetric ordering: a pivot
+    # off the diagonal would show as perm_r != perm_c
+    field = builtin_case(case).field
+    disc = Discretization(build_uniform(2), SpaceConfig(k=k))
+    system = assemble_A(disc, field)
+    p1 = assemble_S(system.A, assemble_B(disc, 1).B, 16.0, 1.0).lu
+    factors = []
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(pdwg.solver, "splu", recording_splu)
+    solve_p2(system, assemble_S2(disc)[0])
+    assert len(factors) == 1
+    for lu in (p1, factors[0]):
+        assert np.array_equal(lu.perm_r, lu.perm_c)
 
 
 def test_solve_p2_singular_saddle_raises():
