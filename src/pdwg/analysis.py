@@ -267,7 +267,7 @@ def run_study(case, p, n_list, k=2, l=None, cfg=None):
                 f"coefficient jumps; got n={n}"
             )
         mesh = build_uniform(n)
-        disc = Discretization(mesh, SpaceConfig(k=k) if l is None else SpaceConfig(k=k, l=l))
+        disc = Discretization(mesh, SpaceConfig(k=k, l=l))
         check_ellipticity(case.field, disc.quad_pts)
         system = assemble_A(disc, case.field)
         t0 = time.perf_counter()

@@ -7,7 +7,7 @@ wall_time column is the one exception; it reports measured seconds).
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,14 +28,9 @@ class RunConfig:
     command: str
     problem: str = "const"
     p: int = 2
-    k: int = 2
-    l: int = None
     n_list: tuple = (4, 8, 16)
-    alpha: float = 1.0
-    beta: float = 1.0
-    tol: float = 1e-10
-    residual_tol: float = 1e-8
-    max_iters: int = 200000
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    space: SpaceConfig = field(default_factory=SpaceConfig)
     out: str = None
     format: str = "csv"
 
@@ -65,14 +60,14 @@ def parse_args(argv):
     solve = sub.add_parser("solve", help="run a convergence study")
     solve.add_argument("--problem", choices=("const", "var", "disc"), default="const")
     solve.add_argument("--p", type=int, default=2)
-    solve.add_argument("--k", type=int, default=2)
-    solve.add_argument("--l", type=int, default=None)
+    # no defaults here: unset space and solver flags take their config's
+    solve.add_argument("--k", type=int)
+    solve.add_argument("--l", type=int)
     solve.add_argument("--n", default="4,8,16")
-    solve.add_argument("--alpha", type=float, default=1.0)
-    solve.add_argument("--beta", type=float, default=1.0)
-    solve.add_argument("--tol", type=float, default=1e-10)
-    solve.add_argument("--residual-tol", type=float, default=1e-8)
-    solve.add_argument("--max-iters", type=int, default=200000)
+    solve.add_argument("--alpha", type=float)
+    solve.add_argument("--beta", type=float)
+    solve.add_argument("--residual-tol", type=float)
+    solve.add_argument("--max-iters", type=int)
     solve.add_argument("--out", default=None)
     solve.add_argument("--format", choices=("csv", "md"), default="csv")
 
@@ -85,44 +80,33 @@ def parse_args(argv):
     if ns.command != "solve":
         return RunConfig(command=ns.command, out=getattr(ns, "out", None))
 
-    cfg = RunConfig(
+    if ns.p not in (1, 2):
+        raise UsageError(f"--p must be 1 or 2, got {ns.p}")
+    n_list = _parse_n_list(ns.n)
+    if ns.problem == "disc" and any(n % 2 for n in n_list):
+        raise UsageError("the disc case needs even n (mesh lines on the jumps)")
+    try:
+        solver = _given(SolverConfig, ns, "alpha", "beta", "residual_tol", "max_iters")
+        space = _given(SpaceConfig, ns, "k", "l")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return RunConfig(
         command="solve",
         problem=ns.problem,
         p=ns.p,
-        k=ns.k,
-        l=ns.l,
-        n_list=_parse_n_list(ns.n),
-        alpha=ns.alpha,
-        beta=ns.beta,
-        tol=ns.tol,
-        residual_tol=ns.residual_tol,
-        max_iters=ns.max_iters,
+        n_list=n_list,
+        solver=solver,
+        space=space,
         out=ns.out,
         format=ns.format,
     )
-    if cfg.p not in (1, 2):
-        raise UsageError(f"--p must be 1 or 2, got {cfg.p}")
-    if cfg.k < 2:
-        raise UsageError(f"--k must be at least 2, got {cfg.k}")
-    if cfg.l is not None and cfg.l not in (cfg.k - 2, cfg.k - 1):
-        raise UsageError(f"--l must be k-2 or k-1, got l={cfg.l} with k={cfg.k}")
-    if cfg.problem == "disc" and any(n % 2 for n in cfg.n_list):
-        raise UsageError("the disc case needs even n (mesh lines on the jumps)")
-    try:
-        _solver_config(cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return cfg
 
 
-def _solver_config(cfg):
-    return SolverConfig(
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        tol=cfg.tol,
-        residual_tol=cfg.residual_tol,
-        max_iters=cfg.max_iters,
-    )
+def _given(config, ns, *names):
+    """Build config from the flags in names that were set; the rest keep
+    config's own defaults."""
+    given = {name: getattr(ns, name) for name in names}
+    return config(**{name: value for name, value in given.items() if value is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +134,16 @@ def _sci(x):
 
 
 def _config_echo(cfg):
+    solver, space = cfg.solver, cfg.space
     lines = [f"# pdwg {__version__}"]
     lines.append(
-        f"# problem={cfg.problem} p={cfg.p} k={cfg.k} "
-        f"l={cfg.k - 1 if cfg.l is None else cfg.l} "
+        f"# problem={cfg.problem} p={cfg.p} k={space.k} l={space.l} "
         f"n={','.join(str(n) for n in cfg.n_list)}"
     )
     lines.append(
-        f"# alpha={cfg.alpha:g} beta={cfg.beta:g} tol={cfg.tol:g} "
-        f"residual_tol={cfg.residual_tol:g} max_iters={cfg.max_iters} "
-        "prox=wl1"
+        f"# alpha={solver.alpha:g} beta={solver.beta:g} "
+        f"residual_tol={solver.residual_tol:g} max_iters={solver.max_iters} "
+        f"prox={solver.prox_method}"
     )
     return lines
 
@@ -226,7 +210,7 @@ def _emit(text, out):
 def _run_solve(cfg):
     case = builtin_case(cfg.problem)
     table = run_study(
-        case, cfg.p, list(cfg.n_list), k=cfg.k, l=cfg.l, cfg=_solver_config(cfg)
+        case, cfg.p, list(cfg.n_list), k=cfg.space.k, l=cfg.space.l, cfg=cfg.solver
     )
     rows = _study_rows(table)
     render = _render_md if cfg.format == "md" else _render_csv

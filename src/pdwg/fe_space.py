@@ -44,20 +44,20 @@ class SpaceConfig:
 
     k is the degree of v0 and vb (k >= 2, gradients vg use degree k-1);
     l is the degree of the test space W_h and must be k-2 or k-1. The
-    default l = k-1 matches the configuration used for all the
+    default, l=None, means l = k-1, the configuration used for all the
     convergence studies.
     """
 
     k: int = 2
-    l: int = -1
+    l: int = None
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("k must be at least 2")
-        if self.l == -1:
+            raise ValueError(f"k must be at least 2, got k={self.k}")
+        if self.l is None:
             object.__setattr__(self, "l", self.k - 1)
         if self.l not in (self.k - 2, self.k - 1):
-            raise ValueError("l must be k-2 or k-1")
+            raise ValueError(f"l must be k-2 or k-1, got l={self.l} with k={self.k}")
 
 
 def poly_exponents(degree):

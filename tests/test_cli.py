@@ -1,11 +1,19 @@
 """Tests for the command-line interface: argument validation, table
 output in both formats, exit codes and determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pdwg.cli import main
+import pdwg
+from pdwg.cli import main, parse_args
+from pdwg.fe_space import SpaceConfig
 from pdwg.prox import prox_phi_k1
+from pdwg.solver import SolverConfig
 
 COLUMNS = "n,h,e_L,rate_L,e_W1,rate_W1,e_W2,rate_W2,iters,r1,r2,r3,wall_time"
 
@@ -31,6 +39,8 @@ def read_table(path):
         ["solve", "--k", "3", "--l", "0"],
         ["solve", "--prox", "exact", "--k", "2"],
         ["solve", "--max-iters", "0"],
+        ["solve", "--tol", "1e-6"],
+        ["solve", "--l", "-1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -44,6 +54,25 @@ def test_unknown_flag_and_missing_command_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_parse_args_takes_defaults_from_configs():
+    cfg = parse_args(["solve"])
+    assert cfg.solver == SolverConfig()
+    assert cfg.space == SpaceConfig(k=2)
+    cfg = parse_args(["solve", "--alpha", "16", "--k", "3", "--l", "1"])
+    assert cfg.solver == SolverConfig(alpha=16.0)
+    assert cfg.space == SpaceConfig(k=3, l=1)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only the test oracle; the CLI must not pay for it
+    code = "import sys, pdwg.analysis, pdwg.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(pdwg.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
+
+
 def test_solve_writes_csv(tmp_path):
     out = tmp_path / "study.csv"
     code = main(
@@ -54,6 +83,7 @@ def test_solve_writes_csv(tmp_path):
     assert len(echo) == 3
     assert echo[0].startswith("# pdwg ")
     assert "problem=const p=2" in echo[1]
+    assert echo[2] == "# alpha=1 beta=1 residual_tol=1e-08 max_iters=200000 prox=wl1"
     assert ",".join(header) == COLUMNS
     assert len(rows) == 2
     assert [r["n"] for r in rows] == ["4", "8"]

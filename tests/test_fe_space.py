@@ -29,6 +29,9 @@ def test_space_config_defaults_and_validation():
     cfg = SpaceConfig(k=2)
     assert cfg.l == 1
     assert SpaceConfig(k=3, l=1).l == 1
+    assert SpaceConfig(k=2, l=None).l == 1
+    with pytest.raises(ValueError):
+        SpaceConfig(k=2, l=-1)
     with pytest.raises(ValueError):
         SpaceConfig(k=1)
     with pytest.raises(ValueError):

@@ -58,7 +58,6 @@ def test_solver_config_validation():
     for kw in (
         {"alpha": 0.0},
         {"beta": -1.0},
-        {"tol": 0.0},
         {"residual_tol": -1e-8},
         {"max_iters": 0},
         {"prox_method": "newton"},
@@ -67,6 +66,9 @@ def test_solver_config_validation():
     ):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
+    # the relative-step stopping rule is gone: converged means residual_tol
+    with pytest.raises(TypeError):
+        SolverConfig(tol=1e-6)
 
 
 def test_default_config_runs():
