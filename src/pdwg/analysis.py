@@ -99,11 +99,17 @@ def _synth_f(a, hess_u):
     return f
 
 
+def _case(name, a, solution, description):
+    """ProblemCase with coefficient a, exact (u, grad_u, hess_u) and the
+    load f = a : hess_u synthesized from them."""
+    u, grad_u, hess_u = solution
+    field = CoefficientField(a=a, f=_synth_f(a, hess_u), u=u, grad_u=grad_u, hess_u=hess_u)
+    return ProblemCase(name, field, description)
+
+
 def builtin_case(name):
     """Problem definitions: const | var | disc coefficient examples."""
     if name == "const":
-        u, grad_u, hess_u = _sinsin()
-
         def a(p):
             out = np.zeros(p.shape[:-1] + (2, 2))
             out[..., 0, 0] = 1.0
@@ -112,14 +118,8 @@ def builtin_case(name):
             out[..., 1, 1] = 6.0
             return out
 
-        return ProblemCase(
-            name,
-            CoefficientField(a=a, f=_synth_f(a, hess_u), u=u, grad_u=grad_u, hess_u=hess_u),
-            "constant coefficients, smooth solution",
-        )
+        return _case(name, a, _sinsin(), "constant coefficients, smooth solution")
     if name == "var":
-        u, grad_u, hess_u = _sinsin()
-
         def a(p):
             x, y = p[..., 0], p[..., 1]
             out = np.empty(p.shape[:-1] + (2, 2))
@@ -129,11 +129,7 @@ def builtin_case(name):
             out[..., 1, 1] = 1.0 + y
             return out
 
-        return ProblemCase(
-            name,
-            CoefficientField(a=a, f=_synth_f(a, hess_u), u=u, grad_u=grad_u, hess_u=hess_u),
-            "variable coefficients, smooth solution",
-        )
+        return _case(name, a, _sinsin(), "variable coefficients, smooth solution")
     if name == "disc":
         # u = g(x) g(y) with g(t) = t (1 - e^{1-t})
         def g(t):
@@ -171,9 +167,10 @@ def builtin_case(name):
             out[..., 1, 1] = 2.0
             return out
 
-        return ProblemCase(
+        return _case(
             name,
-            CoefficientField(a=a, f=_synth_f(a, hess_u), u=u, grad_u=grad_u, hess_u=hess_u),
+            a,
+            (u, grad_u, hess_u),
             "checkerboard off-diagonal coefficients, smooth solution",
         )
     raise ValueError(f"unknown problem case {name!r}")
@@ -257,15 +254,16 @@ def run_study(case, p, n_list, k=2, l=None, cfg=None):
     """
     if p not in (1, 2):
         raise ValueError(f"no solver for p={p}; use 1 or 2")
+    odd = [n for n in n_list if n % 2]
+    if case.name == "disc" and odd:
+        raise ValueError(
+            f"the disc case needs even n so mesh lines track the "
+            f"coefficient jumps; got n={odd[0]}"
+        )
     if cfg is None:
         cfg = SolverConfig()
     table = ConvergenceTable(case=case.name, p=p, k=k)
     for n in n_list:
-        if case.name == "disc" and n % 2 == 1:
-            raise ValueError(
-                f"the disc case needs even n so mesh lines track the "
-                f"coefficient jumps; got n={n}"
-            )
         mesh = build_uniform(n)
         disc = Discretization(mesh, SpaceConfig(k=k, l=l))
         check_ellipticity(case.field, disc.quad_pts)

@@ -57,19 +57,18 @@ def parse_args(argv):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # no defaults here: unset flags keep RunConfig's and the configs' own
     solve = sub.add_parser("solve", help="run a convergence study")
-    solve.add_argument("--problem", choices=("const", "var", "disc"), default="const")
-    solve.add_argument("--p", type=int, default=2)
-    # no defaults here: unset space and solver flags take their config's
+    solve.add_argument("--problem", choices=("const", "var", "disc"))
+    solve.add_argument("--p", type=int)
     solve.add_argument("--k", type=int)
     solve.add_argument("--l", type=int)
-    solve.add_argument("--n", default="4,8,16")
+    solve.add_argument("--n", dest="n_list", type=_parse_n_list)
     solve.add_argument("--alpha", type=float)
-    solve.add_argument("--beta", type=float)
     solve.add_argument("--residual-tol", type=float)
     solve.add_argument("--max-iters", type=int)
-    solve.add_argument("--out", default=None)
-    solve.add_argument("--format", choices=("csv", "md"), default="csv")
+    solve.add_argument("--out")
+    solve.add_argument("--format", choices=("csv", "md"))
 
     sub.add_parser("verify", help="run structural invariant checks")
 
@@ -80,33 +79,26 @@ def parse_args(argv):
     if ns.command != "solve":
         return RunConfig(command=ns.command, out=getattr(ns, "out", None))
 
-    if ns.p not in (1, 2):
-        raise UsageError(f"--p must be 1 or 2, got {ns.p}")
-    n_list = _parse_n_list(ns.n)
-    if ns.problem == "disc" and any(n % 2 for n in n_list):
-        raise UsageError("the disc case needs even n (mesh lines on the jumps)")
     try:
-        solver = _given(SolverConfig, ns, "alpha", "beta", "residual_tol", "max_iters")
+        solver = _given(SolverConfig, ns, "alpha", "residual_tol", "max_iters")
         space = _given(SpaceConfig, ns, "k", "l")
+        run_flags = ("command", "problem", "p", "n_list", "out", "format")
+        cfg = _given(RunConfig, ns, *run_flags, solver=solver, space=space)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return RunConfig(
-        command="solve",
-        problem=ns.problem,
-        p=ns.p,
-        n_list=n_list,
-        solver=solver,
-        space=space,
-        out=ns.out,
-        format=ns.format,
-    )
+    if cfg.p not in (1, 2):
+        raise UsageError(f"--p must be 1 or 2, got {cfg.p}")
+    if cfg.problem == "disc" and any(n % 2 for n in cfg.n_list):
+        raise UsageError("the disc case needs even n (mesh lines on the jumps)")
+    return cfg
 
 
-def _given(config, ns, *names):
-    """Build config from the flags in names that were set; the rest keep
-    config's own defaults."""
+def _given(config, ns, *names, **fixed):
+    """Build config from the flags in names that were set, plus fixed;
+    the rest keep config's own defaults."""
     given = {name: getattr(ns, name) for name in names}
-    return config(**{name: value for name, value in given.items() if value is not None})
+    given = {name: value for name, value in given.items() if value is not None}
+    return config(**given, **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +133,7 @@ def _config_echo(cfg):
         f"n={','.join(str(n) for n in cfg.n_list)}"
     )
     lines.append(
-        f"# alpha={solver.alpha:g} beta={solver.beta:g} "
+        f"# alpha={solver.alpha:g} "
         f"residual_tol={solver.residual_tol:g} max_iters={solver.max_iters} "
         f"prox={solver.prox_method}"
     )
@@ -276,20 +268,19 @@ def _run_verify(_cfg):
             f"sigma_min/sigma_max {sv.min() / sv.max():.2e}",
         )
 
-    # the iteration matrix factorizes for a grid of alpha, beta
+    # the iteration matrix factorizes for a range of alpha
     disc = Discretization(build_uniform(1), SpaceConfig(k=2))
     system = assemble_A(disc, builtin_case("const").field)
     bmat = assemble_B(disc, 1)
     bad = []
     for alpha in (0.5, 1.0, 2.0):
-        for beta in (0.5, 1.0, 2.0):
-            try:
-                smat = assemble_S(system.A, bmat.B, alpha, beta)
-                piv = np.abs(smat.lu.U.diagonal())
-                if piv.min() <= 1e-12 * (1.0 + piv.max()):
-                    bad.append((alpha, beta))
-            except RuntimeError:
-                bad.append((alpha, beta))
+        try:
+            smat = assemble_S(system.A, bmat.B, alpha)
+            piv = np.abs(smat.lu.U.diagonal())
+            if piv.min() <= 1e-12 * (1.0 + piv.max()):
+                bad.append(alpha)
+        except RuntimeError:
+            bad.append(alpha)
     ok &= _check("S-factorization-grid", not bad, f"failures {bad}")
 
     # firm nonexpansiveness of every prox operator; the numerical

@@ -3,19 +3,24 @@
 The p=1 scheme minimizes phi(Bu) subject to Au = f through the
 fixed-point equations
 
-    beta A^T x + alpha B^T y = 0,
+    A^T x + alpha B^T y = 0,
     y = (I - prox_{(1/alpha)phi})(Bu + y),
     Au = f,
 
 iterated as S v^{n+1} = b^n with v = (y, u, x),
 
-    S = [[I, -B, 0], [0, alpha B^T B, beta A^T], [0, beta A, 0]],
+    S = [[I, -B, 0], [0, alpha B^T B, A^T], [0, A, 0]],
 
-and b^n assembled from the prox of the current jumps. S is block
-upper-triangular, so each step is solved in two stages: the symmetric
-KKT block
+and b^n assembled from the prox of the current jumps. The paper weights
+the first equation's A^T x by a second parameter β > 0, fixed at 1
+here: with x~ = β x the β-system is this one, so u, y, the residuals
+and the iteration count do not depend on β, which only rescales the
+multiplier (x_β = x_1 / β).
 
-    K0 = [[alpha B^T B, beta A^T], [beta A, 0]]
+S is block upper-triangular, so each step is solved in two stages: the
+symmetric KKT block
+
+    K0 = [[alpha B^T B, A^T], [A, 0]]
 
 gives (u, x) from (b2, b3), and substitution gives y = b1 + Bu. K0 never
 changes, so it alone is factorized, once, and reused for every
@@ -26,8 +31,8 @@ For p=2 the stabilizer is quadratic and the constrained minimization is
 one symmetric indefinite solve: [[S2, A^T], [A, 0]] (u; lambda) = (0; f)
 with S2 the stabilizer's second-derivative matrix.
 
-Both saddle matrices have the form [[H, C^T], [C, 0]] and are factorized
-the same way, by _factor_kkt.
+Both saddle matrices have the form [[H, A^T], [A, 0]] with the same A
+and are factorized the same way, by _factor_kkt; only H differs.
 
 Inhomogeneous boundary values enter both paths the same way: boundary
 vb data g shifts the jump vector by c = Bb g and the constraint right
@@ -65,14 +70,13 @@ __all__ = [
 @dataclass
 class SolverConfig:
     alpha: float = 1.0
-    beta: float = 1.0
     residual_tol: float = 1e-8
     max_iters: int = 200000
     prox_method: str = "wl1"
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
         if self.max_iters < 1:
@@ -137,11 +141,11 @@ def make_prox(method, k, alpha):
     return lambda q: prox_phi_weighted_l1(q, alpha, k)
 
 
-def _factor_kkt(H, C, failure):
-    """Build and factorize the symmetric saddle matrix K = [[H, C^T], [C, 0]].
+def _factor_kkt(H, A, failure):
+    """Build and factorize the symmetric saddle matrix K = [[H, A^T], [A, 0]].
 
-    Both schemes solve with such a K: p=2 with H = S2 and C = A, every
-    p=1 step with H = alpha B^T B and C = beta A. SuperLU runs in
+    Both schemes solve with such a K: p=2 with H = S2, every p=1 step
+    with H = alpha B^T B. SuperLU runs in
     symmetric mode: minimum degree ordering on the pattern of K + K^T
     (MMD_AT_PLUS_A), applied to rows and columns alike, and a diagonal
     pivot threshold of 0, so a pivot leaves the diagonal only where the
@@ -155,7 +159,7 @@ def _factor_kkt(H, C, failure):
     Returns (K, lu) with K in CSC form. A singular K raises RuntimeError
     with the message failure.
     """
-    K = sp.bmat([[H, C.T], [C, None]], format="csc")
+    K = sp.bmat([[H, A.T], [A, None]], format="csc")
     try:
         lu = splu(
             K,
@@ -168,22 +172,20 @@ def _factor_kkt(H, C, failure):
     return K, lu
 
 
-def assemble_S(A, B, alpha, beta):
+def assemble_S(A, B, alpha):
     """Build S and factorize its (u, x) block K0 (one time per config)."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     nB, N = B.shape
     K0, lu = _factor_kkt(
-        alpha * (B.T @ B),
-        beta * A,
-        "factorization of S failed; A may be rank-deficient",
+        alpha * (B.T @ B), A, "factorization of S failed; A may be rank-deficient"
     )
     top = sp.hstack([-B, sp.csr_matrix((nB, A.shape[0]))])
     S = sp.bmat([[sp.eye(nB), top], [None, K0]], format="csc")
     return SMatrix(S=S, lu=lu, nB=nB, N=N, BA=sp.vstack([B, A], format="csr"))
 
 
-def make_bn(state, A, B, fvec, alpha, beta, prox, c=None):
+def make_bn(state, A, B, fvec, alpha, prox, c=None):
     """Right-hand side b^n of the linear step S v^{n+1} = b^n.
 
     c is the constant jump offset from boundary data (zero when absent):
@@ -193,12 +195,12 @@ def make_bn(state, A, B, fvec, alpha, beta, prox, c=None):
     if c is not None:
         Bu = Bu + c
     P = prox(Bu + state.y)
-    return _step_rhs(state, P, A.T @ state.x, B.T, alpha, beta, beta * fvec, c)
+    return _step_rhs(state, P, A.T @ state.x, B.T, alpha, fvec, c)
 
 
-def _step_rhs(state, P, ATx, BT, alpha, beta, b3, c=None):
+def _step_rhs(state, P, ATx, BT, alpha, fvec, c=None):
     """b^n from the prox P = prox(Bu + c + y) and ATx = A^T x of the
-    current iterate.
+    current iterate; its third block is the constraint's right side fvec.
 
     The one copy of the step shared by make_bn and solve_p1, so the
     public step functions replay the solver's iteration bit for bit.
@@ -207,8 +209,8 @@ def _step_rhs(state, P, ATx, BT, alpha, beta, b3, c=None):
     if c is not None:
         b1 = b1 + c
         P = P - c
-    b2 = alpha * (BT @ P) + beta * ATx
-    return np.concatenate([b1, b2, b3])
+    b2 = alpha * (BT @ P) + ATx
+    return np.concatenate([b1, b2, fvec])
 
 
 def fixed_point_step(state, smat, bn):
@@ -231,24 +233,22 @@ def fixed_point_step(state, smat, bn):
     )
 
 
-def _residuals(y, Ju, P, ATx, Au, BT, fvec, alpha, beta):
+def _residuals(y, Ju, P, ATx, Au, BT, fvec, alpha):
     """Sup-norm residuals of the three fixed-point equations, given the
     jumps Ju = Bu + c, their prox P = prox(Ju + y), ATx = A^T x and Au."""
-    r1 = np.abs(beta * ATx + alpha * (BT @ y)).max()
+    r1 = np.abs(ATx + alpha * (BT @ y)).max()
     r2 = np.abs(P - Ju).max()
     r3 = np.abs(Au - fvec).max()
     return r1, r2, r3
 
 
-def residual_2_90(state, A, B, fvec, alpha, beta, prox, c=None):
+def residual_2_90(state, A, B, fvec, alpha, prox, c=None):
     """Sup-norm residuals of the three fixed-point equations."""
     Ju = B @ state.u
     if c is not None:
         Ju = Ju + c
     P = prox(Ju + state.y)
-    return _residuals(
-        state.y, Ju, P, A.T @ state.x, A @ state.u, B.T, fvec, alpha, beta
-    )
+    return _residuals(state.y, Ju, P, A.T @ state.x, A @ state.u, B.T, fvec, alpha)
 
 
 def solve_p1(system, bmat, k, cfg, g=None):
@@ -269,7 +269,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
     A, fvec = system.A, system.fvec
     B = bmat.B
     prox = make_prox(cfg.prox_method, k, cfg.alpha)
-    alpha, beta = cfg.alpha, cfg.beta
+    alpha = cfg.alpha
 
     if g is not None:
         c = bmat.Bb @ g
@@ -278,7 +278,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
         c = None
         fp = fvec
 
-    smat = assemble_S(A, B, alpha, beta)
+    smat = assemble_S(A, B, alpha)
     nB = smat.nB
     state = SaddleState(
         y=np.zeros(nB),
@@ -296,7 +296,6 @@ def solve_p1(system, bmat, k, cfg, g=None):
 
     AT = A.T.tocsr()
     BT = B.T.tocsr()
-    b3 = beta * fp
 
     for _ in range(cfg.max_iters):
         Ju = state.BAu[:nB]
@@ -304,9 +303,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
             Ju = Ju + c
         P = prox(Ju + state.y)
         ATx = AT @ state.x
-        r1, r2, r3 = _residuals(
-            state.y, Ju, P, ATx, state.BAu[nB:], BT, fp, alpha, beta
-        )
+        r1, r2, r3 = _residuals(state.y, Ju, P, ATx, state.BAu[nB:], BT, fp, alpha)
         hist[count] = r1, r2, r3
         count += 1
         if not np.isfinite(r1 + r2 + r3):
@@ -318,7 +315,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
         if worst <= cfg.residual_tol:
             reason = "residual"
             break
-        state = fixed_point_step(state, smat, _step_rhs(state, P, ATx, BT, alpha, beta, b3, c))
+        state = fixed_point_step(state, smat, _step_rhs(state, P, ATx, BT, alpha, fp, c))
 
     converged = reason == "residual"
     if not converged:

@@ -28,7 +28,6 @@ __all__ = [
     "check_ellipticity",
     "local_dof_columns",
     "gather_local",
-    "local_weak_hessian",
     "weak_hessian_apply",
     "assemble_A",
     "apply_Lw",
@@ -69,13 +68,6 @@ def check_ellipticity(field, pts):
     if lo <= 0:
         raise ValueError(f"coefficient matrix not positive definite (min eig {lo:g})")
     return lo, hi
-
-
-def _hilbert_gram(rows, cols):
-    """Matrix of integrals of t^m t^n over [0,1]: 1/(m+n+1)."""
-    m = np.arange(rows)
-    n = np.arange(cols)
-    return 1.0 / (m[:, None] + n[None, :] + 1.0)
 
 
 def local_dof_columns(disc, t):
@@ -122,23 +114,14 @@ def _weak_hessian_maps(disc, i, j):
 
     # -<vb n_i, d_j psi>
     R[:, :, nv0 : nv0 + 3 * nvb] = edge_blocks(
-        -nrm[..., i] * he, _hilbert_gram(nvb, l + 1), disc.trace_w_grad[:, :, j]
+        -nrm[..., i] * he, disc.edge_gram[:nvb, : l + 1], disc.trace_w_grad[:, :, j]
     )
     # +<vg_i, psi n_j>
     c0 = nv0 + 3 * nvb + i * 3 * nvg
     R[:, :, c0 : c0 + 3 * nvg] = edge_blocks(
-        nrm[..., j] * he, _hilbert_gram(nvg, l + 1), disc.trace_w_val
+        nrm[..., j] * he, disc.edge_gram[:nvg, : l + 1], disc.trace_w_val
     )
     return disc.mass_w_inv @ R
-
-
-def local_weak_hessian(disc, t, i, j):
-    """P_l coefficient map of the (i,j) weak second derivative on element t.
-
-    Returns the (mw, nloc) matrix C with D_ij = sum_m (C v_loc)_m psi_m
-    for the local DOF order of local_dof_columns. Indices i, j are 0 or 1.
-    """
-    return _weak_hessian_maps(disc, i, j)[t]
 
 
 def weak_hessian_apply(disc, v, i, j):

@@ -66,7 +66,7 @@ def p2_tables():
 
 
 # alpha=16 keeps the same fixed-point limit (the iteration converges for
-# any positive alpha, beta and the limit does not depend on them) while
+# any positive alpha and the limit does not depend on it) while
 # reaching the residual tolerance well inside the iteration cap.
 P1_CFG = SolverConfig(alpha=16.0, prox_method="wl1")
 
@@ -218,8 +218,8 @@ def test_05_summed_increment_energy_bound(p1_study):
     assert diag.converged, f"n=4 did not converge in {diag.iterations} iters"
     system = assemble_A(disc, case.field)
     B = assemble_B(disc, 1).B
-    alpha, beta = P1_CFG.alpha, P1_CFG.beta
-    smat = assemble_S(system.A, B, alpha, beta)
+    alpha = P1_CFG.alpha
+    smat = assemble_S(system.A, B, alpha)
     prox = make_prox(P1_CFG.prox_method, 2, alpha)
     y_star, Bu_star = limit.y, B @ limit.u
 
@@ -231,7 +231,7 @@ def test_05_summed_increment_energy_bound(p1_study):
     inc = np.empty(diag.iterations)  # inc[n] = |Bu^n - Bu^{n+1}|^2 + |y^{n+1} - y^n|^2
     err[0] = np.sum((state.y - y_star) ** 2) + np.sum((Bu - Bu_star) ** 2)
     for n in range(diag.iterations):
-        bn = make_bn(state, system.A, B, system.fvec, alpha, beta, prox)
+        bn = make_bn(state, system.A, B, system.fvec, alpha, prox)
         new = fixed_point_step(state, smat, bn)
         Bu_new = B @ new.u
         inc[n] = np.sum((Bu - Bu_new) ** 2) + np.sum((new.y - state.y) ** 2)
@@ -351,10 +351,9 @@ def test_07_structural_invariants():
     system = assemble_A(disc1, field)
     bmat = assemble_B(disc1, 1)
     for alpha in (0.5, 1.0, 2.0):
-        for beta in (0.5, 1.0, 2.0):
-            smat = assemble_S(system.A, bmat.B, alpha, beta)
-            piv = np.abs(smat.lu.U.diagonal())
-            assert piv.min() > 1e-12 * (1.0 + piv.max())
+        smat = assemble_S(system.A, bmat.B, alpha)
+        piv = np.abs(smat.lu.U.diagonal())
+        assert piv.min() > 1e-12 * (1.0 + piv.max())
 
     # every prox operator is firmly nonexpansive on samples; the
     # numerical oracle only satisfies the inequality up to its own

@@ -186,8 +186,14 @@ def test_run_study_rejects_non_elliptic_field_before_solving(monkeypatch):
             run_study(ProblemCase("indefinite", indefinite), p, [2])
 
 
-def test_run_study_rejects_odd_disc_and_bad_p():
+def test_run_study_rejects_odd_disc_and_bad_p(monkeypatch):
     with pytest.raises(ValueError):
         run_study(builtin_case("disc"), 2, [3])
+    # an odd level anywhere in the list fails before any level is solved
+    calls = []
+    monkeypatch.setattr(analysis, "build_uniform", lambda n: calls.append(n))
+    with pytest.raises(ValueError, match="even n"):
+        run_study(builtin_case("disc"), 2, [2, 3])
+    assert calls == []
     with pytest.raises(ValueError):
         run_study(builtin_case("const"), 3, [4])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pdwg
-from pdwg.cli import main, parse_args
+from pdwg.cli import RunConfig, main, parse_args
 from pdwg.fe_space import SpaceConfig
 from pdwg.prox import prox_phi_k1
 from pdwg.solver import SolverConfig
@@ -41,6 +41,7 @@ def read_table(path):
         ["solve", "--max-iters", "0"],
         ["solve", "--tol", "1e-6"],
         ["solve", "--l", "-1"],
+        ["solve", "--beta", "2"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -56,6 +57,7 @@ def test_unknown_flag_and_missing_command_exit_2(capsys):
 
 def test_parse_args_takes_defaults_from_configs():
     cfg = parse_args(["solve"])
+    assert cfg == RunConfig(command="solve")
     assert cfg.solver == SolverConfig()
     assert cfg.space == SpaceConfig(k=2)
     cfg = parse_args(["solve", "--alpha", "16", "--k", "3", "--l", "1"])
@@ -83,7 +85,7 @@ def test_solve_writes_csv(tmp_path):
     assert len(echo) == 3
     assert echo[0].startswith("# pdwg ")
     assert "problem=const p=2" in echo[1]
-    assert echo[2] == "# alpha=1 beta=1 residual_tol=1e-08 max_iters=200000 prox=wl1"
+    assert echo[2] == "# alpha=1 residual_tol=1e-08 max_iters=200000 prox=wl1"
     assert ",".join(header) == COLUMNS
     assert len(rows) == 2
     assert [r["n"] for r in rows] == ["4", "8"]

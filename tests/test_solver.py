@@ -57,7 +57,6 @@ def setup(n, field, p=1):
 def test_solver_config_validation():
     for kw in (
         {"alpha": 0.0},
-        {"beta": -1.0},
         {"residual_tol": -1e-8},
         {"max_iters": 0},
         {"prox_method": "newton"},
@@ -69,6 +68,9 @@ def test_solver_config_validation():
     # the relative-step stopping rule is gone: converged means residual_tol
     with pytest.raises(TypeError):
         SolverConfig(tol=1e-6)
+    # beta only rescaled the multiplier x, so it is fixed at 1
+    with pytest.raises(TypeError):
+        SolverConfig(beta=1.0)
 
 
 def test_default_config_runs():
@@ -108,44 +110,43 @@ def test_S_dimension_and_block_scaling():
     nB, N = B.shape
     M = A.shape[0]
     assert (nB, N, M) == (54, 35, 6)
-    s1 = assemble_S(A, B, 1.0, 1.0).S.toarray()
-    s2 = assemble_S(A, B, 1.0, 2.0).S.toarray()
+    s1 = assemble_S(A, B, 1.0).S.toarray()
+    s2 = assemble_S(A, B, 2.0).S.toarray()
     assert s1.shape == (95, 95)
-    # identity block and -B are beta-independent
+    # identity block and -B are alpha-independent
     assert np.allclose(s2[:nB, :nB], np.eye(nB))
     assert np.allclose(s2[:nB, nB : nB + N], -B.toarray())
-    # doubling beta doubles the constraint coupling, not the B^T B block
-    assert np.allclose(s2[nB : nB + N, nB : nB + N], s1[nB : nB + N, nB : nB + N])
-    assert np.allclose(s2[nB + N :, nB : nB + N], 2 * s1[nB + N :, nB : nB + N])
-    assert np.allclose(s2[nB : nB + N, nB + N :], 2 * s1[nB : nB + N, nB + N :])
+    # doubling alpha doubles the alpha B^T B block, not the A blocks
+    assert np.allclose(s2[nB : nB + N, nB : nB + N], 2 * s1[nB : nB + N, nB : nB + N])
+    assert np.allclose(s2[nB + N :, nB : nB + N], A.toarray())
+    assert np.allclose(s2[nB : nB + N, nB + N :], A.T.toarray())
 
 
 def test_S_factorization_no_zero_pivots():
     _, system, bmat = setup(1, poly_field())
     rng = np.random.default_rng(11)
     for alpha in (0.5, 1.0, 2.0):
-        for beta in (0.5, 1.0, 2.0):
-            smat = assemble_S(system.A, bmat.B, alpha, beta)
-            piv = np.abs(smat.lu.U.diagonal())
-            assert piv.min() > 1e-12 * (1.0 + piv.max())
-            b = rng.normal(size=smat.S.shape[0])
-            state = SaddleState(
-                y=np.zeros(bmat.B.shape[0]),
-                u=np.zeros(bmat.B.shape[1]),
-                x=np.zeros(system.A.shape[0]),
-            )
-            z = fixed_point_step(state, smat, b).flat()
-            assert np.abs(smat.S @ z - b).max() <= 1e-10 * np.abs(b).max()
+        smat = assemble_S(system.A, bmat.B, alpha)
+        piv = np.abs(smat.lu.U.diagonal())
+        assert piv.min() > 1e-12 * (1.0 + piv.max())
+        b = rng.normal(size=smat.S.shape[0])
+        state = SaddleState(
+            y=np.zeros(bmat.B.shape[0]),
+            u=np.zeros(bmat.B.shape[1]),
+            x=np.zeros(system.A.shape[0]),
+        )
+        z = fixed_point_step(state, smat, b).flat()
+        assert np.abs(smat.S @ z - b).max() <= 1e-10 * np.abs(b).max()
 
 
-@pytest.mark.parametrize("alpha, beta", [(0.5, 2.0), (16.0, 1.0)])
-def test_fixed_point_step_matches_dense_solve(alpha, beta):
+@pytest.mark.parametrize("alpha", [0.5, 16.0])
+def test_fixed_point_step_matches_dense_solve(alpha):
     # the step solves only the (u, x) block and substitutes for y; the
     # dense solve of the full S checks both stages and their coupling
     field = builtin_case("const").field
     disc, system, bmat = setup(2, field)
     A, B = system.A, bmat.B
-    smat = assemble_S(A, B, alpha, beta)
+    smat = assemble_S(A, B, alpha)
     S = smat.S.toarray()
     rng = np.random.default_rng(17)
     state = SaddleState(
@@ -161,7 +162,7 @@ def test_fixed_point_step_matches_dense_solve(alpha, beta):
     fp = system.fvec - system.Cb @ g
     for bn in (
         rng.normal(size=S.shape[0]),
-        make_bn(state, A, B, fp, alpha, beta, prox, c=c),
+        make_bn(state, A, B, fp, alpha, prox, c=c),
     ):
         z = np.linalg.solve(S, bn)
         new = fixed_point_step(state, smat, bn)
@@ -173,7 +174,7 @@ def test_assemble_S_singular_raises():
     B = sp.eye(3, 4, format="csr")
     A = sp.csr_matrix((2, 4))
     with pytest.raises(RuntimeError):
-        assemble_S(A, B, 1.0, 1.0)
+        assemble_S(A, B, 1.0)
 
 
 def test_b0_is_zero_zero_beta_f():
@@ -183,10 +184,10 @@ def test_b0_is_zero_zero_beta_f():
         y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
     )
     prox = make_prox("wl1", 2, 1.0)
-    b = make_bn(state, A, B, f, 1.0, 3.0, prox)
+    b = make_bn(state, A, B, f, 1.0, prox)
     nB, N = B.shape
     assert np.allclose(b[: nB + N], 0.0)
-    assert np.allclose(b[nB + N :], 3.0 * f)
+    assert np.allclose(b[nB + N :], f)
 
 
 def test_third_subvector_always_beta_f():
@@ -200,20 +201,20 @@ def test_third_subvector_always_beta_f():
             u=rng.normal(size=B.shape[1]),
             x=rng.normal(size=A.shape[0]),
         )
-        b = make_bn(state, A, B, f, 2.0, 0.5, prox)
-        assert np.allclose(b[B.shape[0] + B.shape[1] :], 0.5 * f)
+        b = make_bn(state, A, B, f, 2.0, prox)
+        assert np.allclose(b[B.shape[0] + B.shape[1] :], f)
 
 
 def test_manual_iteration_matches_step_helper():
     _, system, bmat = setup(1, poly_field())
     A, B, f = system.A, bmat.B, system.fvec
     prox = make_prox("wl1", 2, 1.0)
-    smat = assemble_S(A, B, 1.0, 1.0)
+    smat = assemble_S(A, B, 1.0)
     state = SaddleState(
         y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
     )
     for expected_iter in (1, 2, 3):
-        b = make_bn(state, A, B, f, 1.0, 1.0, prox)
+        b = make_bn(state, A, B, f, 1.0, prox)
         state = fixed_point_step(state, smat, b)
         assert state.iteration == expected_iter
         assert np.abs(smat.S @ state.flat() - b).max() <= 1e-11 * (1 + np.abs(b).max())
@@ -222,7 +223,7 @@ def test_manual_iteration_matches_step_helper():
 def test_constraint_and_first_equation_hold_from_iteration_one():
     field = builtin_case("const").field
     _, system, bmat = setup(2, field)
-    cfg = SolverConfig(alpha=2.0, beta=0.5, prox_method="wl1", max_iters=60)
+    cfg = SolverConfig(alpha=2.0, prox_method="wl1", max_iters=60)
     _, _, diag = solve_p1(system, bmat, 2, cfg)
     hist = diag.residual_history
     fscale = 1.0 + np.abs(system.fvec).max()
@@ -266,7 +267,7 @@ def test_p1_vanishing_increments_and_bounded_energy():
     _, limit, diag = solve_p1(system, bmat, 2, cfg)
     assert diag.converged
     A, B, f = system.A, bmat.B, system.fvec
-    smat = assemble_S(A, B, cfg.alpha, cfg.beta)
+    smat = assemble_S(A, B, cfg.alpha)
     prox = make_prox(cfg.prox_method, 2, cfg.alpha)
     state = SaddleState(
         y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
@@ -277,7 +278,7 @@ def test_p1_vanishing_increments_and_bounded_energy():
     total[0] = state.y @ state.y + Bu @ Bu
     for n in range(diag.iterations):
         new = fixed_point_step(
-            state, smat, make_bn(state, A, B, f, cfg.alpha, cfg.beta, prox)
+            state, smat, make_bn(state, A, B, f, cfg.alpha, prox)
         )
         Bu_new = B @ new.u
         inc = np.sum((Bu_new - Bu) ** 2) + np.sum((new.y - state.y) ** 2)
@@ -341,9 +342,7 @@ def test_residual_2_90_matches_diagnostics():
     cfg = SolverConfig(prox_method="wl1")
     u, state, diag = solve_p1(system, bmat, 2, cfg)
     prox = make_prox("wl1", 2, cfg.alpha)
-    r1, r2, r3 = residual_2_90(
-        state, system.A, bmat.B, system.fvec, cfg.alpha, cfg.beta, prox
-    )
+    r1, r2, r3 = residual_2_90(state, system.A, bmat.B, system.fvec, cfg.alpha, prox)
     assert np.allclose((r1, r2, r3), (diag.r1, diag.r2, diag.r3), rtol=1e-12, atol=0)
     assert max(r1, r2, r3) <= cfg.residual_tol
 
@@ -391,7 +390,7 @@ def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
     field = builtin_case(case).field
     disc = Discretization(build_uniform(2), SpaceConfig(k=k))
     system = assemble_A(disc, field)
-    p1 = assemble_S(system.A, assemble_B(disc, 1).B, 16.0, 1.0).lu
+    p1 = assemble_S(system.A, assemble_B(disc, 1).B, 16.0).lu
     factors = []
 
     def recording_splu(*args, **kwargs):
