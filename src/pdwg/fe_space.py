@@ -16,7 +16,7 @@ affine edge parametrization is again a polynomial in t, and we carry
 its coefficients rather than sampled values wherever exactness matters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -400,7 +400,7 @@ class Discretization:
         self.basis_v, self.basis_v_grad, self.basis_v_hess = _basis_tables(
             self.exps_v, self.quad_pts, center, h
         )
-        self.basis_w, self.basis_w_grad, self.basis_w_hess = _basis_tables(
+        self.basis_w, _, self.basis_w_hess = _basis_tables(
             self.exps_w, self.quad_pts, center, h
         )
 

@@ -11,35 +11,32 @@ iterated as S v^{n+1} = b^n with v = (y, u, x),
 
     S = [[I, -B, 0], [0, alpha B^T B, A^T], [0, A, 0]],
 
-and b^n assembled from the prox of the current jumps. The paper weights
-the first equation's A^T x by a second parameter β > 0, fixed at 1
-here: with x~ = β x the β-system is this one, so u, y, the residuals
-and the iteration count do not depend on β, which only rescales the
-multiplier (x_β = x_1 / β).
+b1 = y - P, b2 = alpha B^T P + A^T x, b3 = f and P = prox(Bu + y). The
+paper's second parameter β, weighting A^T x, is fixed at 1: it only
+rescales the multiplier (x_β = x_1 / β).
 
-S is block upper-triangular, so each step is solved in two stages: the
-symmetric KKT block
+Row 2 of S and y' = b1 + Bu' give A^T x' + alpha B^T y' = b2 + alpha
+B^T b1 = A^T x + alpha B^T y: the step conserves the first equation's
+residual vector, which is zero at the zero start. So A^T x = -alpha B^T y
+on every iterate and b2 = -alpha B^T b1, which is how the step builds
+it. The iteration reads only (y, u); x is an output of each solve, and
+r1 = |A^T x + alpha B^T y| measures only that solve's roundoff.
 
-    K0 = [[alpha B^T B, A^T], [A, 0]]
+S is block upper-triangular: the symmetric KKT block
+K0 = [[alpha B^T B, A^T], [A, 0]] gives (u, x) from (b2, b3), then
+y = b1 + Bu. K0 alone is factorized, once per run; S is built only so
+that callers can check a step against it.
 
-gives (u, x) from (b2, b3), and substitution gives y = b1 + Bu. K0 never
-changes, so it alone is factorized, once, and reused for every
-iteration. S itself is built only so that callers can check a step
-against it.
+For p=2 the constrained minimization is one symmetric indefinite solve,
+[[S2, A^T], [A, 0]] (u; lambda) = (0; f), with S2 the quadratic
+stabilizer's matrix. Both saddle matrices share A and are factorized
+the same way, by _factor_kkt; only H differs.
 
-For p=2 the stabilizer is quadratic and the constrained minimization is
-one symmetric indefinite solve: [[S2, A^T], [A, 0]] (u; lambda) = (0; f)
-with S2 the stabilizer's second-derivative matrix.
-
-Both saddle matrices have the form [[H, A^T], [A, 0]] with the same A
-and are factorized the same way, by _factor_kkt; only H differs.
-
-Inhomogeneous boundary values enter both paths the same way: boundary
-vb data g shifts the jump vector by c = Bb g and the constraint right
-side by -Cb g. Shifting the prox argument by c (and subtracting c back)
-turns the homogeneous algorithm into the lifted one, so the iteration
-formulas below carry c explicitly but reduce to the plain scheme when
-g is absent.
+Boundary vb data g shifts the jump vector by c = Bb g and the
+constraint right side by -Cb g in both paths. Shifting the prox
+argument by c (and subtracting c back) turns the homogeneous algorithm
+into the lifted one, so the iteration formulas below carry c and reduce
+to the plain scheme when g is absent.
 """
 
 import time
@@ -49,7 +46,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .fe_space import WeakFunction
 from .prox import prox_phi_weighted_l1
 
 __all__ = [
@@ -126,7 +122,7 @@ class Diagnostics:
     r2: float = np.inf
     r3: float = np.inf
     wall_time: float = 0.0
-    residual_history: np.ndarray = None
+    residual_history: np.ndarray = None  # (r2, r3) of every checked iterate
 
 
 def make_prox(method, k, alpha):
@@ -185,22 +181,23 @@ def assemble_S(A, B, alpha):
     return SMatrix(S=S, lu=lu, nB=nB, N=N, BA=sp.vstack([B, A], format="csr"))
 
 
-def make_bn(state, A, B, fvec, alpha, prox, c=None):
+def make_bn(state, B, fvec, alpha, prox, c=None):
     """Right-hand side b^n of the linear step S v^{n+1} = b^n.
 
     c is the constant jump offset from boundary data (zero when absent):
     the effective jump vector is Bu + c and the prox acts on Bu + c + y.
+    x is not read: b2 = -alpha B^T b1 (module docstring).
     """
     Bu = B @ state.u
     if c is not None:
         Bu = Bu + c
     P = prox(Bu + state.y)
-    return _step_rhs(state, P, A.T @ state.x, B.T, alpha, fvec, c)
+    return _step_rhs(state, P, B.T, alpha, fvec, c)
 
 
-def _step_rhs(state, P, ATx, BT, alpha, fvec, c=None):
-    """b^n from the prox P = prox(Bu + c + y) and ATx = A^T x of the
-    current iterate; its third block is the constraint's right side fvec.
+def _step_rhs(state, P, BT, alpha, fvec, c=None):
+    """b^n from the prox P = prox(Bu + c + y) of the current iterate;
+    its third block is the constraint's right side fvec.
 
     The one copy of the step shared by make_bn and solve_p1, so the
     public step functions replay the solver's iteration bit for bit.
@@ -208,9 +205,7 @@ def _step_rhs(state, P, ATx, BT, alpha, fvec, c=None):
     b1 = state.y - P
     if c is not None:
         b1 = b1 + c
-        P = P - c
-    b2 = alpha * (BT @ P) + ATx
-    return np.concatenate([b1, b2, fvec])
+    return np.concatenate([b1, -alpha * (BT @ b1), fvec])
 
 
 def fixed_point_step(state, smat, bn):
@@ -233,13 +228,15 @@ def fixed_point_step(state, smat, bn):
     )
 
 
-def _residuals(y, Ju, P, ATx, Au, BT, fvec, alpha):
-    """Sup-norm residuals of the three fixed-point equations, given the
-    jumps Ju = Bu + c, their prox P = prox(Ju + y), ATx = A^T x and Au."""
-    r1 = np.abs(ATx + alpha * (BT @ y)).max()
-    r2 = np.abs(P - Ju).max()
-    r3 = np.abs(Au - fvec).max()
-    return r1, r2, r3
+def _residuals(Ju, P, Au, fvec):
+    """Sup-norm residuals r2, r3 of the second and third fixed-point
+    equations, from the jumps Ju = Bu + c, P = prox(Ju + y) and Au."""
+    return np.abs(P - Ju).max(), np.abs(Au - fvec).max()
+
+
+def _first_residual(state, A, B, alpha):
+    """Sup-norm residual r1 of the first fixed-point equation."""
+    return np.abs(A.T @ state.x + alpha * (B.T @ state.y)).max()
 
 
 def residual_2_90(state, A, B, fvec, alpha, prox, c=None):
@@ -248,21 +245,23 @@ def residual_2_90(state, A, B, fvec, alpha, prox, c=None):
     if c is not None:
         Ju = Ju + c
     P = prox(Ju + state.y)
-    return _residuals(state.y, Ju, P, A.T @ state.x, A @ state.u, B.T, fvec, alpha)
+    r2, r3 = _residuals(Ju, P, A @ state.u, fvec)
+    return _first_residual(state, A, B, alpha), r2, r3
 
 
 def solve_p1(system, bmat, k, cfg, g=None):
     """Run the fixed-point proximity iteration for the p=1 scheme.
 
     system is the assembled constraint (A, Cb, fvec), bmat the jump
-    matrices for p=1, g the optional boundary vb data. Stops with
-    converged=True only when all three fixed-point residuals are at
-    most cfg.residual_tol (stop_reason "residual"), so a converged run
-    always satisfies the optimality equations to that tolerance.
-    Hitting max_iters returns the best iterate seen (by worst-case
-    residual) with converged=False, and so does a residual that is not
-    finite (stop_reason "nonfinite"). Only the residuals of each
-    iterate are kept (Diagnostics.residual_history).
+    matrices for p=1, g the optional boundary vb data. The first
+    fixed-point equation holds by construction (module docstring), so
+    the loop checks the other two: it stops with converged=True only
+    when r2 and r3 are at most cfg.residual_tol (stop_reason
+    "residual"). r1 is computed once, on the returned iterate, into
+    Diagnostics.r1. Hitting max_iters returns the best iterate seen (by
+    the larger of r2 and r3) with converged=False, and so does a
+    residual that is not finite (stop_reason "nonfinite"). Only (r2, r3)
+    of each iterate are kept (Diagnostics.residual_history).
 
     Returns (u_coeffs, state, diagnostics).
     """
@@ -289,12 +288,11 @@ def solve_p1(system, bmat, k, cfg, g=None):
 
     t0 = time.perf_counter()
     # one row per checked iterate; pages past the last row are never touched
-    hist = np.empty((cfg.max_iters, 3))
+    hist = np.empty((cfg.max_iters, 2))
     count = 0
     best = (np.inf, state)
     reason = "max_iters"
 
-    AT = A.T.tocsr()
     BT = B.T.tocsr()
 
     for _ in range(cfg.max_iters):
@@ -302,20 +300,19 @@ def solve_p1(system, bmat, k, cfg, g=None):
         if c is not None:
             Ju = Ju + c
         P = prox(Ju + state.y)
-        ATx = AT @ state.x
-        r1, r2, r3 = _residuals(state.y, Ju, P, ATx, state.BAu[nB:], BT, fp, alpha)
-        hist[count] = r1, r2, r3
+        r2, r3 = _residuals(Ju, P, state.BAu[nB:], fp)
+        hist[count] = r2, r3
         count += 1
-        if not np.isfinite(r1 + r2 + r3):
+        if not np.isfinite(r2 + r3):
             reason = "nonfinite"
             break
-        worst = max(r1, r2, r3)
+        worst = max(r2, r3)
         if worst < best[0]:
             best = (worst, state)
         if worst <= cfg.residual_tol:
             reason = "residual"
             break
-        state = fixed_point_step(state, smat, _step_rhs(state, P, ATx, BT, alpha, fp, c))
+        state = fixed_point_step(state, smat, _step_rhs(state, P, BT, alpha, fp, c))
 
     converged = reason == "residual"
     if not converged:
@@ -325,10 +322,11 @@ def solve_p1(system, bmat, k, cfg, g=None):
         converged=converged,
         stop_reason=reason,
         iterations=state.iteration,
+        r1=_first_residual(state, A, B, alpha),
         wall_time=time.perf_counter() - t0,
         residual_history=hist[:count].copy(),
     )
-    diag.r1, diag.r2, diag.r3 = hist[min(state.iteration, count - 1)]
+    diag.r2, diag.r3 = hist[state.iteration]
     return state.u, state, diag
 
 

@@ -162,7 +162,7 @@ def test_fixed_point_step_matches_dense_solve(alpha):
     fp = system.fvec - system.Cb @ g
     for bn in (
         rng.normal(size=S.shape[0]),
-        make_bn(state, A, B, fp, alpha, prox, c=c),
+        make_bn(state, B, fp, alpha, prox, c=c),
     ):
         z = np.linalg.solve(S, bn)
         new = fixed_point_step(state, smat, bn)
@@ -184,7 +184,7 @@ def test_b0_is_zero_zero_beta_f():
         y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
     )
     prox = make_prox("wl1", 2, 1.0)
-    b = make_bn(state, A, B, f, 1.0, prox)
+    b = make_bn(state, B, f, 1.0, prox)
     nB, N = B.shape
     assert np.allclose(b[: nB + N], 0.0)
     assert np.allclose(b[nB + N :], f)
@@ -201,7 +201,7 @@ def test_third_subvector_always_beta_f():
             u=rng.normal(size=B.shape[1]),
             x=rng.normal(size=A.shape[0]),
         )
-        b = make_bn(state, A, B, f, 2.0, prox)
+        b = make_bn(state, B, f, 2.0, prox)
         assert np.allclose(b[B.shape[0] + B.shape[1] :], f)
 
 
@@ -214,7 +214,7 @@ def test_manual_iteration_matches_step_helper():
         y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
     )
     for expected_iter in (1, 2, 3):
-        b = make_bn(state, A, B, f, 1.0, prox)
+        b = make_bn(state, B, f, 1.0, prox)
         state = fixed_point_step(state, smat, b)
         assert state.iteration == expected_iter
         assert np.abs(smat.S @ state.flat() - b).max() <= 1e-11 * (1 + np.abs(b).max())
@@ -225,11 +225,35 @@ def test_constraint_and_first_equation_hold_from_iteration_one():
     _, system, bmat = setup(2, field)
     cfg = SolverConfig(alpha=2.0, prox_method="wl1", max_iters=60)
     _, _, diag = solve_p1(system, bmat, 2, cfg)
-    hist = diag.residual_history
+    hist = diag.residual_history  # (r2, r3) per iterate
     fscale = 1.0 + np.abs(system.fvec).max()
-    assert np.all(hist[1:, 0] <= 1e-9)
-    assert np.all(hist[1:, 2] <= 1e-9 * fscale)
-    assert hist[1, 2] <= 1e-10 * fscale
+    assert np.all(hist[1:, 1] <= 1e-9 * fscale)
+    assert hist[1, 1] <= 1e-10 * fscale
+    # the loop does not check r1, so the same 60 steps are replayed
+    A, B, f = system.A, bmat.B, system.fvec
+    smat = assemble_S(A, B, cfg.alpha)
+    prox = make_prox(cfg.prox_method, 2, cfg.alpha)
+    state = SaddleState(
+        y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
+    )
+    for _ in range(cfg.max_iters):
+        state = fixed_point_step(state, smat, make_bn(state, B, f, cfg.alpha, prox))
+        assert residual_2_90(state, A, B, f, cfg.alpha, prox)[0] <= 1e-11
+
+
+@pytest.mark.parametrize("case,k", [("const", 2), ("disc", 3)])
+def test_p1_first_equation_holds_by_construction(case, k):
+    # the step builds b2 = -alpha B^T b1, so A^T x + alpha B^T y = 0 holds
+    # to the roundoff of one solve instead of accumulating over the run
+    disc = Discretization(build_uniform(2), SpaceConfig(k=k))
+    system = assemble_A(disc, builtin_case(case).field)
+    bmat = assemble_B(disc, 1)
+    cfg = SolverConfig(alpha=16.0)
+    _, state, diag = solve_p1(system, bmat, k, cfg)
+    assert diag.stop_reason == "residual"
+    prox = make_prox(cfg.prox_method, k, cfg.alpha)
+    r1, _, _ = residual_2_90(state, system.A, bmat.B, system.fvec, cfg.alpha, prox)
+    assert r1 <= 1e-11
 
 
 def test_p1_polynomial_exactness_with_boundary_lifting():
@@ -278,7 +302,7 @@ def test_p1_vanishing_increments_and_bounded_energy():
     total[0] = state.y @ state.y + Bu @ Bu
     for n in range(diag.iterations):
         new = fixed_point_step(
-            state, smat, make_bn(state, A, B, f, cfg.alpha, prox)
+            state, smat, make_bn(state, B, f, cfg.alpha, prox)
         )
         Bu_new = B @ new.u
         inc = np.sum((Bu_new - Bu) ** 2) + np.sum((new.y - state.y) ** 2)
