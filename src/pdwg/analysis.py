@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fe_space import Discretization, SpaceConfig, WeakFunction, project_Qh
+from .fe_space import Discretization, SpaceConfig, WeakFunction, _project_Wh_values, project_Qh
 from .mesh import build_uniform
 from .solver import SolverConfig, solve_p1, solve_p2
 from .stabilizer import assemble_B, assemble_S2, eval_s_tilde
@@ -215,9 +215,7 @@ def error_w2ph(disc, u_h, case, p):
 
     hess = np.einsum("tqnij,tn->tqij", disc.basis_v_hess, _v0_blocks(disc, e))
     le0 = np.einsum("tqij,tqij->tq", case.field.a(disc.quad_pts), hess)
-    moments = np.einsum("tq,tq,tqm->tm", disc.quad_w, le0, disc.basis_w)
-    coeffs = np.einsum("tmn,tn->tm", disc.mass_w_inv, moments)
-    proj = np.einsum("tqm,tm->tq", disc.basis_w, coeffs)
+    proj = np.einsum("tqm,tm->tq", disc.basis_w, _project_Wh_values(disc, le0))
     return st + _elementwise_lp(disc, proj, p)
 
 

@@ -8,12 +8,14 @@ with l in {k-2, k-1}.
 
 Element polynomials use scaled monomials ((x-x_T)/h_T)^a((y-y_T)/h_T)^b
 centered at the centroid, so local mass matrices are uniformly
-conditioned across refinement levels. Edge polynomials are plain
-monomials t^m in the global edge parameter t in [0, 1] (see mesh.py for
-the orientation convention). Jump polynomials along edges are handled
-through exact composition: the trace of a scaled monomial along an
-affine edge parametrization is again a polynomial in t, and we carry
-its coefficients rather than sampled values wherever exactness matters.
+conditioned across refinement levels. Both element spaces order them by
+poly_exponents, so W_h's basis is exactly the leading mw = dim P_l
+functions of V_h's. Edge polynomials are plain monomials t^m in the
+global edge parameter t in [0, 1] (see mesh.py for the orientation
+convention). Jump polynomials along edges are handled through exact
+composition: the trace of a scaled monomial along an affine edge
+parametrization is again a polynomial in t, and we carry its
+coefficients rather than sampled values wherever exactness matters.
 """
 
 from dataclasses import dataclass
@@ -369,19 +371,20 @@ class Discretization:
     points, local mass matrices with inverses, and the exact t-polynomial
     coefficients of basis traces along each (element, local edge)
     incidence. Everything here is immutable after construction and
-    shared by assembly, stabilizer, solver and error computations.
+    shared by assembly, stabilizer, solver and error computations. The
+    W_h tables are views of leading slices of the V_h tables (module
+    docstring), except mass_w_inv: a block's inverse is not a block of
+    the inverse.
     """
 
     def __init__(self, mesh, cfg):
         self.mesh = mesh
         self.cfg = cfg
         self.layout = DofLayout(mesh, cfg)
-        k, l = cfg.k, cfg.l
-        self.exps_v = poly_exponents(k)
-        self.exps_w = poly_exponents(l)
+        k, mw = cfg.k, self.layout.mw
 
         degree = max(2 * k + 2, 10)
-        self.tri_pts_ref, self.tri_w_ref = triangle_rule(degree)
+        tri_pts, tri_w = triangle_rule(degree)
         self.edge_pts, self.edge_w = edge_rule((degree + 1 + 1) // 2)
 
         p0 = mesh.vertices[mesh.elements[:, 0]]
@@ -390,22 +393,21 @@ class Discretization:
         # physical quadrature points and weights, all elements at once
         self.quad_pts = (
             p0[:, None, :]
-            + self.tri_pts_ref[None, :, 0, None] * e1[:, None, :]
-            + self.tri_pts_ref[None, :, 1, None] * e2[:, None, :]
+            + tri_pts[None, :, 0, None] * e1[:, None, :]
+            + tri_pts[None, :, 1, None] * e2[:, None, :]
         )
-        self.quad_w = np.outer(2.0 * mesh.elem_area, self.tri_w_ref)
+        self.quad_w = np.outer(2.0 * mesh.elem_area, tri_w)
 
         center = mesh.elem_centroid[:, None, :]
         h = mesh.elem_h[:, None]
         self.basis_v, self.basis_v_grad, self.basis_v_hess = _basis_tables(
-            self.exps_v, self.quad_pts, center, h
+            poly_exponents(k), self.quad_pts, center, h
         )
-        self.basis_w, _, self.basis_w_hess = _basis_tables(
-            self.exps_w, self.quad_pts, center, h
-        )
+        self.basis_w = self.basis_v[..., :mw]
+        self.basis_w_hess = self.basis_v_hess[..., :mw, :, :]
 
         self.mass_v = np.einsum("tq,tqi,tqj->tij", self.quad_w, self.basis_v, self.basis_v)
-        self.mass_w = np.einsum("tq,tqi,tqj->tij", self.quad_w, self.basis_w, self.basis_w)
+        self.mass_w = self.mass_v[:, :mw, :mw]
         self.mass_v_inv = np.linalg.inv(self.mass_v)
         self.mass_w_inv = np.linalg.inv(self.mass_w)
 
@@ -426,20 +428,19 @@ class Discretization:
         to the t-polynomial coefficients of v0 along the edge, in the
         global edge parametrization. trace_grad[t][le][j] does the same
         for the j-th component of grad v0 (degree k-1, rows padded to
-        k+1 with a zero top coefficient). trace_w_val / trace_w_grad are
-        the analogues for the test-space basis (degrees l and l-1).
+        k+1 with a zero top coefficient). trace_w_val / trace_w_grad, the
+        test-space analogues, are views of their leading l+1 rows and mw
+        columns: a degree <= l monomial's trace has no term above t^l.
         """
-        mesh, k = self.mesh, self.cfg.k
+        mesh, k, l = self.mesh, self.cfg.k, self.cfg.l
         ends = mesh.vertices[mesh.edges[mesh.elem_edges]]  # (T, 3, lo/hi, 2)
         h = mesh.elem_h[:, None, None]
         xi0 = (ends[:, :, 0] - mesh.elem_centroid[:, None, :]) / h
         xid = (ends[:, :, 1] - ends[:, :, 0]) / h
-        px = _linear_power_coeffs(xi0[..., 0], xid[..., 0], k)
-        py = _linear_power_coeffs(xi0[..., 1], xid[..., 1], k)
-        self.trace_val, self.trace_grad = _trace_tables(self.exps_v, px, py, h, k)
-        self.trace_w_val, self.trace_w_grad = _trace_tables(
-            self.exps_w, px, py, h, self.cfg.l
-        )
+        px, py = (_linear_power_coeffs(xi0[..., j], xid[..., j], k) for j in range(2))
+        self.trace_val, self.trace_grad = _trace_tables(poly_exponents(k), px, py, h, k)
+        self.trace_w_val = self.trace_val[..., : l + 1, : self.layout.mw]
+        self.trace_w_grad = self.trace_grad[..., : l + 1, : self.layout.mw]
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +500,12 @@ def _edge_projection(disc, vals, degree):
 
 def project_Wh(g, disc):
     """Elementwise L2 projection onto P_l; returns (T, mw) coefficients."""
-    gq = g(disc.quad_pts)
-    rhs = np.einsum("tq,tq,tqi->ti", disc.quad_w, gq, disc.basis_w)
+    return _project_Wh_values(disc, g(disc.quad_pts))
+
+
+def _project_Wh_values(disc, vals):
+    """project_Wh of a function given by its (T, q) volume quadrature values."""
+    rhs = np.einsum("tq,tq,tqi->ti", disc.quad_w, vals, disc.basis_w)
     return np.einsum("tij,tj->ti", disc.mass_w_inv, rhs)
 
 

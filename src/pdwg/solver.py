@@ -71,10 +71,9 @@ class SolverConfig:
     prox_method: str = "wl1"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        for name in ("alpha", "residual_tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.prox_method != "wl1":
@@ -170,8 +169,8 @@ def _factor_kkt(H, A, failure):
 
 def assemble_S(A, B, alpha):
     """Build S and factorize its (u, x) block K0 (one time per config)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     nB, N = B.shape
     K0, lu = _factor_kkt(
         alpha * (B.T @ B), A, "factorization of S failed; A may be rank-deficient"
@@ -265,17 +264,14 @@ def solve_p1(system, bmat, k, cfg, g=None):
 
     Returns (u_coeffs, state, diagnostics).
     """
-    A, fvec = system.A, system.fvec
-    B = bmat.B
+    if k != bmat.block_size - 1:
+        raise ValueError(f"k={k} does not match the jump matrix's k={bmat.block_size - 1}")
+    A, fvec, B = system.A, system.fvec, bmat.B
     prox = make_prox(cfg.prox_method, k, cfg.alpha)
     alpha = cfg.alpha
 
-    if g is not None:
-        c = bmat.Bb @ g
-        fp = fvec - system.Cb @ g
-    else:
-        c = None
-        fp = fvec
+    c = None if g is None else bmat.Bb @ g
+    fp = fvec if g is None else fvec - system.Cb @ g
 
     smat = assemble_S(A, B, alpha)
     nB = smat.nB
@@ -287,8 +283,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
     )
 
     t0 = time.perf_counter()
-    # one row per checked iterate; pages past the last row are never touched
-    hist = np.empty((cfg.max_iters, 2))
+    hist = np.empty((256, 2))  # one row per checked iterate, doubled when full
     count = 0
     best = (np.inf, state)
     reason = "max_iters"
@@ -301,6 +296,8 @@ def solve_p1(system, bmat, k, cfg, g=None):
             Ju = Ju + c
         P = prox(Ju + state.y)
         r2, r3 = _residuals(Ju, P, state.BAu[nB:], fp)
+        if count == len(hist):
+            hist = np.concatenate([hist, np.empty_like(hist)])
         hist[count] = r2, r3
         count += 1
         if not np.isfinite(r2 + r3):

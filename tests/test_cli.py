@@ -42,6 +42,8 @@ def read_table(path):
         ["solve", "--tol", "1e-6"],
         ["solve", "--l", "-1"],
         ["solve", "--beta", "2"],
+        ["solve", "--residual-tol", "nan"],
+        ["solve", "--alpha", "inf"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -173,33 +173,58 @@ def test_trace_coefficients_match_point_evaluation():
                 assert np.allclose(via_trace, direct, atol=1e-12)
 
 
-def test_discretization_tables_match_per_element_evaluation():
-    # the whole-mesh tables against eval_basis called one element at a time
+@pytest.mark.parametrize("l", [1, 2])
+def test_discretization_tables_match_per_element_evaluation(l):
+    # the whole-mesh tables against eval_basis called one element at a
+    # time; the W_h tables from the P_l basis itself, not from V_h's
     k = 3
-    disc = Discretization(build_uniform(3), SpaceConfig(k=k))
+    disc = Discretization(build_uniform(3), SpaceConfig(k=k, l=l))
     mesh = disc.mesh
-    exps = poly_exponents(k)
     ts = np.linspace(0.0, 1.0, 7)
-    tm = np.power.outer(ts, np.arange(k + 1))
     hess_orders = {(0, 0): (2, 0), (0, 1): (1, 1), (1, 0): (1, 1), (1, 1): (0, 2)}
-    for t in range(mesh.num_elements):
-        c, h = mesh.elem_centroid[t], mesh.elem_h[t]
-        pts = disc.quad_pts[t]
-        assert np.array_equal(disc.basis_v[t], eval_basis(exps, pts, c, h))
-        for (i, j), d in hess_orders.items():
-            want = eval_basis(exps, pts, c, h, deriv=d)
-            assert np.array_equal(disc.basis_v_hess[t, :, :, i, j], want)
-        for le in range(3):
-            lo, hi = mesh.edges[mesh.elem_edges[t, le]]
-            epts = mesh.vertices[lo] + np.multiply.outer(
-                ts, mesh.vertices[hi] - mesh.vertices[lo]
-            )
-            want = eval_basis(exps, epts, c, h)
-            assert np.allclose(tm @ disc.trace_val[t, le], want, rtol=0, atol=1e-13)
-            for j, d in ((0, (1, 0)), (1, (0, 1))):
-                want = eval_basis(exps, epts, c, h, deriv=d)
-                got = tm @ disc.trace_grad[t, le, j]
-                assert np.allclose(got, want, rtol=0, atol=1e-12 / h)
+    spaces = (
+        (k, disc.basis_v, disc.basis_v_hess, disc.mass_v, disc.trace_val, disc.trace_grad),
+        (l, disc.basis_w, disc.basis_w_hess, disc.mass_w, disc.trace_w_val, disc.trace_w_grad),
+    )
+    for degree, basis, hess, mass, trace_val, trace_grad in spaces:
+        exps = poly_exponents(degree)
+        tm = np.power.outer(ts, np.arange(degree + 1))
+        assert trace_val.shape[-2:] == trace_grad.shape[-2:] == (degree + 1, len(exps))
+        for t in range(mesh.num_elements):
+            c, h = mesh.elem_centroid[t], mesh.elem_h[t]
+            pts = disc.quad_pts[t]
+            vals = eval_basis(exps, pts, c, h)
+            assert np.array_equal(basis[t], vals)
+            gram = np.einsum("q,qi,qj->ij", disc.quad_w[t], vals, vals)
+            assert np.allclose(mass[t], gram, rtol=0, atol=1e-15 * mesh.elem_area[t])
+            for (i, j), d in hess_orders.items():
+                want = eval_basis(exps, pts, c, h, deriv=d)
+                assert np.array_equal(hess[t, :, :, i, j], want)
+            for le in range(3):
+                lo, hi = mesh.edges[mesh.elem_edges[t, le]]
+                epts = mesh.vertices[lo] + np.multiply.outer(
+                    ts, mesh.vertices[hi] - mesh.vertices[lo]
+                )
+                want = eval_basis(exps, epts, c, h)
+                assert np.allclose(tm @ trace_val[t, le], want, rtol=0, atol=1e-13)
+                for j, d in ((0, (1, 0)), (1, (0, 1))):
+                    want = eval_basis(exps, epts, c, h, deriv=d)
+                    got = tm @ trace_grad[t, le, j]
+                    assert np.allclose(got, want, rtol=0, atol=1e-12 / h)
+
+
+def test_w_tables_are_views_of_the_v_tables():
+    disc = Discretization(build_uniform(2), SpaceConfig(k=3, l=1))
+    for w_table, v_table in (
+        (disc.basis_w, disc.basis_v),
+        (disc.basis_w_hess, disc.basis_v_hess),
+        (disc.mass_w, disc.mass_v),
+        (disc.trace_w_val, disc.trace_val),
+        (disc.trace_w_grad, disc.trace_grad),
+    ):
+        assert np.shares_memory(w_table, v_table)
+    for name in ("exps_w", "tri_pts_ref", "tri_w_ref"):
+        assert not hasattr(disc, name)
 
 
 def test_trace_gradient_top_coefficient_is_zero():

@@ -57,7 +57,11 @@ def setup(n, field, p=1):
 def test_solver_config_validation():
     for kw in (
         {"alpha": 0.0},
+        {"alpha": np.nan},
+        {"alpha": np.inf},
         {"residual_tol": -1e-8},
+        {"residual_tol": np.nan},
+        {"residual_tol": np.inf},
         {"max_iters": 0},
         {"prox_method": "newton"},
         {"prox_method": "exact"},
@@ -71,6 +75,11 @@ def test_solver_config_validation():
     # beta only rescaled the multiplier x, so it is fixed at 1
     with pytest.raises(TypeError):
         SolverConfig(beta=1.0)
+    # assemble_S applies the same rule to alpha rather than blaming A
+    _, system, bmat = setup(1, builtin_case("const").field)
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            assemble_S(system.A, bmat.B, alpha)
 
 
 def test_default_config_runs():
@@ -78,6 +87,24 @@ def test_default_config_runs():
     _, _, diag = solve_p1(system, bmat, 2, SolverConfig(max_iters=5))
     assert diag.stop_reason == "max_iters"
     assert len(diag.residual_history) == 5
+
+
+def test_p1_rejects_k_that_does_not_match_the_jump_matrix():
+    # the prox blocks by k+1, B by its block size; a mismatch would
+    # minimise the wrong phi
+    _, system, bmat = setup(1, builtin_case("const").field)
+    for k in (1, 3):
+        with pytest.raises(ValueError, match="does not match the jump matrix"):
+            solve_p1(system, bmat, k, SolverConfig(max_iters=5))
+
+
+def test_p1_history_grows_with_the_run_not_with_max_iters():
+    # a huge but valid max_iters allocates nothing up front, and the
+    # history holds exactly one row per checked iterate
+    _, system, bmat = setup(1, builtin_case("const").field)
+    _, _, diag = solve_p1(system, bmat, 2, SolverConfig(max_iters=10**12))
+    assert diag.converged
+    assert len(diag.residual_history) == diag.iterations + 1
 
 
 def test_p1_stops_on_nonfinite_residual():
