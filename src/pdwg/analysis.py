@@ -9,6 +9,7 @@ s_tilde(e_h) + ||Q_h L e_0||_{0,p} with e_h = Q_h u - u_h.
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "error_w1p",
     "error_w2ph",
     "rates",
+    "check_study",
     "run_study",
 ]
 
@@ -236,28 +238,36 @@ def rates(errors):
 # study driver
 
 
+def check_study(problem, p, n_list):
+    """Raise ValueError unless run_study can solve problem at p on every level of n_list."""
+    if p not in (1, 2):
+        raise ValueError(f"no solver for p={p}; use 1 or 2")
+    for n in n_list:
+        if not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"mesh sizes n must be positive integers, got n={n!r}")
+        if problem == "disc" and n % 2:
+            raise ValueError(
+                f"the disc case needs even n so mesh lines track the "
+                f"coefficient jumps; got n={n}"
+            )
+
+
 def run_study(case, p, n_list, k=2, l=None, cfg=None):
     """Solve the case over a list of mesh sizes and report errors.
 
     p=2 uses the direct saddle solve, p=1 the fixed-point iteration
     (cfg carries its parameters). Non-convergence at a level is
     recorded in that level's report rather than raised, so callers get
-    the partial table either way. A coefficient that is not symmetric
-    positive definite at some quadrature point raises ValueError before
-    anything is assembled.
+    the partial table either way. Arguments that break check_study
+    raise ValueError before any level is built, a coefficient that is
+    not finite and symmetric positive definite at some quadrature point
+    before anything is assembled, and a non-finite load before the solve.
 
     Each report's wall_time covers the same stages for both p: the
     stabilizer or jump assembly, the factorization and the solve (or
     the whole fixed-point iteration).
     """
-    if p not in (1, 2):
-        raise ValueError(f"no solver for p={p}; use 1 or 2")
-    odd = [n for n in n_list if n % 2]
-    if case.name == "disc" and odd:
-        raise ValueError(
-            f"the disc case needs even n so mesh lines track the "
-            f"coefficient jumps; got n={odd[0]}"
-        )
+    check_study(case.name, p, n_list)
     if cfg is None:
         cfg = SolverConfig()
     table = ConvergenceTable(case=case.name, p=p, k=k)
@@ -266,6 +276,8 @@ def run_study(case, p, n_list, k=2, l=None, cfg=None):
         disc = Discretization(mesh, SpaceConfig(k=k, l=l))
         check_ellipticity(case.field, disc.quad_pts)
         system = assemble_A(disc, case.field)
+        if not np.isfinite(system.fvec).all():
+            raise ValueError("load vector is not finite; f must be finite on the domain")
         t0 = time.perf_counter()
         if p == 2:
             suu, sub = assemble_S2(disc)
@@ -282,7 +294,7 @@ def run_study(case, p, n_list, k=2, l=None, cfg=None):
         table.reports.append(
             ErrorReport(
                 n=n,
-                h=float(mesh.elem_h.max()),
+                h=mesh.h,
                 e_L=error_lp(disc, u_h, case, p),
                 e_W1=error_w1p(disc, u_h, case, p),
                 e_W2=error_w2ph(disc, u_h, case, p),

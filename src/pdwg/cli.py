@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .fe_space import Discretization, SpaceConfig, WeakFunction, project_Qh, project_Wh
 from .mesh import build_uniform
-from .analysis import builtin_case, run_study
+from .analysis import builtin_case, check_study, run_study
 from .prox import prox_phi_k1, prox_phi_oracle, prox_phi_weighted_l1, soft_threshold
 from .solver import SolverConfig, assemble_S
 from .stabilizer import assemble_B, eval_phi, eval_s
@@ -41,12 +41,9 @@ class UsageError(Exception):
 
 def _parse_n_list(text):
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"--n expects a comma-separated integer list, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise UsageError(f"--n entries must be positive, got {text!r}")
-    return values
 
 
 def parse_args(argv):
@@ -84,12 +81,9 @@ def parse_args(argv):
         space = _given(SpaceConfig, ns, "k", "l")
         run_flags = ("command", "problem", "p", "n_list", "out", "format")
         cfg = _given(RunConfig, ns, *run_flags, solver=solver, space=space)
+        check_study(cfg.problem, cfg.p, cfg.n_list)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if cfg.p not in (1, 2):
-        raise UsageError(f"--p must be 1 or 2, got {cfg.p}")
-    if cfg.problem == "disc" and any(n % 2 for n in cfg.n_list):
-        raise UsageError("the disc case needs even n (mesh lines on the jumps)")
     return cfg
 
 

@@ -20,6 +20,7 @@ coefficients rather than sampled values wherever exactness matters.
 
 from dataclasses import dataclass
 from math import comb
+from numbers import Integral
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -54,10 +55,14 @@ class SpaceConfig:
     l: int = None
 
     def __post_init__(self):
+        if not isinstance(self.k, Integral):
+            raise ValueError(f"k must be an integer, got k={self.k!r}")
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got k={self.k}")
         if self.l is None:
             object.__setattr__(self, "l", self.k - 1)
+        if not isinstance(self.l, Integral):
+            raise ValueError(f"l must be an integer, got l={self.l!r}")
         if self.l not in (self.k - 2, self.k - 1):
             raise ValueError(f"l must be k-2 or k-1, got l={self.l} with k={self.k}")
 
@@ -202,14 +207,15 @@ def _trace_tables(exps, px, py, h, degree):
     """
     val = np.zeros(px.shape[:-2] + (degree + 1, len(exps)))
     grad = np.zeros(px.shape[:-2] + (2, degree + 1, len(exps)))
+    column = {(a, b): idx for idx, (a, b) in enumerate(exps)}
     for idx, (a, b) in enumerate(exps):
         val[..., : a + b + 1, idx] = _convolve(px[..., a, : a + 1], py[..., b, : b + 1])
+        # d/dx m_{a,b} = (a/h) m_{a-1,b} and d/dy m_{a,b} = (b/h) m_{a,b-1};
+        # graded order has filled both value columns already
         if a >= 1:
-            prod = _convolve(px[..., a - 1, :a], py[..., b, : b + 1])
-            grad[..., 0, : a + b, idx] = (a / h) * prod
+            grad[..., 0, :, idx] = (a / h) * val[..., column[a - 1, b]]
         if b >= 1:
-            prod = _convolve(px[..., a, : a + 1], py[..., b - 1, :b])
-            grad[..., 1, : a + b, idx] = (b / h) * prod
+            grad[..., 1, :, idx] = (b / h) * val[..., column[a, b - 1]]
     return val, grad
 
 
@@ -237,11 +243,6 @@ class DofLayout:
 
         interior = mesh.interior_edges()
         boundary = mesh.boundary_edges()
-        self.interior_index = np.full(mesh.num_edges, -1, dtype=int)
-        self.interior_index[interior] = np.arange(len(interior))
-        self.boundary_index = np.full(mesh.num_edges, -1, dtype=int)
-        self.boundary_index[boundary] = np.arange(len(boundary))
-
         self.N1 = mesh.num_elements * self.nv0
         self.N2 = len(interior) * self.nvb
         self.N3 = mesh.num_edges * self.nvg  # per gradient component
@@ -253,17 +254,10 @@ class DofLayout:
         # vb_cols (E, nvb) and vb_bnd (E, nvb) place vb blocks in the
         # unknowns and in the boundary-data vector; vg_cols is (2, E, nvg).
         T = mesh.num_elements
-        rb = np.arange(self.nvb)
-        self.vb_cols = np.where(
-            self.interior_index[:, None] >= 0,
-            self.N1 + self.interior_index[:, None] * self.nvb + rb,
-            -1,
-        )
-        self.vb_bnd = np.where(
-            self.boundary_index[:, None] >= 0,
-            self.boundary_index[:, None] * self.nvb + rb,
-            -1,
-        )
+        self.vb_cols = np.full((mesh.num_edges, self.nvb), -1)
+        self.vb_cols[interior] = self.N1 + np.arange(self.N2).reshape(-1, self.nvb)
+        self.vb_bnd = np.full((mesh.num_edges, self.nvb), -1)
+        self.vb_bnd[boundary] = np.arange(self.NB).reshape(-1, self.nvb)
         self.vg_cols = (
             self.N1
             + self.N2
@@ -296,23 +290,20 @@ class DofLayout:
 
     def vb_slice(self, e):
         """Slice of the vb block of interior edge e; None on the boundary."""
-        idx = self.interior_index[e]
-        if idx < 0:
-            return None
-        start = self.N1 + idx * self.nvb
-        return slice(start, start + self.nvb)
+        start = self.vb_cols[e, 0]
+        return None if start < 0 else slice(start, start + self.nvb)
 
     def vg_slice(self, e, j):
         """Slice of gradient component j (0 or 1) on edge e."""
-        start = self.N1 + self.N2 + j * self.N3 + e * self.nvg
+        start = self.vg_cols[j, e, 0]
         return slice(start, start + self.nvg)
 
     def boundary_vb_slice(self, e):
         """Slice into the boundary-data vector for boundary edge e."""
-        idx = self.boundary_index[e]
-        if idx < 0:
+        start = self.vb_bnd[e, 0]
+        if start < 0:
             raise ValueError(f"edge {e} is not a boundary edge")
-        return slice(idx * self.nvb, (idx + 1) * self.nvb)
+        return slice(start, start + self.nvb)
 
 
 def make_layout(mesh, cfg):

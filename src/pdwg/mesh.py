@@ -12,6 +12,8 @@ the rest of the package refers to that parametrization, which is what
 lets the two elements sharing an interior edge agree on edge data.
 """
 
+from numbers import Integral
+
 import numpy as np
 
 __all__ = ["Mesh", "build_uniform", "refine", "edge_param"]
@@ -157,9 +159,9 @@ def build_uniform(n):
     -------
     Mesh
     """
+    if not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"n must be a positive integer, got n={n!r}")
     n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
 
     side = np.linspace(0.0, 1.0, n + 1)
     xs, ys = np.meshgrid(side, side)

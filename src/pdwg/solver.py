@@ -41,6 +41,7 @@ to the plain scheme when g is absent.
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,8 +75,10 @@ class SolverConfig:
         for name in ("alpha", "residual_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
+            raise ValueError(
+                f"max_iters must be an integer of at least 1, got {self.max_iters!r}"
+            )
         if self.prox_method != "wl1":
             raise ValueError(
                 f"unknown prox method {self.prox_method!r}; the only one is 'wl1'"
@@ -187,11 +190,14 @@ def make_bn(state, B, fvec, alpha, prox, c=None):
     the effective jump vector is Bu + c and the prox acts on Bu + c + y.
     x is not read: b2 = -alpha B^T b1 (module docstring).
     """
-    Bu = B @ state.u
-    if c is not None:
-        Bu = Bu + c
-    P = prox(Bu + state.y)
+    _, P = _prox_point(B @ state.u, state.y, prox, c)
     return _step_rhs(state, P, B.T, alpha, fvec, c)
+
+
+def _prox_point(Bu, y, prox, c):
+    """Jumps Ju = Bu + c of the current iterate and P = prox(Ju + y)."""
+    Ju = Bu if c is None else Bu + c
+    return Ju, prox(Ju + y)
 
 
 def _step_rhs(state, P, BT, alpha, fvec, c=None):
@@ -240,10 +246,7 @@ def _first_residual(state, A, B, alpha):
 
 def residual_2_90(state, A, B, fvec, alpha, prox, c=None):
     """Sup-norm residuals of the three fixed-point equations."""
-    Ju = B @ state.u
-    if c is not None:
-        Ju = Ju + c
-    P = prox(Ju + state.y)
+    Ju, P = _prox_point(B @ state.u, state.y, prox, c)
     r2, r3 = _residuals(Ju, P, A @ state.u, fvec)
     return _first_residual(state, A, B, alpha), r2, r3
 
@@ -291,10 +294,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
     BT = B.T.tocsr()
 
     for _ in range(cfg.max_iters):
-        Ju = state.BAu[:nB]
-        if c is not None:
-            Ju = Ju + c
-        P = prox(Ju + state.y)
+        Ju, P = _prox_point(state.BAu[:nB], state.y, prox, c)
         r2, r3 = _residuals(Ju, P, state.BAu[nB:], fp)
         if count == len(hist):
             hist = np.concatenate([hist, np.empty_like(hist)])

@@ -55,12 +55,13 @@ class BMatrix:
     The full jump vector of a weak function with boundary data g is
     B @ v + Bb @ g. Rows come in three equal sections (value jump,
     d/dx jump, d/dy jump); each section holds one (k+1)-row block per
-    (element, local edge) incidence pair, element-major.
+    (element, local edge) incidence pair, element-major. scale holds
+    the scaling of each block (module docstring), in row order.
     """
 
     B: sp.csr_matrix
     Bb: sp.csr_matrix
-    p: int
+    scale: np.ndarray
     block_size: int
     num_pairs: int
 
@@ -108,23 +109,24 @@ def assemble_B(disc, p):
     num_pairs = 3 * T
     section = bs * num_pairs
     w_val, w_grad = _jump_weights(disc, p)
-    w_val, w_grad = w_val[..., None], w_grad[..., None]
+    scale = np.stack([w_val, w_grad, w_grad])  # (3 sections, T, 3)
+    w = scale[..., None]
 
     rows = np.arange(section).reshape(T, 3, bs)  # value-jump rows of each pair
     v0 = layout.elem_cols[:, None, None, : layout.nv0]
     entries = [
-        (rows[..., None], v0, w_val[..., None] * disc.trace_val),
-        (rows, layout.vb_cols[ee], -w_val),
+        (rows[..., None], v0, w[0, ..., None] * disc.trace_val),
+        (rows, layout.vb_cols[ee], -w[0]),
     ]
     for j in range(2):
         r = (1 + j) * section + rows
-        entries.append((r[..., None], v0, w_grad[..., None] * disc.trace_grad[:, :, j]))
-        entries.append((r[..., : layout.nvg], layout.vg_cols[j][ee], -w_grad))
+        entries.append((r[..., None], v0, w[1 + j, ..., None] * disc.trace_grad[:, :, j]))
+        entries.append((r[..., : layout.nvg], layout.vg_cols[j][ee], -w[1 + j]))
 
     shape = (3 * section, layout.N)
     B = _sparse(entries, shape)
-    Bb = _sparse([(rows, layout.vb_bnd[ee], -w_val)], (3 * section, layout.NB))
-    return BMatrix(B=B, Bb=Bb, p=p, block_size=bs, num_pairs=num_pairs)
+    Bb = _sparse([(rows, layout.vb_bnd[ee], -w[0])], (3 * section, layout.NB))
+    return BMatrix(B=B, Bb=Bb, scale=scale.ravel(), block_size=bs, num_pairs=num_pairs)
 
 
 def assemble_S2(disc):
@@ -138,13 +140,13 @@ def assemble_S2(disc):
 
     The form is derived from the p=2 jump matrices: Suu = B' W B and
     Sub = B' W Bb, where W is block diagonal with edge_gram / w for a
-    jump block scaled by w (w^2 / w gives back h_e/h_T^3 and h_e/h_T).
+    jump block scaled by w (bmat.scale; w^2 / w gives back h_e/h_T^3
+    and h_e/h_T).
     W is applied as D'D with D = blockdiag(L' / sqrt(w)) and
     edge_gram = L L', so Suu = (DB)'(DB) is exactly symmetric.
     """
     bmat = assemble_B(disc, 2)
-    w_val, w_grad = _jump_weights(disc, 2)
-    w = np.concatenate([w_val.ravel(), w_grad.ravel(), w_grad.ravel()])
+    w = bmat.scale
     L = np.linalg.cholesky(disc.edge_gram)
     nblocks = len(w)
     D = sp.bsr_matrix(
@@ -203,8 +205,13 @@ def eval_phi(q, k):
     bs = k + 1
     if q.size % bs:
         raise ValueError(f"length {q.size} is not a multiple of block size {bs}")
-    blocks = q.reshape(-1, bs)
-    return float(sum(integral_abs_poly(b) for b in blocks))
+    return float(sum(_abs_integrals(q.reshape(-1, bs))))
+
+
+def _abs_integrals(blocks):
+    """integral_abs_poly of every coefficient vector along the last axis."""
+    flat = [integral_abs_poly(c) for c in blocks.reshape(-1, blocks.shape[-1])]
+    return np.reshape(flat, blocks.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +244,7 @@ def eval_s(disc, v, p):
     hT = mesh.elem_h[:, None]
     jv, jg = _jump_coeffs(disc, v)
     if p == 1:
-        bs = jv.shape[-1]
-        iv = np.array([integral_abs_poly(c) for c in jv.reshape(-1, bs)]).reshape(he.shape)
-        ig = np.array([integral_abs_poly(c) for c in jg.reshape(-1, bs)]).reshape(jg.shape[:-1])
+        iv, ig = _abs_integrals(jv), _abs_integrals(jg)
         return float(np.sum(he / hT * iv + he * ig.sum(axis=-1)))
     if p == 2:
         gram = disc.edge_gram

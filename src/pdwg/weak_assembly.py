@@ -53,10 +53,12 @@ class CoefficientField:
 def check_ellipticity(field, pts):
     """Sample a(x): verify symmetry and return (min, max) eigenvalue.
 
-    Raises ValueError if any sampled matrix is non-symmetric or not
-    positive definite.
+    Raises ValueError if any sampled matrix has a non-finite entry, is
+    non-symmetric or is not positive definite.
     """
     A = np.asarray(field.a(np.asarray(pts, dtype=float)))
+    if not np.isfinite(A).all():
+        raise ValueError("coefficient matrix is not finite at some sample point")
     if not np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-12):
         raise ValueError("coefficient matrix is not symmetric")
     # closed-form eigenvalues mid -+ rad of [[a, b], [b, d]], reading the

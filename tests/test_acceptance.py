@@ -304,6 +304,7 @@ def test_06_prox_correctness():
     )
 
 
+@pytest.mark.slow
 def test_07_structural_invariants():
     rng = np.random.default_rng(3)
 

@@ -186,6 +186,24 @@ def test_run_study_rejects_non_elliptic_field_before_solving(monkeypatch):
             run_study(ProblemCase("indefinite", indefinite), p, [2])
 
 
+def test_run_study_rejects_non_finite_load_before_solving(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("solved a problem with a non-finite load")
+
+    for name in ("solve_p1", "solve_p2"):
+        monkeypatch.setattr(analysis, name, never)
+    const = builtin_case("const").field
+    loads = (
+        lambda p: np.full(p.shape[:-1], np.inf),
+        lambda p: np.where(p[..., 0] < 0.5, np.nan, 0.0),
+    )
+    for f in loads:
+        case = ProblemCase("nonfinite", CoefficientField(a=const.a, f=f))
+        for p in (1, 2):
+            with pytest.raises(ValueError, match="not finite"):
+                run_study(case, p, [2])
+
+
 def test_run_study_rejects_odd_disc_and_bad_p(monkeypatch):
     with pytest.raises(ValueError):
         run_study(builtin_case("disc"), 2, [3])
@@ -194,6 +212,10 @@ def test_run_study_rejects_odd_disc_and_bad_p(monkeypatch):
     monkeypatch.setattr(analysis, "build_uniform", lambda n: calls.append(n))
     with pytest.raises(ValueError, match="even n"):
         run_study(builtin_case("disc"), 2, [2, 3])
+    # so do a level below 1 and a fractional one
+    for n_list in ([8, 0], [2, 2.5]):
+        with pytest.raises(ValueError, match="positive integers"):
+            run_study(builtin_case("const"), 2, n_list)
     assert calls == []
     with pytest.raises(ValueError):
         run_study(builtin_case("const"), 3, [4])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pdwg
+from pdwg.analysis import check_study
 from pdwg.cli import RunConfig, main, parse_args
 from pdwg.fe_space import SpaceConfig
 from pdwg.prox import prox_phi_k1
@@ -49,6 +50,20 @@ def read_table(path):
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "pdwg:" in capsys.readouterr().err
+
+
+def test_usage_messages_are_the_study_rule(capsys):
+    n_default = RunConfig(command="solve").n_list
+    cases = [
+        (["solve", "--p", "3"], ("const", 3, n_default)),
+        (["solve", "--n", "4,0"], ("const", 2, (4, 0))),
+        (["solve", "--problem", "disc", "--n", "2,5"], ("disc", 2, (2, 5))),
+    ]
+    for argv, args in cases:
+        with pytest.raises(ValueError) as rule:
+            check_study(*args)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"pdwg: {rule.value}\n"
 
 
 def test_unknown_flag_and_missing_command_exit_2(capsys):

@@ -38,6 +38,12 @@ def test_space_config_defaults_and_validation():
         SpaceConfig(k=2, l=2)
     with pytest.raises(ValueError):
         SpaceConfig(k=4, l=1)
+    # float degrees are refused here, not left to fail inside Discretization
+    with pytest.raises(ValueError, match="k must be an integer"):
+        SpaceConfig(k=2.5)
+    with pytest.raises(ValueError, match="l must be an integer"):
+        SpaceConfig(k=3, l=1.0)
+    assert SpaceConfig(k=np.int64(3), l=np.int64(1)).l == 1
 
 
 def test_poly_exponents_graded_order():

@@ -63,6 +63,7 @@ def test_solver_config_validation():
         {"residual_tol": np.nan},
         {"residual_tol": np.inf},
         {"max_iters": 0},
+        {"max_iters": 2.5},
         {"prox_method": "newton"},
         {"prox_method": "exact"},
         {"prox_method": "oracle"},
@@ -387,13 +388,20 @@ def test_p1_nonconvergence_flag_returns_best_iterate():
     assert state.iteration == int(worst.argmin())
 
 
-def test_residual_2_90_matches_diagnostics():
+@pytest.mark.parametrize(
+    "n, boundary", [(1, False), (2, True)], ids=["homogeneous", "boundary-data"]
+)
+def test_residual_2_90_matches_diagnostics(n, boundary):
     field = builtin_case("const").field
-    _, system, bmat = setup(1, field)
+    disc, system, bmat = setup(n, field)
     cfg = SolverConfig(prox_method="wl1")
-    u, state, diag = solve_p1(system, bmat, 2, cfg)
+    g = project_boundary(poly_field().u, disc) if boundary else None
+    u, state, diag = solve_p1(system, bmat, 2, cfg, g)
     prox = make_prox("wl1", 2, cfg.alpha)
-    r1, r2, r3 = residual_2_90(state, system.A, bmat.B, system.fvec, cfg.alpha, prox)
+    c, fp = None, system.fvec
+    if boundary:
+        c, fp = bmat.Bb @ g, system.fvec - system.Cb @ g
+    r1, r2, r3 = residual_2_90(state, system.A, bmat.B, fp, cfg.alpha, prox, c=c)
     assert np.allclose((r1, r2, r3), (diag.r1, diag.r2, diag.r3), rtol=1e-12, atol=0)
     assert max(r1, r2, r3) <= cfg.residual_tol
 

@@ -52,6 +52,17 @@ def test_check_ellipticity():
     )
     with pytest.raises(ValueError):
         check_ellipticity(indef, pts)
+    # non-finite entries are named as such: inf would pass the eigenvalue
+    # test and NaN would fail the symmetry one
+    for bad_value in (np.inf, np.nan):
+        nonfinite = CoefficientField(
+            a=lambda p, v=bad_value: np.broadcast_to(
+                np.array([[1.0, 0.0], [0.0, v]]), p.shape[:-1] + (2, 2)
+            ),
+            f=lambda p: np.zeros(p.shape[:-1]),
+        )
+        with pytest.raises(ValueError, match="not finite"):
+            check_ellipticity(nonfinite, pts)
     # the closed form agrees with eigvalsh on random SPD fields
     rng = np.random.default_rng(1)
     for _ in range(20):
