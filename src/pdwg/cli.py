@@ -135,9 +135,9 @@ def _config_echo(cfg):
 
 
 def _study_rows(table):
+    rates = table.rate_columns()
     rows = []
-    prev = None
-    for rep in table.reports:
+    for i, rep in enumerate(table.reports):
         cells = {
             "n": str(rep.n),
             "h": _sci(rep.h),
@@ -150,12 +150,8 @@ def _study_rows(table):
         for label, r in zip(("r1", "r2", "r3"), (*rep.residuals, 0.0, 0.0)[:3]):
             cells[label] = _sci(r)
         for name, col in (("rate_L", "e_L"), ("rate_W1", "e_W1"), ("rate_W2", "e_W2")):
-            if prev is None or getattr(prev, col) <= 0 or getattr(rep, col) <= 0:
-                cells[name] = ""
-            else:
-                cells[name] = _sci(np.log2(getattr(prev, col) / getattr(rep, col)))
+            cells[name] = _sci(rates[col][i - 1]) if i else ""
         rows.append(cells)
-        prev = rep
     return rows
 
 

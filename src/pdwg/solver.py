@@ -251,11 +251,22 @@ def residual_2_90(state, A, B, fvec, alpha, prox, c=None):
     return _first_residual(state, A, B, alpha), r2, r3
 
 
+def _check_boundary_data(system, g):
+    """Raise ValueError unless g holds one value per boundary vb DOF."""
+    NB = system.Cb.shape[1]
+    if np.shape(g) != (NB,):
+        raise ValueError(
+            f"g must have shape ({NB},), one value per boundary vb DOF; "
+            f"got shape {np.shape(g)}"
+        )
+
+
 def solve_p1(system, bmat, k, cfg, g=None):
     """Run the fixed-point proximity iteration for the p=1 scheme.
 
     system is the assembled constraint (A, Cb, fvec), bmat the jump
-    matrices for p=1, g the optional boundary vb data. The first
+    matrices for p=1, g the optional boundary vb data: one value per
+    column of system.Cb, checked before S is factorized. The first
     fixed-point equation holds by construction (module docstring), so
     the loop checks the other two: it stops with converged=True only
     when r2 and r3 are at most cfg.residual_tol (stop_reason
@@ -269,6 +280,8 @@ def solve_p1(system, bmat, k, cfg, g=None):
     """
     if k != bmat.block_size - 1:
         raise ValueError(f"k={k} does not match the jump matrix's k={bmat.block_size - 1}")
+    if g is not None:
+        _check_boundary_data(system, g)
     A, fvec, B = system.A, system.fvec, bmat.B
     prox = make_prox(cfg.prox_method, k, cfg.alpha)
     alpha = cfg.alpha
@@ -338,9 +351,17 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
     K^T K and partial pivoting differ by about 1.9e-6 relative
     unrefined, and agree to about 2e-8 refined.
 
+    Optional boundary vb data g (one value per column of system.Cb)
+    needs s2ub, its coupling block of S2; both are checked before the
+    factorization.
+
     Returns (u_coeffs, lam, residual) where residual is the sup-norm of
     the full linear system at the refined solution.
     """
+    if g is not None:
+        _check_boundary_data(system, g)
+        if s2ub is None:
+            raise ValueError("s2ub is required with boundary data g")
     A, fvec = system.A, system.fvec
     N = A.shape[1]
     M = A.shape[0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,30 +18,17 @@ from pdwg.mesh import build_uniform
 from pdwg.solver import SolverConfig
 from pdwg.weak_assembly import CoefficientField
 
+from conftest import poly_field
+
 
 def poly_case():
-    def a(p):
-        out = np.zeros(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = 1.0
-        out[..., 1, 1] = 6.0
-        return out
-
     def hess(p):
         out = np.zeros(p.shape[:-1] + (2, 2))
         out[..., 0, 0] = 2.0
         out[..., 1, 1] = 2.0
         return out
 
-    field = CoefficientField(
-        a=a,
-        f=lambda p: np.full(p.shape[:-1], 14.0),
-        u=lambda p: p[..., 0] ** 2 + p[..., 1] ** 2,
-        grad_u=lambda p: 2.0 * p,
-        hess_u=hess,
-    )
-    return ProblemCase("poly", field)
+    return ProblemCase("poly", dataclasses.replace(poly_field(), hess_u=hess))
 
 
 def test_builtin_names():

@@ -55,7 +55,7 @@ def sample_omega0(rng, c, n):
 
 def test_integral_abs_linear_reference_values():
     assert integral_abs_linear(1, 1) == pytest.approx(1.5, abs=0)
-    assert integral_abs_linear(-1, 2) == pytest.approx(0.5, abs=1e-15)
+    assert integral_abs_linear(-1, 2) == pytest.approx(0.5, abs=0)
     assert integral_abs_linear(-2, 1) == pytest.approx(1.5, abs=0)
     assert integral_abs_linear(0, 0) == 0.0
     # sign-symmetric: |a+bs| = |-a-bs|
@@ -164,27 +164,6 @@ def test_prox_phi_k1_moreau_identity():
         assert np.abs(pv + proj - v).max() < 1e-14
 
 
-@pytest.mark.slow
-def test_prox_phi_k1_matches_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        block = rng.standard_normal(2) * 2
-        alpha = rng.uniform(0.5, 2.0)
-        got = prox_phi_k1(block, alpha)
-        want = prox_phi_oracle(block, alpha, 1)
-        assert got == pytest.approx(want, abs=1e-6)
-
-
-def test_soft_threshold_matches_oracle_k0():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        block = rng.standard_normal(1) * 2
-        alpha = rng.uniform(0.5, 2.0)
-        got = soft_threshold(block, 1.0 / alpha)
-        want = prox_phi_oracle(block, alpha, 0)
-        assert got == pytest.approx(want, abs=1e-8)
-
-
 def test_prox_phi_weighted_l1():
     v = np.array([2.0, 0.0, 0.0])
     assert prox_phi_weighted_l1(v, 1.0, 2) == pytest.approx([1.0, 0.0, 0.0])
@@ -241,3 +220,8 @@ def test_firm_nonexpansiveness_all_proxes():
     assert firmly_nonexpansive(lambda q: project_omega0(q, 1.0), 2, rng)
     f = np.array([1.0, -2.0, 0.5])
     assert firmly_nonexpansive(lambda q: prox_indicator(q, f), 3, rng)
+    assert firmly_nonexpansive(lambda q: prox_phi_weighted_l1(q, 1.0, 2), 6, rng)
+    # the numerical oracle meets the inequality only to its own accuracy
+    assert firmly_nonexpansive(
+        lambda q: prox_phi_oracle(q, 1.0, 1), 2, rng, n=8, tol=1e-6
+    )

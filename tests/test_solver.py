@@ -27,24 +27,9 @@ from pdwg.solver import (
     solve_p2,
 )
 from pdwg.stabilizer import assemble_B, assemble_S2, eval_s
-from pdwg.weak_assembly import CoefficientField, ConstraintSystem, assemble_A
+from pdwg.weak_assembly import ConstraintSystem, assemble_A
 
-
-def poly_field():
-    def a(p):
-        out = np.zeros(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = 1.0
-        out[..., 1, 1] = 6.0
-        return out
-
-    return CoefficientField(
-        a=a,
-        f=lambda p: np.full(p.shape[:-1], 14.0),
-        u=lambda p: p[..., 0] ** 2 + p[..., 1] ** 2,
-        grad_u=lambda p: 2.0 * p,
-    )
+from conftest import poly_field
 
 
 def setup(n, field, p=1):
@@ -472,6 +457,26 @@ def test_solve_p2_singular_saddle_raises():
     bad = ConstraintSystem(A=A.tocsr(), Cb=system.Cb, fvec=system.fvec)
     with pytest.raises(RuntimeError, match="saddle system is singular"):
         solve_p2(bad, suu, sub, g=project_boundary(field.u, disc))
+
+
+def test_solvers_reject_bad_boundary_data_before_factorizing(monkeypatch):
+    # g comes from the caller: a wrong shape, or g without its S2 block,
+    # must be named before any work, not fail inside numpy
+    disc, system, bmat = setup(1, poly_field())
+    suu, sub = assemble_S2(disc)
+    NB = system.Cb.shape[1]
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("factorized before checking g")
+
+    monkeypatch.setattr(pdwg.solver, "splu", no_splu)
+    for g in (np.zeros(NB - 1), np.zeros(NB + 1), np.zeros((NB, 1))):
+        with pytest.raises(ValueError, match=rf"g must have shape \({NB},\)"):
+            solve_p1(system, bmat, 2, SolverConfig(), g=g)
+        with pytest.raises(ValueError, match=rf"g must have shape \({NB},\)"):
+            solve_p2(system, suu, sub, g=g)
+    with pytest.raises(ValueError, match="s2ub is required"):
+        solve_p2(system, suu, g=np.zeros(NB))
 
 
 @pytest.mark.parametrize("k", [2, 3])

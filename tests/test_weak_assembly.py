@@ -13,28 +13,12 @@ from pdwg.weak_assembly import (
     weak_hessian_apply,
 )
 
-
-def const_field():
-    def a(p):
-        out = np.zeros(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = 1.0
-        out[..., 1, 1] = 6.0
-        return out
-
-    # exact u = x^2 + y^2, so f = a11*2 + a22*2 = 14
-    return CoefficientField(
-        a=a,
-        f=lambda p: np.full(p.shape[:-1], 14.0),
-        u=lambda p: p[..., 0] ** 2 + p[..., 1] ** 2,
-        grad_u=lambda p: 2.0 * p,
-    )
+from conftest import poly_field
 
 
 def test_check_ellipticity():
     pts = np.random.default_rng(0).random((40, 2))
-    lo, hi = check_ellipticity(const_field(), pts)
+    lo, hi = check_ellipticity(poly_field(), pts)
     assert 0 < lo < hi
     bad = CoefficientField(
         a=lambda p: np.broadcast_to(
@@ -126,7 +110,7 @@ def test_weak_hessian_boundary_moments_reference_triangle():
 
 
 def test_constraint_consistency_on_polynomial():
-    field = const_field()
+    field = poly_field()
     for n in (1, 2):
         disc = Discretization(build_uniform(n), SpaceConfig(k=2))
         system = assemble_A(disc, field)
@@ -137,14 +121,14 @@ def test_constraint_consistency_on_polynomial():
 
 def test_zero_maps_to_zero():
     disc = Discretization(build_uniform(1), SpaceConfig(k=2))
-    system = assemble_A(disc, const_field())
+    system = assemble_A(disc, poly_field())
     assert np.abs(system.A @ np.zeros(disc.layout.N)).max() == 0.0
 
 
 @pytest.mark.parametrize("n,M", [(1, 6), (2, 24)])
 def test_full_row_rank(n, M):
     disc = Discretization(build_uniform(n), SpaceConfig(k=2))
-    system = assemble_A(disc, const_field())
+    system = assemble_A(disc, poly_field())
     assert system.A.shape == (M, disc.layout.N)
     dense = system.A.toarray()
     dense /= np.linalg.norm(dense, axis=1, keepdims=True)
@@ -155,7 +139,7 @@ def test_full_row_rank(n, M):
 def test_apply_Lw_matches_assembled_rows():
     rng = np.random.default_rng(3)
     disc = Discretization(build_uniform(2), SpaceConfig(k=2))
-    field = const_field()
+    field = poly_field()
     system = assemble_A(disc, field)
     for _ in range(10):
         v = WeakFunction(disc.layout, rng.standard_normal(disc.layout.N))
@@ -166,7 +150,7 @@ def test_apply_Lw_matches_assembled_rows():
 
 def test_apply_Lw_polynomial_is_constant_14():
     disc = Discretization(build_uniform(2), SpaceConfig(k=2))
-    field = const_field()
+    field = poly_field()
     v = project_Qh(field.u, field.grad_u, disc)
     coeffs = apply_Lw(disc, field, v)
     assert np.allclose(coeffs[:, 0], 14.0, atol=1e-10)
@@ -175,7 +159,7 @@ def test_apply_Lw_polynomial_is_constant_14():
 
 def test_locality_of_edge_perturbation():
     disc = Discretization(build_uniform(2), SpaceConfig(k=2))
-    field = const_field()
+    field = poly_field()
     system = assemble_A(disc, field)
     layout = disc.layout
     mesh = disc.mesh
