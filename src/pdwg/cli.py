@@ -16,7 +16,16 @@ from .fe_space import Discretization, SpaceConfig, WeakFunction, project_Qh, pro
 from .mesh import build_uniform
 from .analysis import builtin_case, check_study, run_study
 from .prox import prox_phi_k1, prox_phi_oracle, prox_phi_weighted_l1, soft_threshold
-from .solver import SolverConfig, assemble_S
+from .solver import (
+    SaddleState,
+    SolverConfig,
+    assemble_S,
+    fixed_point_step,
+    make_bn,
+    make_prox,
+    residual_2_90,
+    solve_p1,
+)
 from .stabilizer import assemble_B, eval_phi, eval_s
 from .weak_assembly import assemble_A, weak_hessian_apply
 
@@ -273,6 +282,9 @@ def _run_verify(_cfg):
             bad.append(alpha)
     ok &= _check("S-factorization-grid", not bad, f"failures {bad}")
 
+    # the public step functions replay solve_p1 bit for bit
+    ok &= _check("p1-step-replay-n1", *_p1_step_replay(system, bmat))
+
     # firm nonexpansiveness of every prox operator; the numerical
     # oracle satisfies the inequality only up to its own accuracy
     def firm(op, m, samples):
@@ -295,6 +307,34 @@ def _run_verify(_cfg):
         ok &= _check(f"firmly-nonexpansive-{name}", gap <= margin, f"gap {gap:.2e}")
 
     return 0 if ok else 1
+
+
+def _p1_step_replay(system, bmat):
+    """Replay solve_p1 (alpha=16) from the zero state through assemble_S,
+    make_prox, make_bn, fixed_point_step and residual_2_90; returns
+    (ok, detail), ok only if the final u, y, x and every (r2, r3) row
+    equal the solver's bit for bit."""
+    cfg = SolverConfig(alpha=16.0)
+    k = bmat.block_size - 1
+    _, final, diag = solve_p1(system, bmat, k, cfg)
+    A, B, f = system.A, bmat.B, system.fvec
+    smat = assemble_S(A, B, cfg.alpha)
+    prox = make_prox(cfg.prox_method, k, cfg.alpha)
+    state = SaddleState(
+        y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
+    )
+    rows = [residual_2_90(state, A, B, f, cfg.alpha, prox)[1:]]
+    for _ in range(len(diag.residual_history) - 1):
+        state = fixed_point_step(state, smat, make_bn(state, B, f, cfg.alpha, prox))
+        rows.append(residual_2_90(state, A, B, f, cfg.alpha, prox)[1:])
+    same_rows = np.array_equal(rows, diag.residual_history)
+    same_iterate = all(
+        np.array_equal(getattr(state, name), getattr(final, name)) for name in "uyx"
+    )
+    detail = (
+        f"{diag.iterations} steps; rows equal {same_rows}, iterate equal {same_iterate}"
+    )
+    return same_rows and same_iterate, detail
 
 
 def _run_prox_table(cfg):

@@ -23,6 +23,7 @@ on the true objective) are reference functions for tests and
 `pdwg verify`, not solver options.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -57,10 +58,15 @@ def integral_abs_linear(a, b):
     return -a - b / 2 - a * a / b
 
 
+def _check_parameter(name, value):
+    """Raise ValueError unless a prox parameter is positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def soft_threshold(q, tau):
     """Componentwise shrinkage: sign(q) * max(|q| - tau, 0)."""
-    if tau <= 0:
-        raise ValueError(f"threshold must be positive, got {tau}")
+    _check_parameter("threshold", tau)
     q = np.asarray(q, dtype=float)
     return np.sign(q) * np.maximum(np.abs(q) - tau, 0.0)
 
@@ -124,8 +130,7 @@ def project_omega0(point, c):
 
 def prox_phi_k1(v, alpha):
     """Exact blockwise prox of (1/alpha)*phi for k = 1 (2-blocks)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_parameter("alpha", alpha)
     v = np.asarray(v, dtype=float)
     if v.size % 2:
         raise ValueError("k=1 prox expects an even-length stacked vector")
@@ -143,25 +148,26 @@ def prox_phi_weighted_l1(v, alpha, k):
     Coefficient j of each (k+1)-block is shrunk by 1/(alpha*j); for
     k = 0 this is exactly soft_threshold(v, 1/alpha). The shrinkage is
     written as v - clip(v, -tau, tau), which gives the same values as
-    sign(v) * max(|v| - tau, 0) with fewer passes over v.
+    sign(v) * max(|v| - tau, 0) with fewer passes over v. tau is tiled
+    to the length of v, so each pass is one flat loop rather than one
+    (k+1)-element loop per block.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_parameter("alpha", alpha)
     v = np.asarray(v, dtype=float)
     bs = k + 1
     if v.size % bs:
         raise ValueError(f"length {v.size} is not a multiple of block size {bs}")
-    lo, hi = _wl1_thresholds(alpha, bs)
-    blocks = v.reshape(-1, bs)
-    out = blocks - np.minimum(np.maximum(blocks, lo), hi)
-    return out.reshape(v.shape)
+    lo, hi = _wl1_thresholds(alpha, bs, v.size)
+    if v.ndim != 1:
+        lo, hi = lo.reshape(v.shape), hi.reshape(v.shape)
+    return v - np.minimum(np.maximum(v, lo), hi)
 
 
 @lru_cache(maxsize=16)
-def _wl1_thresholds(alpha, bs):
+def _wl1_thresholds(alpha, bs, size):
     # the fixed-point iteration calls the prox with the same (alpha, k)
-    # tens of thousands of times; build the thresholds once
-    hi = 1.0 / (alpha * np.arange(1, bs + 1))
+    # and length tens of thousands of times; build the thresholds once
+    hi = np.tile(1.0 / (alpha * np.arange(1, bs + 1)), size // bs)
     lo = -hi
     hi.flags.writeable = lo.flags.writeable = False
     return lo, hi
@@ -208,6 +214,7 @@ def prox_phi_oracle(v, alpha, k, cap=200000):
     # 13 MB to every `import pdwg` (2-core Xeon VM)
     from scipy.optimize import minimize
 
+    _check_parameter("alpha", alpha)
     v = np.asarray(v, dtype=float)
     bs = k + 1
     if v.shape != (bs,):

@@ -27,6 +27,16 @@ K0 = [[alpha B^T B, A^T], [A, 0]] gives (u, x) from (b2, b3), then
 y = b1 + Bu. K0 alone is factorized, once per run; S is built only so
 that callers can check a step against it.
 
+A p=1 step is therefore the K0 solve, the products [B; A]u and B^T b1,
+and a few flat array passes. The prox (prox_phi_weighted_l1)
+soft-thresholds coefficient j of every block by 1/(alpha (j+1)), with
+the thresholds tiled once to the length of the jump vector. solve_p1
+carries (y, u, x, [B; A]u) as plain arrays and writes b2 into one (u, x)
+right-hand side whose tail holds b3 for the whole run; it calls the same
+private helpers (_jumps, _step_rhs, _solve_step, _sup_gaps) as make_bn,
+fixed_point_step and residual_2_90, so those public functions replay
+its iterates and residuals bit for bit.
+
 For p=2 the constrained minimization is one symmetric indefinite solve,
 [[S2, A^T], [A, 0]] (u; lambda) = (0; f), with S2 the quadratic
 stabilizer's matrix. Both saddle matrices share A and are factorized
@@ -39,6 +49,7 @@ into the lifted one, so the iteration formulas below carry c and reduce
 to the plain scheme when g is absent.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -91,8 +102,8 @@ class SaddleState:
     u: np.ndarray
     x: np.ndarray
     iteration: int = 0
-    # [B; A] u, kept by fixed_point_step: its B rows give the next jumps
-    # and the y substitution, its A rows the constraint residual
+    # [B; A] u, kept by fixed_point_step and solve_p1: its B rows give the
+    # next jumps and the y substitution, its A rows the constraint residual
     BAu: np.ndarray = field(default=None, repr=False, compare=False)
 
     def flat(self):
@@ -190,27 +201,60 @@ def make_bn(state, B, fvec, alpha, prox, c=None):
     the effective jump vector is Bu + c and the prox acts on Bu + c + y.
     x is not read: b2 = -alpha B^T b1 (module docstring).
     """
-    _, P = _prox_point(B @ state.u, state.y, prox, c)
-    return _step_rhs(state, P, B.T, alpha, fvec, c)
+    nB, N = B.shape
+    Ju = _jumps(B @ state.u, c)
+    P = prox(Ju + state.y)
+    bn = np.empty(nB + N + len(fvec))
+    bn[nB + N :] = fvec
+    bn[:nB] = _step_rhs(state.y, P, c, B.T, alpha, bn[nB:])
+    return bn
 
 
-def _prox_point(Bu, y, prox, c):
-    """Jumps Ju = Bu + c of the current iterate and P = prox(Ju + y)."""
-    Ju = Bu if c is None else Bu + c
-    return Ju, prox(Ju + y)
+# The private helpers below are the one copy of the step: solve_p1's loop
+# and the public make_bn, fixed_point_step and residual_2_90 all call
+# them, so the public step functions replay the solver bit for bit.
 
 
-def _step_rhs(state, P, BT, alpha, fvec, c=None):
-    """b^n from the prox P = prox(Bu + c + y) of the current iterate;
-    its third block is the constraint's right side fvec.
+def _jumps(Bu, c):
+    """Jumps Ju = Bu + c of an iterate; Bu itself when c is absent."""
+    return Bu if c is None else Bu + c
 
-    The one copy of the step shared by make_bn and solve_p1, so the
-    public step functions replay the solver's iteration bit for bit.
+
+def _step_rhs(y, P, c, BT, alpha, rhs):
+    """b1 = y - P + c of b^n, from P = prox(Bu + c + y).
+
+    b2 = -alpha B^T b1 is written into the head of rhs, the (u, x)
+    right-hand side (b2, b3), whose tail b3 the caller has filled.
+    Returns b1.
     """
-    b1 = state.y - P
+    b1 = y - P
     if c is not None:
-        b1 = b1 + c
-    return np.concatenate([b1, -alpha * (BT @ b1), fvec])
+        b1 += c
+    np.multiply(BT @ b1, -alpha, out=rhs[: BT.shape[0]])
+    return b1
+
+
+def _solve_step(smat, rhs, b1):
+    """Next iterate (y, u, x, [B; A]u) from the (u, x) right-hand side rhs
+    and b1: K0 (u, x) = rhs, then y = b1 + Bu."""
+    nB, N = smat.nB, smat.N
+    ux = smat.lu.solve(rhs)
+    u = ux[:N]
+    BAu = smat.BA @ u
+    return b1 + BAu[:nB], u, ux[N:], BAu
+
+
+def _sup_gaps(P, Ju, Au, fvec, out):
+    """Sup-norm residuals r2 = max |P - Ju| and r3 = max |Au - fvec| of
+    the second and third fixed-point equations, as floats.
+
+    out is scratch of length len(P) + len(fvec): both differences go
+    into it, so one abs pass and one reduceat give both maxima.
+    """
+    nB = len(P)
+    np.subtract(P, Ju, out=out[:nB])
+    np.subtract(Au, fvec, out=out[nB:])
+    return np.maximum.reduceat(np.abs(out, out=out), (0, nB)).tolist()
 
 
 def fixed_point_step(state, smat, bn):
@@ -220,23 +264,9 @@ def fixed_point_step(state, smat, bn):
     with the factorization from assemble_S, then y = b1 + Bu. The new
     state keeps [B; A] u for the next step.
     """
-    nB, N = smat.nB, smat.N
-    ux = smat.lu.solve(bn[nB:])
-    u = ux[:N]
-    BAu = smat.BA @ u
-    return SaddleState(
-        y=bn[:nB] + BAu[:nB],
-        u=u,
-        x=ux[N:],
-        iteration=state.iteration + 1,
-        BAu=BAu,
-    )
-
-
-def _residuals(Ju, P, Au, fvec):
-    """Sup-norm residuals r2, r3 of the second and third fixed-point
-    equations, from the jumps Ju = Bu + c, P = prox(Ju + y) and Au."""
-    return np.abs(P - Ju).max(), np.abs(Au - fvec).max()
+    nB = smat.nB
+    y, u, x, BAu = _solve_step(smat, bn[nB:], bn[:nB])
+    return SaddleState(y=y, u=u, x=x, iteration=state.iteration + 1, BAu=BAu)
 
 
 def _first_residual(state, A, B, alpha):
@@ -246,8 +276,9 @@ def _first_residual(state, A, B, alpha):
 
 def residual_2_90(state, A, B, fvec, alpha, prox, c=None):
     """Sup-norm residuals of the three fixed-point equations."""
-    Ju, P = _prox_point(B @ state.u, state.y, prox, c)
-    r2, r3 = _residuals(Ju, P, A @ state.u, fvec)
+    Ju = _jumps(B @ state.u, c)
+    P = prox(Ju + state.y)
+    r2, r3 = _sup_gaps(P, Ju, A @ state.u, fvec, np.empty(len(P) + len(fvec)))
     return _first_residual(state, A, B, alpha), r2, r3
 
 
@@ -290,54 +321,56 @@ def solve_p1(system, bmat, k, cfg, g=None):
     fp = fvec if g is None else fvec - system.Cb @ g
 
     smat = assemble_S(A, B, alpha)
-    nB = smat.nB
-    state = SaddleState(
-        y=np.zeros(nB),
-        u=np.zeros(B.shape[1]),
-        x=np.zeros(A.shape[0]),
-        BAu=np.zeros(smat.BA.shape[0]),
-    )
+    nB, N = smat.nB, smat.N
+    BT = B.T.tocsr()
+    # the iterate (y, u, x, [B; A]u) as plain arrays; each step allocates
+    # new ones, so the best iterate is kept by reference
+    y, u, x = np.zeros(nB), np.zeros(N), np.zeros(A.shape[0])
+    BAu = np.zeros(smat.BA.shape[0])
+    rhs = np.empty(N + len(fp))  # (b2, b3): b3 = fp for the whole run
+    rhs[N:] = fp
+    gaps = np.empty(nB + len(fp))  # scratch for _sup_gaps
 
     t0 = time.perf_counter()
     hist = np.empty((256, 2))  # one row per checked iterate, doubled when full
-    count = 0
-    best = (np.inf, state)
+    best = (math.inf, 0, y, u, x, BAu)
     reason = "max_iters"
 
-    BT = B.T.tocsr()
-
-    for _ in range(cfg.max_iters):
-        Ju, P = _prox_point(state.BAu[:nB], state.y, prox, c)
-        r2, r3 = _residuals(Ju, P, state.BAu[nB:], fp)
-        if count == len(hist):
+    for it in range(cfg.max_iters):
+        Ju = _jumps(BAu[:nB], c)
+        P = prox(Ju + y)
+        r2, r3 = _sup_gaps(P, Ju, BAu[nB:], fp, gaps)
+        if it == len(hist):
             hist = np.concatenate([hist, np.empty_like(hist)])
-        hist[count] = r2, r3
-        count += 1
-        if not np.isfinite(r2 + r3):
+        hist[it] = r2, r3
+        if not math.isfinite(r2 + r3):
             reason = "nonfinite"
             break
         worst = max(r2, r3)
         if worst < best[0]:
-            best = (worst, state)
+            best = (worst, it, y, u, x, BAu)
         if worst <= cfg.residual_tol:
             reason = "residual"
             break
-        state = fixed_point_step(state, smat, _step_rhs(state, P, BT, alpha, fp, c))
+        b1 = _step_rhs(y, P, c, BT, alpha, rhs)
+        y, u, x, BAu = _solve_step(smat, rhs, b1)
 
+    count = it + 1
     converged = reason == "residual"
     if not converged:
-        state = best[1]
+        _, it, y, u, x, BAu = best
+    state = SaddleState(y=y, u=u, x=x, iteration=it, BAu=BAu)
 
     diag = Diagnostics(
         converged=converged,
         stop_reason=reason,
-        iterations=state.iteration,
+        iterations=it,
         r1=_first_residual(state, A, B, alpha),
         wall_time=time.perf_counter() - t0,
         residual_history=hist[:count].copy(),
     )
-    diag.r2, diag.r3 = hist[state.iteration]
-    return state.u, state, diag
+    diag.r2, diag.r3 = hist[it]
+    return u, state, diag
 
 
 def solve_p2(system, s2uu, s2ub=None, g=None):

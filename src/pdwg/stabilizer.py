@@ -163,40 +163,9 @@ def assemble_S2(disc):
 
 
 def integral_abs_poly(coeffs):
-    """Exact integral of |c0 + c1 t + ...| over [0, 1].
-
-    Real roots inside (0, 1) split the interval into pieces of constant
-    sign, where the integral is |F(b) - F(a)| with F the antiderivative.
-    Candidate split points are taken generously (near-real companion
-    eigenvalues, Newton-polished): splitting at a non-root is harmless,
-    missing a sign change is not.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(c)[0]
-    if len(nz) == 0:
-        return 0.0
-    c = c[: nz[-1] + 1]
-    if len(c) == 1:
-        return abs(c[0])
-
-    desc = c[::-1]  # highest degree first, for numpy's poly helpers
-    pts = [0.0, 1.0]
-    for r in np.roots(desc):
-        if abs(r.imag) > 1e-6 * max(1.0, abs(r.real)):
-            continue
-        x = r.real
-        for _ in range(2):
-            dp = np.polyval(np.polyder(desc), x)
-            if dp == 0.0:
-                break
-            x -= np.polyval(desc, x) / dp
-        if 0.0 < x < 1.0:
-            pts.append(x)
-    pts = np.unique(pts)
-
-    anti = np.concatenate([[0.0], c / (np.arange(len(c)) + 1.0)])[::-1]
-    fv = np.polyval(anti, pts)
-    return float(np.abs(np.diff(fv)).sum())
+    """Exact integral of |c0 + c1 t + ...| over [0, 1]; the one-block
+    case of _abs_integrals."""
+    return float(_abs_integrals(np.asarray(coeffs, dtype=float)))
 
 
 def eval_phi(q, k):
@@ -209,9 +178,70 @@ def eval_phi(q, k):
 
 
 def _abs_integrals(blocks):
-    """integral_abs_poly of every coefficient vector along the last axis."""
-    flat = [integral_abs_poly(c) for c in blocks.reshape(-1, blocks.shape[-1])]
-    return np.reshape(flat, blocks.shape[:-1])
+    """Exact integral of |c0 + c1 t + ...| over [0, 1] for every
+    coefficient vector along the last axis.
+
+    Real roots inside (0, 1) split the interval into pieces of constant
+    sign, where the integral is |F(b) - F(a)| with F the antiderivative.
+    Candidate split points are taken generously (near-real companion
+    eigenvalues, Newton-polished): splitting at a non-root is harmless,
+    missing a sign change is not. Blocks are batched by the span
+    lo..hi of their nonzero coefficients: one stacked eigvals call
+    finds the roots of every block's c_lo + ... + c_hi t^(hi-lo) (the
+    polynomial divided by t^lo, as np.roots reduces it; t = 0 is an
+    endpoint anyway), and the Newton polish and the antiderivative run
+    on all blocks of the span at once.
+    """
+    c = blocks.reshape(-1, blocks.shape[-1])
+    out = np.zeros(len(c))
+    nz = c != 0
+    live = nz.any(axis=1)
+    lo = nz.argmax(axis=1)
+    hi = c.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+    for span in set(zip(lo[live].tolist(), hi[live].tolist())):
+        rows = np.flatnonzero(live & (lo == span[0]) & (hi == span[1]))
+        out[rows] = _span_integrals(c[rows, : span[1] + 1], span[0])
+    return out.reshape(blocks.shape[:-1])
+
+
+def _horner(desc, x):
+    """Each row of desc (highest degree first) at the points in the same row of x."""
+    y = np.zeros_like(x)
+    for j in range(desc.shape[1]):
+        y = y * x + desc[:, j : j + 1]
+    return y
+
+
+def _span_integrals(c, lo):
+    """_abs_integrals of the rows of c, whose first nonzero coefficient
+    is c[:, lo] and whose last column is nonzero."""
+    if c.shape[1] == 1:
+        return np.abs(c[:, 0])
+    m, deg = c.shape[0], c.shape[1] - 1 - lo
+    desc = c[:, ::-1]
+    x = np.zeros((m, 0))  # candidate split points
+    if deg > 0:
+        # companion matrices of the reduced polynomials, as in np.roots
+        comp = np.zeros((m, deg, deg))
+        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        comp[:, 0, :] = -desc[:, 1 : deg + 1] / desc[:, :1]
+        r = np.linalg.eigvals(comp)
+        x = r.real
+        real = np.abs(r.imag) <= 1e-6 * np.maximum(1.0, np.abs(x))
+        dpoly = desc[:, :-1] * np.arange(c.shape[1] - 1, 0, -1)
+        active = np.ones_like(real)
+        for _ in range(2):
+            dp = _horner(dpoly, x)
+            active &= dp != 0.0
+            step = np.divide(_horner(desc, x), dp, out=np.zeros_like(x), where=active)
+            x = np.where(active, x - step, x)
+        # rejected candidates collapse onto t = 0: zero-length pieces
+        x = np.where(real & (0.0 < x) & (x < 1.0), x, 0.0)
+    zero, one = np.zeros((m, 1)), np.ones((m, 1))
+    pts = np.sort(np.concatenate([zero, one, x], axis=1), axis=1)
+    anti = np.concatenate([zero, c / (np.arange(c.shape[1]) + 1.0)], axis=1)
+    fv = _horner(anti[:, ::-1], pts)
+    return np.abs(np.diff(fv, axis=1)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,7 @@ VERIFY_CHECKS = (
     "A-full-row-rank-n1",
     "A-full-row-rank-n2",
     "S-factorization-grid",
+    "p1-step-replay-n1",
     "firmly-nonexpansive-soft-threshold",
     "firmly-nonexpansive-prox-k1",
     "firmly-nonexpansive-prox-wl1-k2",

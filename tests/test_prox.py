@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdwg.prox import (
+    _wl1_thresholds,
     integral_abs_linear,
     project_omega0,
     prox_indicator,
@@ -181,6 +182,60 @@ def test_prox_phi_weighted_l1():
     assert got == pytest.approx([0.0, 0.5, 2 / 3, 0.0, -0.5, -2 / 3])
     with pytest.raises(ValueError):
         prox_phi_weighted_l1(np.ones(4), 1.0, 2)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 16.0])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_prox_phi_weighted_l1_flat_thresholds(k, alpha):
+    # the thresholds are tiled to the vector's length; the values must be
+    # those of the per-block broadcast, bit for bit
+    bs = k + 1
+    tau = 1.0 / (alpha * np.arange(1, bs + 1))
+    rng = np.random.default_rng(13 + k)
+    # 486 is the jump-vector length at n=3, k=2; 484 for block size 4
+    for length in (bs, 3 * bs, 486 - 486 % bs):
+        v = rng.standard_normal(length) * 2.0 / alpha
+        v[: min(bs, length)] = tau[: min(bs, length)]  # exactly on a threshold
+        blocks = v.reshape(-1, bs)
+        want = (blocks - np.minimum(np.maximum(blocks, -tau), tau)).reshape(-1)
+        got = prox_phi_weighted_l1(v, alpha, k)
+        assert got.shape == v.shape
+        assert got.tobytes() == want.tobytes()
+        # a 2-D input keeps its shape and is blocked in C order
+        for v2 in (v.reshape(-1, bs), v.reshape(1, -1)):
+            got2 = prox_phi_weighted_l1(v2, alpha, k)
+            assert got2.shape == v2.shape
+            assert got2.tobytes() == want.tobytes()
+    if bs > 1:  # every length is a multiple of 1
+        with pytest.raises(ValueError, match="not a multiple of block size"):
+            prox_phi_weighted_l1(np.ones(2 * bs + 1), alpha, k)
+
+
+def test_wl1_thresholds_are_cached_read_only():
+    lo, hi = _wl1_thresholds(16.0, 3, 486)
+    assert _wl1_thresholds(16.0, 3, 486) == (lo, hi)
+    assert lo.shape == hi.shape == (486,)
+    assert np.array_equal(lo, -hi)
+    for arr in (lo, hi):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "prox",
+    [
+        lambda a: soft_threshold(np.ones(3), a),
+        lambda a: prox_phi_k1(np.ones(2), a),
+        lambda a: prox_phi_weighted_l1(np.ones(3), a, 2),
+        lambda a: prox_phi_oracle(np.ones(2), a, 1),
+    ],
+    ids=["soft_threshold", "prox_phi_k1", "prox_phi_weighted_l1", "prox_phi_oracle"],
+)
+def test_prox_rejects_non_finite_or_non_positive_parameter(prox, value):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        prox(value)
 
 
 def test_prox_oracle_zero_block():

@@ -284,6 +284,23 @@ def test_p1_polynomial_exactness_with_boundary_lifting():
     assert np.abs(system.A @ u - fp).max() <= 1e-9 * (1 + np.abs(fp).max())
 
 
+def test_p1_calls_prox_once_per_checked_iterate(monkeypatch):
+    # the loop reaches the prox through make_prox and the module-level
+    # name, so a wrapper on pdwg.solver sees every call
+    calls = []
+
+    def counting(q, alpha, k):
+        calls.append(q.shape)
+        return prox_phi_weighted_l1(q, alpha, k)
+
+    monkeypatch.setattr(pdwg.solver, "prox_phi_weighted_l1", counting)
+    _, system, bmat = setup(1, builtin_case("const").field)
+    _, _, diag = solve_p1(system, bmat, 2, SolverConfig(alpha=16.0))
+    assert diag.stop_reason == "residual"
+    assert len(calls) == diag.iterations + 1 == len(diag.residual_history)
+    assert set(calls) == {(bmat.B.shape[0],)}
+
+
 def test_p1_limit_independent_of_alpha():
     field = builtin_case("const").field
     _, system, bmat = setup(1, field)

@@ -5,6 +5,7 @@ from scipy.optimize import brentq
 from pdwg.fe_space import Discretization, SpaceConfig, WeakFunction, eval_v0, project_Qh
 from pdwg.mesh import build_uniform
 from pdwg.stabilizer import (
+    _abs_integrals,
     assemble_B,
     block_slice,
     eval_phi,
@@ -158,6 +159,59 @@ def test_integral_abs_poly_against_gauss_oracle():
         1 / 3 - 1 / 2 + 1 / 4, abs=1e-12
     )
     assert integral_abs_poly(np.zeros(3)) == 0.0
+
+
+def integral_abs_poly_per_block(coeffs):
+    """The per-block algorithm that _abs_integrals batches: np.roots,
+    two Newton steps per near-real root, np.unique split points."""
+    c = np.asarray(coeffs, dtype=float)
+    nz = np.nonzero(c)[0]
+    if len(nz) == 0:
+        return 0.0
+    c = c[: nz[-1] + 1]
+    if len(c) == 1:
+        return abs(c[0])
+    desc = c[::-1]
+    pts = [0.0, 1.0]
+    for r in np.roots(desc):
+        if abs(r.imag) > 1e-6 * max(1.0, abs(r.real)):
+            continue
+        x = r.real
+        for _ in range(2):
+            dp = np.polyval(np.polyder(desc), x)
+            if dp == 0.0:
+                break
+            x -= np.polyval(desc, x) / dp
+        if 0.0 < x < 1.0:
+            pts.append(x)
+    pts = np.unique(pts)
+    anti = np.concatenate([[0.0], c / (np.arange(len(c)) + 1.0)])[::-1]
+    fv = np.polyval(anti, pts)
+    return float(np.abs(np.diff(fv)).sum())
+
+
+@pytest.mark.parametrize("bs", [1, 2, 3, 4])
+def test_abs_integrals_match_per_block_algorithm(bs):
+    rng = np.random.default_rng(31 + bs)
+    blocks = rng.standard_normal((600, bs))
+    blocks[rng.random(blocks.shape) < 0.25] = 0.0  # leading, inner, trailing zeros
+    blocks[:20] = 0.0
+    if bs >= 3:
+        r = rng.random(100)
+        blocks[20:120] = 0.0  # double root (t - r)^2 inside (0, 1)
+        blocks[20:120, :3] = np.column_stack([r * r, -2 * r, np.ones_like(r)])
+        blocks[120:170] = 0.0  # t (1 - t): roots at 0 and 1
+        blocks[120:170, 1:3] = [1.0, -1.0]
+    blocks[170:270, 0] = 0.0  # root at 0
+    if bs >= 2:
+        blocks[270:370, 0] = -blocks[270:370, 1:].sum(axis=1)  # root at 1
+    want = np.array([integral_abs_poly_per_block(b) for b in blocks])
+    got = _abs_integrals(blocks.reshape(6, 100, bs))
+    assert got.shape == (6, 100)
+    got = got.reshape(-1)
+    assert np.all(got[want == 0.0] == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    assert [integral_abs_poly(b) for b in blocks[::50]] == list(got[::50])
 
 
 def test_phi_of_Bv_equals_s_p1():
