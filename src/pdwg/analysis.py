@@ -69,6 +69,17 @@ class ConvergenceTable:
         }
 
 
+def _sym(p, xx, xy, yy):
+    """(..., 2, 2) symmetric matrices [[xx, xy], [xy, yy]] at the points p;
+    each entry is an array over p's leading axes or a scalar."""
+    out = np.empty(p.shape[:-1] + (2, 2))
+    out[..., 0, 0] = xx
+    out[..., 0, 1] = xy
+    out[..., 1, 0] = xy
+    out[..., 1, 1] = yy
+    return out
+
+
 def _sinsin():
     pi = np.pi
 
@@ -84,12 +95,8 @@ def _sinsin():
 
     def hess_u(p):
         x, y = p[..., 0], p[..., 1]
-        out = np.empty(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = -(pi**2) * np.sin(pi * x) * np.sin(pi * y)
-        out[..., 1, 1] = out[..., 0, 0]
-        out[..., 0, 1] = pi**2 * np.cos(pi * x) * np.cos(pi * y)
-        out[..., 1, 0] = out[..., 0, 1]
-        return out
+        d = -(pi**2) * np.sin(pi * x) * np.sin(pi * y)
+        return _sym(p, d, pi**2 * np.cos(pi * x) * np.cos(pi * y), d)
 
     return u, grad_u, hess_u
 
@@ -113,23 +120,13 @@ def builtin_case(name):
     """Problem definitions: const | var | disc coefficient examples."""
     if name == "const":
         def a(p):
-            out = np.zeros(p.shape[:-1] + (2, 2))
-            out[..., 0, 0] = 1.0
-            out[..., 0, 1] = 1.0
-            out[..., 1, 0] = 1.0
-            out[..., 1, 1] = 6.0
-            return out
+            return _sym(p, 1.0, 1.0, 6.0)
 
         return _case(name, a, _sinsin(), "constant coefficients, smooth solution")
     if name == "var":
         def a(p):
             x, y = p[..., 0], p[..., 1]
-            out = np.empty(p.shape[:-1] + (2, 2))
-            out[..., 0, 0] = 1.0 + x
-            out[..., 0, 1] = 0.5 * x * y
-            out[..., 1, 0] = 0.5 * x * y
-            out[..., 1, 1] = 1.0 + y
-            return out
+            return _sym(p, 1.0 + x, 0.5 * x * y, 1.0 + y)
 
         return _case(name, a, _sinsin(), "variable coefficients, smooth solution")
     if name == "disc":
@@ -152,22 +149,11 @@ def builtin_case(name):
 
         def hess_u(p):
             x, y = p[..., 0], p[..., 1]
-            out = np.empty(p.shape[:-1] + (2, 2))
-            out[..., 0, 0] = ddg(x) * g(y)
-            out[..., 0, 1] = dg(x) * dg(y)
-            out[..., 1, 0] = out[..., 0, 1]
-            out[..., 1, 1] = g(x) * ddg(y)
-            return out
+            return _sym(p, ddg(x) * g(y), dg(x) * dg(y), g(x) * ddg(y))
 
         def a(p):
             x, y = p[..., 0], p[..., 1]
-            s = np.sign(x - 0.5) * np.sign(y - 0.5)
-            out = np.empty(p.shape[:-1] + (2, 2))
-            out[..., 0, 0] = 2.0
-            out[..., 0, 1] = s
-            out[..., 1, 0] = s
-            out[..., 1, 1] = 2.0
-            return out
+            return _sym(p, 2.0, np.sign(x - 0.5) * np.sign(y - 0.5), 2.0)
 
         return _case(
             name,

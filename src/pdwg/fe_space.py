@@ -6,6 +6,13 @@ boundary values are eliminated), and a [P_{k-1}]^2 polynomial per edge
 (vg, one block per component). The test space W_h is P_l per element
 with l in {k-2, k-1}.
 
+Every DOF, unknown or boundary datum, has a column in one space: the N
+unknowns take columns 0..N-1 and the boundary vb data g takes columns
+N..N+NB-1. An operator is assembled once over all N + NB columns and
+split at N into its part on the unknowns and its boundary coupling (A
+and Cb, B and Bb), and a weak function's data is the one vector
+concatenate([coeffs, g]) over those columns.
+
 Element polynomials use scaled monomials ((x-x_T)/h_T)^a((y-y_T)/h_T)^b
 centered at the centroid, so local mass matrices are uniformly
 conditioned across refinement levels. Both element spaces order them by
@@ -224,12 +231,14 @@ def _trace_tables(exps, px, py, h, degree):
 
 
 class DofLayout:
-    """Index map from weak-function data to one flat coefficient vector.
+    """Index map from weak-function data to the one column space.
 
-    Sections in order: all v0 blocks (element-major), vb blocks for
-    interior edges (edge-id order), vg component 1 for all edges, then
-    vg component 2. Boundary vb data lives in a separate vector of
-    length NB = (k+1) * #boundary edges, indexed by boundary_vb_slice.
+    Unknown sections in order: all v0 blocks (element-major), vb blocks
+    for interior edges (edge-id order), vg component 1 for all edges,
+    then vg component 2; they fill columns 0..N-1. The vb blocks of
+    boundary edges (edge-id order) follow in columns N..N+NB-1, with
+    NB = (k+1) * #boundary edges; column N + i is entry i of the
+    boundary-data vector, indexed by boundary_vb_slice.
     """
 
     def __init__(self, mesh, cfg):
@@ -250,14 +259,11 @@ class DofLayout:
         self.M = mesh.num_elements * self.mw
         self.NB = len(boundary) * self.nvb
 
-        # Whole-mesh index arrays; -1 marks "not in this vector".
-        # vb_cols (E, nvb) and vb_bnd (E, nvb) place vb blocks in the
-        # unknowns and in the boundary-data vector; vg_cols is (2, E, nvg).
+        # Whole-mesh column arrays: vb_cols (E, nvb), vg_cols (2, E, nvg).
         T = mesh.num_elements
-        self.vb_cols = np.full((mesh.num_edges, self.nvb), -1)
+        self.vb_cols = np.empty((mesh.num_edges, self.nvb), dtype=int)
         self.vb_cols[interior] = self.N1 + np.arange(self.N2).reshape(-1, self.nvb)
-        self.vb_bnd = np.full((mesh.num_edges, self.nvb), -1)
-        self.vb_bnd[boundary] = np.arange(self.NB).reshape(-1, self.nvb)
+        self.vb_cols[boundary] = self.N + np.arange(self.NB).reshape(-1, self.nvb)
         self.vg_cols = (
             self.N1
             + self.N2
@@ -276,14 +282,6 @@ class DofLayout:
             ],
             axis=1,
         )
-        self.elem_bnd = np.concatenate(
-            [
-                np.full((T, self.nv0), -1),
-                self.vb_bnd[ee].reshape(T, -1),
-                np.full((T, 6 * self.nvg), -1),
-            ],
-            axis=1,
-        )
 
     def v0_slice(self, t):
         return slice(t * self.nv0, (t + 1) * self.nv0)
@@ -291,7 +289,7 @@ class DofLayout:
     def vb_slice(self, e):
         """Slice of the vb block of interior edge e; None on the boundary."""
         start = self.vb_cols[e, 0]
-        return None if start < 0 else slice(start, start + self.nvb)
+        return None if start >= self.N else slice(start, start + self.nvb)
 
     def vg_slice(self, e, j):
         """Slice of gradient component j (0 or 1) on edge e."""
@@ -300,7 +298,7 @@ class DofLayout:
 
     def boundary_vb_slice(self, e):
         """Slice into the boundary-data vector for boundary edge e."""
-        start = self.vb_bnd[e, 0]
+        start = self.vb_cols[e, 0] - self.N
         if start < 0:
             raise ValueError(f"edge {e} is not a boundary edge")
         return slice(start, start + self.nvb)
@@ -343,12 +341,7 @@ class WeakFunction:
 
         Boundary vb slots read the boundary data, or zero when it is absent.
         """
-        layout = self.layout
-        # index -1 reads a dummy entry that np.where then discards
-        out = np.where(layout.elem_cols >= 0, self.coeffs[layout.elem_cols], 0.0)
-        if self.boundary is not None:
-            out = np.where(layout.elem_bnd >= 0, self.boundary[layout.elem_bnd], out)
-        return out
+        return np.concatenate([self.coeffs, self.boundary_or_zero()])[self.layout.elem_cols]
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +446,18 @@ def project_Qh(u, grad_u, disc):
     disc : Discretization
     """
     layout = disc.layout
-    mesh = disc.mesh
     k = disc.cfg.k
-    out = np.zeros(layout.N)
+    out = np.zeros(layout.N + layout.NB)
 
     uq = u(disc.quad_pts)
     rhs = np.einsum("tq,tq,tqi->ti", disc.quad_w, uq, disc.basis_v)
     v0 = np.einsum("tij,tj->ti", disc.mass_v_inv, rhs)
     out[: layout.N1] = v0.ravel()
 
-    pts = _edge_points(disc, np.arange(mesh.num_edges))
-    vb = _edge_projection(disc, u(pts), k)
-    interior = mesh.interior_edges()
-    out[layout.vb_cols[interior]] = vb[interior]
+    pts = _edge_points(disc, np.arange(disc.mesh.num_edges))
+    out[layout.vb_cols] = _edge_projection(disc, u(pts), k)
     out[layout.vg_cols] = _edge_projection(disc, np.moveaxis(grad_u(pts), -1, 0), k - 1)
-    bnd = np.zeros(layout.NB)
-    boundary = mesh.boundary_edges()
-    bnd[layout.vb_bnd[boundary]] = vb[boundary]
-    return WeakFunction(layout, out, boundary=bnd)
+    return WeakFunction(layout, out[: layout.N], boundary=out[layout.N :])
 
 
 def _edge_points(disc, edges):
@@ -505,7 +492,7 @@ def project_boundary(u, disc):
     layout = disc.layout
     boundary = disc.mesh.boundary_edges()
     bnd = np.zeros(layout.NB)
-    bnd[layout.vb_bnd[boundary]] = _edge_projection(
+    bnd[layout.vb_cols[boundary] - layout.N] = _edge_projection(
         disc, u(_edge_points(disc, boundary)), disc.cfg.k
     )
     return bnd

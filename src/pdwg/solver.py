@@ -51,7 +51,7 @@ to the plain scheme when g is absent.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -102,9 +102,6 @@ class SaddleState:
     u: np.ndarray
     x: np.ndarray
     iteration: int = 0
-    # [B; A] u, kept by fixed_point_step and solve_p1: its B rows give the
-    # next jumps and the y substitution, its A rows the constraint residual
-    BAu: np.ndarray = field(default=None, repr=False, compare=False)
 
     def flat(self):
         return np.concatenate([self.y, self.u, self.x])
@@ -261,12 +258,11 @@ def fixed_point_step(state, smat, bn):
     """One iteration: solve S v^{n+1} = b^n and split the blocks.
 
     S is block upper-triangular: (u, x) solves K0 (u, x) = (b2, b3)
-    with the factorization from assemble_S, then y = b1 + Bu. The new
-    state keeps [B; A] u for the next step.
+    with the factorization from assemble_S, then y = b1 + Bu.
     """
     nB = smat.nB
-    y, u, x, BAu = _solve_step(smat, bn[nB:], bn[:nB])
-    return SaddleState(y=y, u=u, x=x, iteration=state.iteration + 1, BAu=BAu)
+    y, u, x, _ = _solve_step(smat, bn[nB:], bn[:nB])
+    return SaddleState(y=y, u=u, x=x, iteration=state.iteration + 1)
 
 
 def _first_residual(state, A, B, alpha):
@@ -283,21 +279,23 @@ def residual_2_90(state, A, B, fvec, alpha, prox, c=None):
 
 
 def _check_boundary_data(system, g):
-    """Raise ValueError unless g holds one value per boundary vb DOF."""
+    """Raise ValueError unless g holds one finite value per boundary vb DOF."""
     NB = system.Cb.shape[1]
     if np.shape(g) != (NB,):
         raise ValueError(
             f"g must have shape ({NB},), one value per boundary vb DOF; "
             f"got shape {np.shape(g)}"
         )
+    if not np.isfinite(g).all():
+        raise ValueError("g must be finite")
 
 
 def solve_p1(system, bmat, k, cfg, g=None):
     """Run the fixed-point proximity iteration for the p=1 scheme.
 
     system is the assembled constraint (A, Cb, fvec), bmat the jump
-    matrices for p=1, g the optional boundary vb data: one value per
-    column of system.Cb, checked before S is factorized. The first
+    matrices for p=1, g the optional boundary vb data: one finite value
+    per column of system.Cb, checked before S is factorized. The first
     fixed-point equation holds by construction (module docstring), so
     the loop checks the other two: it stops with converged=True only
     when r2 and r3 are at most cfg.residual_tol (stop_reason
@@ -309,8 +307,8 @@ def solve_p1(system, bmat, k, cfg, g=None):
 
     Returns (u_coeffs, state, diagnostics).
     """
-    if k != bmat.block_size - 1:
-        raise ValueError(f"k={k} does not match the jump matrix's k={bmat.block_size - 1}")
+    if not isinstance(k, Integral) or k != bmat.block_size - 1:
+        raise ValueError(f"k={k!r} does not match the jump matrix's k={bmat.block_size - 1}")
     if g is not None:
         _check_boundary_data(system, g)
     A, fvec, B = system.A, system.fvec, bmat.B
@@ -333,7 +331,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
 
     t0 = time.perf_counter()
     hist = np.empty((256, 2))  # one row per checked iterate, doubled when full
-    best = (math.inf, 0, y, u, x, BAu)
+    best = (math.inf, 0, y, u, x)
     reason = "max_iters"
 
     for it in range(cfg.max_iters):
@@ -348,7 +346,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
             break
         worst = max(r2, r3)
         if worst < best[0]:
-            best = (worst, it, y, u, x, BAu)
+            best = (worst, it, y, u, x)
         if worst <= cfg.residual_tol:
             reason = "residual"
             break
@@ -358,8 +356,8 @@ def solve_p1(system, bmat, k, cfg, g=None):
     count = it + 1
     converged = reason == "residual"
     if not converged:
-        _, it, y, u, x, BAu = best
-    state = SaddleState(y=y, u=u, x=x, iteration=it, BAu=BAu)
+        _, it, y, u, x = best
+    state = SaddleState(y=y, u=u, x=x, iteration=it)
 
     diag = Diagnostics(
         converged=converged,
@@ -384,7 +382,7 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
     K^T K and partial pivoting differ by about 1.9e-6 relative
     unrefined, and agree to about 2e-8 refined.
 
-    Optional boundary vb data g (one value per column of system.Cb)
+    Optional boundary vb data g (one finite value per column of system.Cb)
     needs s2ub, its coupling block of S2; both are checked before the
     factorization.
 

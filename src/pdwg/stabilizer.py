@@ -88,11 +88,11 @@ def _jump_weights(disc, p):
 def _sparse(entries, shape):
     """CSR matrix from (rows, cols, vals) triples of broadcastable arrays.
 
-    Exact zeros and entries with a negative column are left out.
+    Exact zeros are left out.
     """
     parts = [np.broadcast_arrays(*e) for e in entries]
     rows, cols, vals = (np.concatenate([p[i].ravel() for p in parts]) for i in range(3))
-    keep = (vals != 0) & (cols >= 0)
+    keep = vals != 0
     return sp.csr_matrix(
         sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
     )
@@ -123,9 +123,8 @@ def assemble_B(disc, p):
         entries.append((r[..., None], v0, w[1 + j, ..., None] * disc.trace_grad[:, :, j]))
         entries.append((r[..., : layout.nvg], layout.vg_cols[j][ee], -w[1 + j]))
 
-    shape = (3 * section, layout.N)
-    B = _sparse(entries, shape)
-    Bb = _sparse([(rows, layout.vb_bnd[ee], -w[0])], (3 * section, layout.NB))
+    full = _sparse(entries, (3 * section, layout.N + layout.NB))
+    B, Bb = full[:, : layout.N], full[:, layout.N :]
     return BMatrix(B=B, Bb=Bb, scale=scale.ravel(), block_size=bs, num_pairs=num_pairs)
 
 

@@ -8,9 +8,10 @@ P_l polynomial D_ij defined by duality,
 
 and the constraint A v = f expresses (sum_ij a_ij D_ij, psi_m)_T =
 (f, psi_m)_T for every test basis function psi_m. Boundary vb data is
-eliminated from the unknown vector; its coupling is returned as a
-separate matrix Cb so inhomogeneous boundary values enter the right
-side as f - Cb g.
+eliminated from the unknown vector: the constraint is assembled over
+the unknowns and the boundary columns of the layout at once and split
+at N, so its boundary coupling is a separate matrix Cb and
+inhomogeneous boundary values enter the right side as f - Cb g.
 
 Edge integrals here are exact: both factors are polynomials in the edge
 parameter, so each pairing reduces to a Hilbert-type Gram product of
@@ -77,10 +78,13 @@ def local_dof_columns(disc, t):
 
     Local order: v0 block, then vb per local edge, then vg component 1
     per local edge, then vg component 2. Returns (glob, bnd): integer
-    arrays of length nloc where exactly one of glob[i], bnd[i] is >= 0;
-    bnd indexes the separate boundary-data vector.
+    arrays of length nloc where exactly one of glob[i], bnd[i] is >= 0
+    and the other is -1; glob indexes the unknowns and bnd the separate
+    boundary-data vector.
     """
-    return disc.layout.elem_cols[t], disc.layout.elem_bnd[t]
+    cols, N = disc.layout.elem_cols[t], disc.layout.N
+    inner = cols < N
+    return np.where(inner, cols, -1), np.where(inner, -1, cols - N)
 
 
 def gather_local(disc, t, v):
@@ -168,23 +172,16 @@ def assemble_A(disc, field):
             )
             local = local + W_a @ _weak_hessian_maps(disc, i, j)
 
-    rows, glob, bnd = np.broadcast_arrays(
-        np.arange(T * mw).reshape(T, mw, 1),
-        layout.elem_cols[:, None, :],
-        layout.elem_bnd[:, None, :],
+    rows, cols = np.broadcast_arrays(
+        np.arange(T * mw).reshape(T, mw, 1), layout.elem_cols[:, None, :]
     )
-    inner = glob >= 0
-    A = sp.csr_matrix(
+    full = sp.csr_matrix(
         sp.coo_matrix(
-            (local[inner], (rows[inner], glob[inner])), shape=(layout.M, layout.N)
+            (local.ravel(), (rows.ravel(), cols.ravel())),
+            shape=(layout.M, layout.N + layout.NB),
         )
     )
-    Cb = sp.csr_matrix(
-        sp.coo_matrix(
-            (local[~inner], (rows[~inner], bnd[~inner])), shape=(layout.M, layout.NB)
-        )
-    )
-    return ConstraintSystem(A=A, Cb=Cb, fvec=fvec)
+    return ConstraintSystem(A=full[:, : layout.N], Cb=full[:, layout.N :], fvec=fvec)
 
 
 def apply_Lw(disc, field, v, system=None):

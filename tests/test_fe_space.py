@@ -118,25 +118,27 @@ def test_layout_index_arrays_match_slices():
     mesh = build_uniform(2)
     layout = make_layout(mesh, SpaceConfig(k=2))
     span = lambda sl: np.arange(sl.start, sl.stop)  # noqa: E731
+    # one column space: unknowns in 0..N-1, boundary vb data in N..N+NB-1
     for e in range(mesh.num_edges):
         if mesh.edge_is_boundary[e]:
-            assert np.all(layout.vb_cols[e] == -1)
-            assert np.array_equal(layout.vb_bnd[e], span(layout.boundary_vb_slice(e)))
+            assert layout.vb_slice(e) is None
+            want = layout.N + span(layout.boundary_vb_slice(e))
         else:
-            assert np.array_equal(layout.vb_cols[e], span(layout.vb_slice(e)))
-            assert np.all(layout.vb_bnd[e] == -1)
+            want = span(layout.vb_slice(e))
+            with pytest.raises(ValueError, match="not a boundary edge"):
+                layout.boundary_vb_slice(e)
+        assert np.array_equal(layout.vb_cols[e], want)
         for j in range(2):
             assert np.array_equal(layout.vg_cols[j, e], span(layout.vg_slice(e, j)))
     for t in range(mesh.num_elements):
-        glob, bnd = layout.elem_cols[t], layout.elem_bnd[t]
-        assert np.array_equal(glob[: layout.nv0], span(layout.v0_slice(t)))
+        cols = layout.elem_cols[t]
+        assert np.array_equal(cols[: layout.nv0], span(layout.v0_slice(t)))
         edges = mesh.elem_edges[t]
         vb = slice(layout.nv0, layout.nv0 + 3 * layout.nvb)
-        assert np.array_equal(glob[vb], layout.vb_cols[edges].ravel())
-        assert np.array_equal(bnd[vb], layout.vb_bnd[edges].ravel())
-        assert np.all(bnd[: layout.nv0] == -1) and np.all(bnd[vb.stop :] == -1)
+        assert np.array_equal(cols[vb], layout.vb_cols[edges].ravel())
+        assert np.all(cols[: layout.nv0] < layout.N) and np.all(cols[vb.stop :] < layout.N)
         vg = np.concatenate([span(layout.vg_slice(e, j)) for j in range(2) for e in edges])
-        assert np.array_equal(glob[vb.stop :], vg)
+        assert np.array_equal(cols[vb.stop :], vg)
 
 
 def test_weak_function_validation():

@@ -79,7 +79,7 @@ def test_p1_rejects_k_that_does_not_match_the_jump_matrix():
     # the prox blocks by k+1, B by its block size; a mismatch would
     # minimise the wrong phi
     _, system, bmat = setup(1, builtin_case("const").field)
-    for k in (1, 3):
+    for k in (1, 3, 2.0):
         with pytest.raises(ValueError, match="does not match the jump matrix"):
             solve_p1(system, bmat, k, SolverConfig(max_iters=5))
 
@@ -477,8 +477,9 @@ def test_solve_p2_singular_saddle_raises():
 
 
 def test_solvers_reject_bad_boundary_data_before_factorizing(monkeypatch):
-    # g comes from the caller: a wrong shape, or g without its S2 block,
-    # must be named before any work, not fail inside numpy
+    # g comes from the caller: a wrong shape, a non-finite value, or g
+    # without its S2 block, must be named before any work, not fail inside
+    # numpy or come back as a NaN solution
     disc, system, bmat = setup(1, poly_field())
     suu, sub = assemble_S2(disc)
     NB = system.Cb.shape[1]
@@ -491,6 +492,13 @@ def test_solvers_reject_bad_boundary_data_before_factorizing(monkeypatch):
         with pytest.raises(ValueError, match=rf"g must have shape \({NB},\)"):
             solve_p1(system, bmat, 2, SolverConfig(), g=g)
         with pytest.raises(ValueError, match=rf"g must have shape \({NB},\)"):
+            solve_p2(system, suu, sub, g=g)
+    for bad in (np.nan, np.inf, -np.inf):
+        g = np.zeros(NB)
+        g[NB // 2] = bad
+        with pytest.raises(ValueError, match="g must be finite"):
+            solve_p1(system, bmat, 2, SolverConfig(), g=g)
+        with pytest.raises(ValueError, match="g must be finite"):
             solve_p2(system, suu, sub, g=g)
     with pytest.raises(ValueError, match="s2ub is required"):
         solve_p2(system, suu, g=np.zeros(NB))

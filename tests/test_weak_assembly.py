@@ -250,14 +250,20 @@ def test_commutativity_smooth_function():
 
 
 def test_gather_local_roundtrip():
+    # boundary vb slots read the boundary data, or 0 when it is absent
     rng = np.random.default_rng(5)
     disc = Discretization(build_uniform(2), SpaceConfig(k=2))
     layout = disc.layout
-    v = WeakFunction(
-        layout, rng.standard_normal(layout.N), boundary=rng.standard_normal(layout.NB)
-    )
-    glob, bnd = local_dof_columns(disc, 0)
-    local = gather_local(disc, 0, v)
-    for c in range(len(glob)):
-        want = v.coeffs[glob[c]] if glob[c] >= 0 else v.boundary[bnd[c]]
-        assert local[c] == want
+    coeffs = rng.standard_normal(layout.N)
+    for g in (rng.standard_normal(layout.NB), None):
+        v = WeakFunction(layout, coeffs, boundary=g)
+        for t in range(disc.mesh.num_elements):
+            glob, bnd = local_dof_columns(disc, t)
+            assert np.all((glob >= 0) ^ (bnd >= 0))
+            local = gather_local(disc, t, v)
+            for c in range(len(glob)):
+                if glob[c] >= 0:
+                    want = v.coeffs[glob[c]]
+                else:
+                    want = 0.0 if g is None else g[bnd[c]]
+                assert local[c] == want
