@@ -23,6 +23,7 @@ from .solver import (
     fixed_point_step,
     make_bn,
     make_prox,
+    polish_face,
     residual_2_90,
     solve_p1,
 )
@@ -311,9 +312,10 @@ def _run_verify(_cfg):
 
 def _p1_step_replay(system, bmat):
     """Replay solve_p1 (alpha=16) from the zero state through assemble_S,
-    make_prox, make_bn, fixed_point_step and residual_2_90; returns
-    (ok, detail), ok only if the final u, y, x and every (r2, r3) row
-    equal the solver's bit for bit."""
+    make_prox, make_bn, fixed_point_step and residual_2_90 up to the
+    solver's last step, then through polish_face if the solver polished
+    there; returns (ok, detail), ok only if the final u, y, x and every
+    (r2, r3) row equal the solver's bit for bit."""
     cfg = SolverConfig(alpha=16.0)
     k = bmat.block_size - 1
     _, final, diag = solve_p1(system, bmat, k, cfg)
@@ -324,15 +326,19 @@ def _p1_step_replay(system, bmat):
         y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
     )
     rows = [residual_2_90(state, A, B, f, cfg.alpha, prox)[1:]]
-    for _ in range(len(diag.residual_history) - 1):
+    for _ in range(diag.iterations):
         state = fixed_point_step(state, smat, make_bn(state, B, f, cfg.alpha, prox))
         rows.append(residual_2_90(state, A, B, f, cfg.alpha, prox)[1:])
+    if diag.polished_at is not None:
+        state, (_, r2, r3) = polish_face(state, A, B, f, cfg.alpha, prox)
+        rows[-1] = (r2, r3)
     same_rows = np.array_equal(rows, diag.residual_history)
     same_iterate = all(
         np.array_equal(getattr(state, name), getattr(final, name)) for name in "uyx"
     )
     detail = (
-        f"{diag.iterations} steps; rows equal {same_rows}, iterate equal {same_iterate}"
+        f"{diag.iterations} steps, polished at {diag.polished_at}; "
+        f"rows equal {same_rows}, iterate equal {same_iterate}"
     )
     return same_rows and same_iterate, detail
 

@@ -37,6 +37,26 @@ private helpers (_jumps, _step_rhs, _solve_step, _sup_gaps) as make_bn,
 fixed_point_step and residual_2_90, so those public functions replay
 its iterates and residuals bit for bit.
 
+The prox is piecewise linear, so the clip pattern sign(P) names a face
+of the p=1 linear program: Z, the rows with P == 0, and on the others
+the sign of the clip, where Bu + c + y - P is +-threshold. The pattern
+settles long before the residuals pass residual_tol (const, n=3: at
+step 652 of 47,996), and on a settled face the fixed point solves
+linear equations. So when the pattern has held still for _POLISH_WINDOW
+checked iterates, and has not been tried before, solve_p1 tries a face
+polish (polish_face, _polish): u moves to the nearest point of
+{Au = fp, B_Z u = -c_Z}; y takes the clipped value off Z, and (x, y_Z)
+moves to the nearest point of {A^T x + alpha B^T y = 0}. Each nearest
+point solves a quasi-definite KKT matrix through _factor_kkt. The
+candidate replaces the iterate only if its r1, r2 and r3, computed by
+the loop's own helpers, are all at most residual_tol; otherwise the
+loop goes on from the plain iterate. So converged still means that the
+residuals passed, and a run is replayed bit for bit by plain steps up
+to Diagnostics.polished_at followed by polish_face. The p=1 minimiser
+is not unique: the polished point is an exact minimiser, not the limit
+the plain iteration would have reached, and the error norms of a study
+depend on which minimiser is returned.
+
 For p=2 the constrained minimization is one symmetric indefinite solve,
 [[S2, A^T], [A, 0]] (u; lambda) = (0; f), with S2 the quadratic
 stabilizer's matrix. Both saddle matrices share A and are factorized
@@ -60,6 +80,13 @@ from scipy.sparse.linalg import splu
 
 from .prox import prox_phi_weighted_l1
 
+# Face polish (module docstring): the clip pattern must hold still for
+# _POLISH_WINDOW checked iterates; each projection regularizes its KKT
+# matrix by _POLISH_DELTA and refines its solution _POLISH_REFINE times.
+_POLISH_WINDOW = 200
+_POLISH_DELTA = 1e-12
+_POLISH_REFINE = 2
+
 __all__ = [
     "SolverConfig",
     "SaddleState",
@@ -69,6 +96,7 @@ __all__ = [
     "make_bn",
     "fixed_point_step",
     "residual_2_90",
+    "polish_face",
     "solve_p1",
     "solve_p2",
     "Diagnostics",
@@ -133,6 +161,8 @@ class Diagnostics:
     r3: float = np.inf
     wall_time: float = 0.0
     residual_history: np.ndarray = None  # (r2, r3) of every checked iterate
+    polish_attempts: int = 0
+    polished_at: int = None  # step whose iterate an accepted polish replaced
 
 
 def make_prox(method, k, alpha):
@@ -147,11 +177,12 @@ def make_prox(method, k, alpha):
     return lambda q: prox_phi_weighted_l1(q, alpha, k)
 
 
-def _factor_kkt(H, A, failure):
-    """Build and factorize the symmetric saddle matrix K = [[H, A^T], [A, 0]].
+def _factor_kkt(H, A, failure, D=None):
+    """Build and factorize the symmetric saddle matrix K = [[H, A^T], [A, D]].
 
     Both schemes solve with such a K: p=2 with H = S2, every p=1 step
-    with H = alpha B^T B. SuperLU runs in
+    with H = alpha B^T B, both with D = 0 (None); the p=1 face polish
+    with H = I and D = -delta I (_project). SuperLU runs in
     symmetric mode: minimum degree ordering on the pattern of K + K^T
     (MMD_AT_PLUS_A), applied to rows and columns alike, and a diagonal
     pivot threshold of 0, so a pivot leaves the diagonal only where the
@@ -165,7 +196,7 @@ def _factor_kkt(H, A, failure):
     Returns (K, lu) with K in CSC form. A singular K raises RuntimeError
     with the message failure.
     """
-    K = sp.bmat([[H, A.T], [A, None]], format="csc")
+    K = sp.bmat([[H, A.T], [A, D]], format="csc")
     try:
         lu = splu(
             K,
@@ -278,6 +309,68 @@ def residual_2_90(state, A, B, fvec, alpha, prox, c=None):
     return _first_residual(state, A, B, alpha), r2, r3
 
 
+def polish_face(state, A, B, fvec, alpha, prox, c=None):
+    """Face polish of an iterate: the candidate that solve_p1 tries when
+    the clip pattern of prox(Bu + c + y) has held still (module docstring).
+
+    Returns (candidate, (r1, r2, r3)), the candidate as a SaddleState
+    with state's iteration number and its sup-norm residuals; solve_p1
+    accepts it only if all three are at most residual_tol. Called on the
+    plain iterate that solve_p1 replaced (Diagnostics.polished_at), it
+    returns that solver's final iterate bit for bit. A projection whose
+    matrix SuperLU cannot factorize raises RuntimeError.
+    """
+    Ju = _jumps(B @ state.u, c)
+    return _polish(state, Ju, prox(Ju + state.y), A, B, fvec, alpha, prox, c)
+
+
+def _polish(state, Ju, P, A, B, fp, alpha, prox, c):
+    """Candidate and its (r1, r2, r3) on the face named by P = prox(Ju + y).
+
+    Z are the rows with P == 0. On the others Ju + y - P is the clipped
+    value, +-threshold, which the candidate's y takes there. Primal: u
+    moves to the nearest point of {Au = fp, B_Z u = -c_Z}. Dual: (x, y_Z)
+    moves to the nearest point of {A^T x + alpha B_Z^T y_Z = -alpha
+    B_Zc^T y_Zc}. residual_2_90 gives the residuals, from the same
+    helpers as the loop's.
+    """
+    Z = P == 0
+    off = ~Z
+    BZ, M = B[Z], len(state.x)
+    y = Ju + state.y - P
+    cZ = np.zeros(BZ.shape[0]) if c is None else -c[Z]
+    u = _project(sp.vstack([A, BZ]), np.concatenate([fp, cZ]), state.u)
+    w = _project(
+        sp.vstack([A, alpha * BZ]).T,
+        -alpha * (B[off].T @ y[off]),
+        np.concatenate([state.x, state.y[Z]]),
+    )
+    y[Z] = w[M:]
+    cand = SaddleState(y=y, u=u, x=w[:M], iteration=state.iteration)
+    return cand, residual_2_90(cand, A, B, fp, alpha, prox, c)
+
+
+def _project(C, r, w):
+    """Nearest point to w on {C w' = r}, w + C^T (C C^T + delta I)^{-1} (r - C w).
+
+    C may have dependent rows, so the correction solves the quasi-definite
+    [[I, C^T], [C, -delta I]], which is never singular, and refines the
+    solution _POLISH_REFINE times with the same factors.
+    """
+    n = C.shape[1]
+    K, lu = _factor_kkt(
+        sp.identity(n),
+        C,
+        "face polish projection is singular",
+        -_POLISH_DELTA * sp.identity(C.shape[0]),
+    )
+    rhs = np.concatenate([np.zeros(n), r - C @ w])
+    z = lu.solve(rhs)
+    for _ in range(_POLISH_REFINE):
+        z += lu.solve(rhs - K @ z)
+    return w + z[:n]
+
+
 def _check_boundary_data(system, g):
     """Raise ValueError unless g holds one finite value per boundary vb DOF."""
     NB = system.Cb.shape[1]
@@ -299,7 +392,10 @@ def solve_p1(system, bmat, k, cfg, g=None):
     fixed-point equation holds by construction (module docstring), so
     the loop checks the other two: it stops with converged=True only
     when r2 and r3 are at most cfg.residual_tol (stop_reason
-    "residual"). r1 is computed once, on the returned iterate, into
+    "residual"), or when a face polish passes all three (module
+    docstring; Diagnostics.polish_attempts counts the tries and
+    Diagnostics.polished_at names the step whose iterate the accepted
+    one replaced). r1 is computed once, on the returned iterate, into
     Diagnostics.r1. Hitting max_iters returns the best iterate seen (by
     the larger of r2 and r3) with converged=False, and so does a
     residual that is not finite (stop_reason "nonfinite"). Only (r2, r3)
@@ -333,6 +429,11 @@ def solve_p1(system, bmat, k, cfg, g=None):
     hist = np.empty((256, 2))  # one row per checked iterate, doubled when full
     best = (math.inf, 0, y, u, x)
     reason = "max_iters"
+    tol = cfg.residual_tol
+    # clip pattern sign(P) as bytes, the step it last changed at, the
+    # patterns already polished
+    pattern, changed_at, tried = None, 0, set()
+    attempts, polished_at = 0, None
 
     for it in range(cfg.max_iters):
         Ju = _jumps(BAu[:nB], c)
@@ -347,9 +448,27 @@ def solve_p1(system, bmat, k, cfg, g=None):
         worst = max(r2, r3)
         if worst < best[0]:
             best = (worst, it, y, u, x)
-        if worst <= cfg.residual_tol:
+        if worst <= tol:
             reason = "residual"
             break
+        key = np.sign(P).tobytes()
+        if key != pattern:
+            pattern, changed_at = key, it
+        elif it - changed_at == _POLISH_WINDOW and key not in tried:
+            tried.add(key)
+            attempts += 1
+            try:
+                cand, r = _polish(
+                    SaddleState(y=y, u=u, x=x, iteration=it),
+                    Ju, P, A, B, fp, alpha, prox, c,
+                )
+            except RuntimeError:  # a singular projection rejects the candidate
+                cand = None
+            if cand is not None and all(v <= tol for v in r):
+                y, u, x = cand.y, cand.u, cand.x
+                hist[it] = r[1:]
+                reason, polished_at = "residual", it
+                break
         b1 = _step_rhs(y, P, c, BT, alpha, rhs)
         y, u, x, BAu = _solve_step(smat, rhs, b1)
 
@@ -366,6 +485,8 @@ def solve_p1(system, bmat, k, cfg, g=None):
         r1=_first_residual(state, A, B, alpha),
         wall_time=time.perf_counter() - t0,
         residual_history=hist[:count].copy(),
+        polish_attempts=attempts,
+        polished_at=polished_at,
     )
     diag.r2, diag.r3 = hist[it]
     return u, state, diag

@@ -162,6 +162,22 @@ def test_nonconvergence_exits_3_with_table(tmp_path):
     assert float(rows[0]["r2"]) > 0.0
 
 
+def test_p1_var_converges_on_both_levels(tmp_path):
+    # the plain iteration stopped at max_iters on n=4 (199,148 steps,
+    # r2 = 3.4e-6); the face polish certifies it in a few thousand
+    out = tmp_path / "var.csv"
+    code = main(
+        ["solve", "--problem", "var", "--p", "1", "--alpha", "16", "--n", "2,4",
+         "--out", str(out)]
+    )
+    assert code == 0  # 3 if any level did not converge
+    _, _, rows = read_table(out)
+    assert [row["n"] for row in rows] == ["2", "4"]
+    for row in rows:
+        assert max(float(row[r]) for r in ("r1", "r2", "r3")) <= 1e-8
+        assert int(row["iters"]) < 20000
+
+
 def test_unwritable_out_exits_4(tmp_path, capsys):
     out = tmp_path / "missing" / "study.csv"
     code = main(["solve", "--p", "2", "--n", "4", "--out", str(out)])
