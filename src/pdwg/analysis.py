@@ -258,36 +258,43 @@ def run_study(case, p, n_list, k=2, l=None, cfg=None):
         cfg = SolverConfig()
     table = ConvergenceTable(case=case.name, p=p, k=k)
     for n in n_list:
-        mesh = build_uniform(n)
-        disc = Discretization(mesh, SpaceConfig(k=k, l=l))
-        check_ellipticity(case.field, disc.quad_pts)
-        system = assemble_A(disc, case.field)
-        if not np.isfinite(system.fvec).all():
-            raise ValueError("load vector is not finite; f must be finite on the domain")
-        t0 = time.perf_counter()
-        if p == 2:
-            suu, sub = assemble_S2(disc)
-            coeffs, lam, res = solve_p2(system, suu, sub)
-            iters, residuals, converged = 1, (res,), True
-        else:
-            bmat = assemble_B(disc, 1)
-            coeffs, state, diag = solve_p1(system, bmat, k, cfg)
-            iters = diag.iterations
-            residuals = (diag.r1, diag.r2, diag.r3)
-            converged = diag.converged
-        wall = time.perf_counter() - t0
-        u_h = WeakFunction(disc.layout, coeffs)
-        table.reports.append(
-            ErrorReport(
-                n=n,
-                h=mesh.h,
-                e_L=error_lp(disc, u_h, case, p),
-                e_W1=error_w1p(disc, u_h, case, p),
-                e_W2=error_w2ph(disc, u_h, case, p),
-                iterations=iters,
-                residuals=residuals,
-                converged=converged,
-                wall_time=wall,
-            )
-        )
+        table.reports.append(_study_level(case, p, n, k, l, cfg))
     return table
+
+
+def _study_level(case, p, n, k, l, cfg):
+    """One level of run_study, as its ErrorReport.
+
+    The level's mesh, tables, matrices and solution are locals here, so
+    they are freed before the next level is built.
+    """
+    mesh = build_uniform(n)
+    disc = Discretization(mesh, SpaceConfig(k=k, l=l))
+    check_ellipticity(case.field, disc.quad_pts)
+    system = assemble_A(disc, case.field)
+    if not np.isfinite(system.fvec).all():
+        raise ValueError("load vector is not finite; f must be finite on the domain")
+    t0 = time.perf_counter()
+    if p == 2:
+        suu, sub = assemble_S2(disc)
+        coeffs, lam, res = solve_p2(system, suu, sub)
+        iters, residuals, converged = 1, (res,), True
+    else:
+        bmat = assemble_B(disc, 1)
+        coeffs, state, diag = solve_p1(system, bmat, k, cfg)
+        iters = diag.iterations
+        residuals = (diag.r1, diag.r2, diag.r3)
+        converged = diag.converged
+    wall = time.perf_counter() - t0
+    u_h = WeakFunction(disc.layout, coeffs)
+    return ErrorReport(
+        n=n,
+        h=mesh.h,
+        e_L=error_lp(disc, u_h, case, p),
+        e_W1=error_w1p(disc, u_h, case, p),
+        e_W2=error_w2ph(disc, u_h, case, p),
+        iterations=iters,
+        residuals=residuals,
+        converged=converged,
+        wall_time=wall,
+    )

@@ -10,6 +10,8 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from . import __version__
 from .fe_space import Discretization, SpaceConfig, WeakFunction, project_Qh, project_Wh
@@ -26,8 +28,9 @@ from .solver import (
     polish_face,
     residual_2_90,
     solve_p1,
+    _mixed_solve,
 )
-from .stabilizer import assemble_B, eval_phi, eval_s
+from .stabilizer import assemble_B, assemble_S2, eval_phi, eval_s
 from .weak_assembly import assemble_A, weak_hessian_apply
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
@@ -286,6 +289,9 @@ def _run_verify(_cfg):
     # the public step functions replay solve_p1 bit for bit
     ok &= _check("p1-step-replay-n1", *_p1_step_replay(system, bmat))
 
+    # the p=2 solve from float32 factors agrees with a float64 solve
+    ok &= _check("p2-mixed-refine-n2", *_p2_mixed_refine())
+
     # firm nonexpansiveness of every prox operator; the numerical
     # oracle satisfies the inequality only up to its own accuracy
     def firm(op, m, samples):
@@ -341,6 +347,32 @@ def _p1_step_replay(system, bmat):
         f"rows equal {same_rows}, iterate equal {same_iterate}"
     )
     return same_rows and same_iterate, detail
+
+
+def _p2_mixed_refine():
+    """Solve the p=2 saddle system of disc, k=3, n=2 from float32 factors
+    refined in float64 (solver._mixed_solve), and with scipy's float64
+    spsolve; returns (ok, detail), ok only if the float32 route was
+    accepted, the two agree within 1e-10 relative and the residual is
+    within dsgesv's bound ||z|| ||K|| eps sqrt(n) in the sup-norm."""
+    disc = Discretization(build_uniform(2), SpaceConfig(k=3))
+    system = assemble_A(disc, builtin_case("disc").field)
+    A = system.A
+    K = sp.bmat([[assemble_S2(disc)[0], A.T], [A, None]], format="csc")
+    rhs = np.concatenate([np.zeros(A.shape[1]), system.fvec])
+    solved = _mixed_solve(K, rhs)
+    if solved is None:
+        return False, "the float32 route was rejected"
+    z, _ = solved
+    z64 = spsolve(K, rhs)
+    gap = np.abs(z - z64).max() / np.abs(z64).max()
+    bound = (
+        np.abs(z).max() * abs(K).sum(axis=1).max()
+        * np.finfo(np.float64).eps * np.sqrt(len(rhs))
+    )
+    res = np.abs(K @ z - rhs).max()
+    detail = f"rel gap {gap:.2e}, residual {res:.2e}, bound {bound:.2e}"
+    return gap <= 1e-10 and res <= bound, detail
 
 
 def _run_prox_table(cfg):

@@ -257,6 +257,7 @@ VERIFY_CHECKS = (
     "A-full-row-rank-n2",
     "S-factorization-grid",
     "p1-step-replay-n1",
+    "p2-mixed-refine-n2",
     "firmly-nonexpansive-soft-threshold",
     "firmly-nonexpansive-prox-k1",
     "firmly-nonexpansive-prox-wl1-k2",

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -532,6 +534,89 @@ def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
     assert len(factors) == 1
     for lu in (p1, factors[0]):
         assert np.array_equal(lu.perm_r, lu.perm_c)
+    # p=1 keeps float64 factors; p=2 factorizes in float32 and refines
+    assert p1.U.dtype == np.float64
+    assert factors[0].U.dtype == np.float32
+
+
+def _p2_saddle(case, k):
+    """The p=2 saddle matrix K and right side of case at n=2, and the
+    blocks solve_p2 takes, (system, S2)."""
+    disc = Discretization(build_uniform(2), SpaceConfig(k=k))
+    system = assemble_A(disc, builtin_case(case).field)
+    suu = assemble_S2(disc)[0]
+    A = system.A
+    K = sp.bmat([[suu, A.T], [A, None]], format="csc")
+    return K, np.concatenate([np.zeros(A.shape[1]), system.fvec]), system, suu
+
+
+@pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
+def test_solve_p2_refined_float32_solve_meets_dsgesv_bound(case, k, monkeypatch):
+    # one float32 factorization, no float64 fallback, and the returned
+    # residual within ||z|| ||K|| eps sqrt(n), LAPACK dsgesv's test
+    K, rhs, system, suu = _p2_saddle(case, k)
+    factors = []
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(pdwg.solver, "splu", recording_splu)
+    u, lam, res = solve_p2(system, suu)
+    assert len(factors) == 1
+    lu = factors[0]
+    assert lu.L.dtype == lu.U.dtype == np.float32
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    z = np.concatenate([u, lam])
+    assert res == np.abs(K @ z - rhs).max()
+    eps = np.finfo(np.float64).eps
+    assert res <= np.abs(z).max() * abs(K).sum(axis=1).max() * eps * np.sqrt(len(z))
+
+
+@pytest.mark.parametrize("failure", ["singular", "stalled"])
+def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
+    # a float32 factorization that fails, or whose refinement stalls,
+    # is freed before K is factorized in float64; the result is then
+    # the float64 path's bit for bit
+    K, rhs, system, suu = _p2_saddle("disc", 3)
+    lu64 = splu(
+        K,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    want = lu64.solve(rhs)
+    want += lu64.solve(rhs - K @ want)
+
+    class Stalled:
+        """float32 factors whose solves make no progress"""
+
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return np.zeros_like(b)
+
+    dtypes, float32_factors = [], []
+
+    def patched_splu(A, **kwargs):
+        dtypes.append(A.dtype)
+        if A.dtype == np.float32:
+            if failure == "singular":
+                raise RuntimeError("Factor is exactly singular")
+            lu = Stalled(splu(A, **kwargs))
+            float32_factors.append(weakref.ref(lu))
+            return lu
+        assert all(ref() is None for ref in float32_factors)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(pdwg.solver, "splu", patched_splu)
+    u, lam, res = solve_p2(system, suu)
+    assert dtypes == [np.float32, np.float64]
+    assert len(float32_factors) == (failure == "stalled")
+    z = np.concatenate([u, lam])
+    assert np.array_equal(z, want)
+    assert res == np.abs(K @ want - rhs).max()
 
 
 def test_solve_p2_singular_saddle_raises():
