@@ -13,7 +13,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .fe_space import Discretization, SpaceConfig, WeakFunction, _project_Wh_values, project_Qh
+from .fe_space import Discretization, SpaceConfig, WeakFunction, project_Qh
+from .fe_space import _project_Wh_values, derivative_map
 from .mesh import build_uniform
 from .solver import SolverConfig, solve_p1, solve_p2
 from .stabilizer import assemble_B, assemble_S2, eval_s_tilde
@@ -186,7 +187,8 @@ def error_lp(disc, u_h, case, p):
 def error_w1p(disc, u_h, case, p):
     """L^p norm of the pointwise Euclidean length of grad u - grad u_0."""
     exact = case.field.grad_u(disc.quad_pts)
-    approx = np.einsum("tqnd,tn->tqd", disc.basis_v_grad, _v0_blocks(disc, u_h))
+    v0 = _v0_blocks(disc, u_h)
+    approx = np.stack([_v0_derivative(disc, v0, d) for d in ((1, 0), (0, 1))], axis=-1)
     mag = np.linalg.norm(exact - approx, axis=-1)
     return _elementwise_lp(disc, mag, p)
 
@@ -201,7 +203,9 @@ def error_w2ph(disc, u_h, case, p):
     )
     st = eval_s_tilde(disc, e, p)
 
-    hess = np.einsum("tqnij,tn->tqij", disc.basis_v_hess, _v0_blocks(disc, e))
+    e0 = _v0_blocks(disc, e)
+    xx, xy, yy = (_v0_derivative(disc, e0, d) for d in ((2, 0), (1, 1), (0, 2)))
+    hess = _sym(disc.quad_pts, xx, xy, yy)
     le0 = np.einsum("tqij,tqij->tq", case.field.a(disc.quad_pts), hess)
     proj = np.einsum("tqm,tm->tq", disc.basis_w, _project_Wh_values(disc, le0))
     return st + _elementwise_lp(disc, proj, p)
@@ -210,6 +214,13 @@ def error_w2ph(disc, u_h, case, p):
 def _v0_blocks(disc, u_h):
     layout = disc.layout
     return u_h.coeffs[: layout.N1].reshape(disc.mesh.num_elements, layout.nv0)
+
+
+def _v0_derivative(disc, v0, deriv):
+    """(T, q) values at the quadrature points of the deriv derivative of the
+    (T, nv0) v0 blocks: the coefficients are differentiated exactly first."""
+    D = derivative_map(disc.cfg.k, deriv, disc.mesh.elem_h)
+    return (disc.basis_v @ (D @ v0[..., None]))[..., 0]
 
 
 def rates(errors):

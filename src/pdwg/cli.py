@@ -239,14 +239,17 @@ def _run_verify(_cfg):
         (1, 0): lambda p: 2 * p[..., 1],
         (1, 1): lambda p: 2 * p[..., 0],
     }
-    disc = Discretization(build_uniform(2), SpaceConfig(k=2))
-    qh = project_Qh(u, grad, disc)
-    worst = 0.0
-    for (i, j), dij in hess.items():
-        got = weak_hessian_apply(disc, qh, i, j)
-        want = project_Wh(dij, disc)
-        worst = max(worst, np.abs(got - want).max())
-    ok &= _check("weak-hessian-commutativity", worst <= 1e-9, f"gap {worst:.2e}")
+    # at k=3 the (v0, d2 psi) block is nonzero and cond(mass_v) ~ 1e6
+    # amplifies the roundoff
+    for k, name, bound in ((2, "", 1e-9), (3, "-k3", 1e-8)):
+        disc = Discretization(build_uniform(2), SpaceConfig(k=k))
+        qh = project_Qh(u, grad, disc)
+        worst = 0.0
+        for (i, j), dij in hess.items():
+            got = weak_hessian_apply(disc, qh, i, j)
+            want = project_Wh(dij, disc)
+            worst = max(worst, np.abs(got - want).max())
+        ok &= _check(f"weak-hessian-commutativity{name}", worst <= bound, f"gap {worst:.2e}")
 
     # phi(Bv) equals the p=1 stabilizer
     worst = 0.0

@@ -17,16 +17,19 @@ Element polynomials use scaled monomials ((x-x_T)/h_T)^a((y-y_T)/h_T)^b
 centered at the centroid, so local mass matrices are uniformly
 conditioned across refinement levels. Both element spaces order them by
 poly_exponents, so W_h's basis is exactly the leading mw = dim P_l
-functions of V_h's. Edge polynomials are plain monomials t^m in the
-global edge parameter t in [0, 1] (see mesh.py for the orientation
-convention). Jump polynomials along edges are handled through exact
-composition: the trace of a scaled monomial along an affine edge
-parametrization is again a polynomial in t, and we carry its
-coefficients rather than sampled values wherever exactness matters.
+functions of V_h's. A derivative of a scaled monomial is an integer
+multiple of a lower-degree one divided by a power of h, so derivatives
+are exact coefficient maps (derivative_map) and only values are
+tabulated at quadrature points. Edge polynomials are plain monomials
+t^m in the global edge parameter t in [0, 1] (see mesh.py for the
+orientation convention). Jump polynomials along edges are handled
+through exact composition: the trace of a scaled monomial along an
+affine edge parametrization is again a polynomial in t, and we carry
+its coefficients rather than sampled values wherever exactness matters.
 """
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, perm
 from numbers import Integral
 
 import numpy as np
@@ -41,6 +44,7 @@ __all__ = [
     "triangle_rule",
     "edge_rule",
     "poly_exponents",
+    "derivative_map",
     "project_Qh",
     "project_Wh",
     "project_boundary",
@@ -172,15 +176,22 @@ def eval_basis(exps, pts, center, h, deriv=(0, 0)):
     return out
 
 
-def _basis_tables(exps, pts, center, h):
-    """Values (..., nb), gradients (..., nb, 2) and Hessians (..., nb, 2, 2)."""
-    def d(deriv):
-        return eval_basis(exps, pts, center, h, deriv=deriv)
+def derivative_map(degree, deriv, h):
+    """Exact derivative of P_degree in the scaled-monomial basis.
 
-    dxy = d((1, 1))
-    grad = np.stack([d((1, 0)), d((0, 1))], axis=-1)
-    hess = np.stack([np.stack([d((2, 0)), dxy], -1), np.stack([dxy, d((0, 2))], -1)], -2)
-    return d((0, 0)), grad, hess
+    Returns D of shape np.shape(h) + (nb, nb), nb = dim P_degree, with
+    d^deriv (sum_n c_n m_n) = sum_n (D c)_n m_n on an element of diameter
+    h: d_x^dx d_y^dy m_(a,b) = a!/(a-dx)! b!/(b-dy)! h^-(dx+dy) m_(a-dx,b-dy).
+    The integer factors are exact; only the h scaling rounds.
+    """
+    exps = poly_exponents(degree)
+    dx, dy = deriv
+    column = {(a, b): n for n, (a, b) in enumerate(exps.tolist())}
+    D = np.zeros((len(exps), len(exps)))
+    for n, (a, b) in enumerate(exps.tolist()):
+        if a >= dx and b >= dy:
+            D[column[a - dx, b - dy], n] = perm(a, dx) * perm(b, dy)
+    return D / np.asarray(h, dtype=float)[..., None, None] ** (dx + dy)
 
 
 def _linear_power_coeffs(c0, c1, kmax):
@@ -205,25 +216,17 @@ def _convolve(x, y):
     return out
 
 
-def _trace_tables(exps, px, py, h, degree):
+def _trace_values(exps, px, py, degree):
     """Trace coefficients of a scaled-monomial basis along affine edges.
 
     px, py hold the powers of the x and y scaled coordinates along each
-    edge (see _linear_power_coeffs). Returns the value table
-    (..., degree+1, nb) and the gradient table (..., 2, degree+1, nb).
+    edge (see _linear_power_coeffs). Returns the (..., degree+1, nb)
+    table whose column n holds the t-coefficients of basis function n.
     """
     val = np.zeros(px.shape[:-2] + (degree + 1, len(exps)))
-    grad = np.zeros(px.shape[:-2] + (2, degree + 1, len(exps)))
-    column = {(a, b): idx for idx, (a, b) in enumerate(exps)}
     for idx, (a, b) in enumerate(exps):
         val[..., : a + b + 1, idx] = _convolve(px[..., a, : a + 1], py[..., b, : b + 1])
-        # d/dx m_{a,b} = (a/h) m_{a-1,b} and d/dy m_{a,b} = (b/h) m_{a,b-1};
-        # graded order has filled both value columns already
-        if a >= 1:
-            grad[..., 0, :, idx] = (a / h) * val[..., column[a - 1, b]]
-        if b >= 1:
-            grad[..., 1, :, idx] = (b / h) * val[..., column[a, b - 1]]
-    return val, grad
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +354,15 @@ class WeakFunction:
 class Discretization:
     """Mesh + spaces + every per-element table assembly needs.
 
-    Precomputes quadrature points, basis values and derivatives at those
-    points, local mass matrices with inverses, and the exact t-polynomial
-    coefficients of basis traces along each (element, local edge)
-    incidence. Everything here is immutable after construction and
-    shared by assembly, stabilizer, solver and error computations. The
-    W_h tables are views of leading slices of the V_h tables (module
-    docstring), except mass_w_inv: a block's inverse is not a block of
-    the inverse.
+    Precomputes quadrature points, basis values at those points, local
+    mass matrices with inverses, and the exact t-polynomial coefficients
+    of basis traces along each (element, local edge) incidence. No
+    derivative is tabulated at quadrature points: consumers map
+    coefficients through derivative_map and use the value table.
+    Everything here is immutable after construction and shared by
+    assembly, stabilizer, solver and error computations. The W_h tables
+    are views of leading slices of the V_h tables (module docstring),
+    except mass_w_inv: a block's inverse is not a block of the inverse.
     """
 
     def __init__(self, mesh, cfg):
@@ -382,15 +386,11 @@ class Discretization:
         )
         self.quad_w = np.outer(2.0 * mesh.elem_area, tri_w)
 
-        center = mesh.elem_centroid[:, None, :]
-        h = mesh.elem_h[:, None]
-        self.basis_v, self.basis_v_grad, self.basis_v_hess = _basis_tables(
-            poly_exponents(k), self.quad_pts, center, h
-        )
+        center, h = mesh.elem_centroid[:, None, :], mesh.elem_h[:, None]
+        self.basis_v = eval_basis(poly_exponents(k), self.quad_pts, center, h)
         self.basis_w = self.basis_v[..., :mw]
-        self.basis_w_hess = self.basis_v_hess[..., :mw, :, :]
 
-        self.mass_v = np.einsum("tq,tqi,tqj->tij", self.quad_w, self.basis_v, self.basis_v)
+        self.mass_v = np.swapaxes(self.basis_v * self.quad_w[..., None], 1, 2) @ self.basis_v
         self.mass_w = self.mass_v[:, :mw, :mw]
         self.mass_v_inv = np.linalg.inv(self.mass_v)
         self.mass_w_inv = np.linalg.inv(self.mass_w)
@@ -422,7 +422,10 @@ class Discretization:
         xi0 = (ends[:, :, 0] - mesh.elem_centroid[:, None, :]) / h
         xid = (ends[:, :, 1] - ends[:, :, 0]) / h
         px, py = (_linear_power_coeffs(xi0[..., j], xid[..., j], k) for j in range(2))
-        self.trace_val, self.trace_grad = _trace_tables(poly_exponents(k), px, py, h, k)
+        self.trace_val = _trace_values(poly_exponents(k), px, py, k)
+        # the trace of d_j v0 is the trace of its derivative's coefficients
+        grad_maps = [derivative_map(k, d, mesh.elem_h[:, None]) for d in ((1, 0), (0, 1))]
+        self.trace_grad = np.stack([self.trace_val @ D for D in grad_maps], axis=2)
         self.trace_w_val = self.trace_val[..., : l + 1, : self.layout.mw]
         self.trace_w_grad = self.trace_grad[..., : l + 1, : self.layout.mw]
 

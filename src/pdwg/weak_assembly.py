@@ -15,13 +15,17 @@ inhomogeneous boundary values enter the right side as f - Cb g.
 
 Edge integrals here are exact: both factors are polynomials in the edge
 parameter, so each pairing reduces to a Hilbert-type Gram product of
-coefficient vectors.
+coefficient vectors. The volume term (v0, d2_ji psi)_T is exact too:
+d2_ji psi is psi's coefficients mapped by fe_space.derivative_map, so
+the term is that map's transpose times the local mass matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .fe_space import derivative_map
 
 __all__ = [
     "CoefficientField",
@@ -60,7 +64,7 @@ def check_ellipticity(field, pts):
     A = np.asarray(field.a(np.asarray(pts, dtype=float)))
     if not np.isfinite(A).all():
         raise ValueError("coefficient matrix is not finite at some sample point")
-    if not np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-12):
+    if not np.allclose(A, np.swapaxes(A, -1, -2), rtol=0, atol=1e-12):
         raise ValueError("coefficient matrix is not symmetric")
     # closed-form eigenvalues mid -+ rad of [[a, b], [b, d]], reading the
     # lower triangle as eigvalsh does
@@ -105,10 +109,11 @@ def _weak_hessian_maps(disc, i, j):
     nv0, nvb, nvg, mw = layout.nv0, layout.nvb, layout.nvg, layout.mw
     R = np.zeros((T, mw, layout.elem_cols.shape[1]))
 
-    # (v0, d2_ji psi)_T by volume quadrature (vanishes for l <= 1)
-    R[:, :, :nv0] = np.einsum(
-        "tq,tqn,tqm->tmn", disc.quad_w, disc.basis_v, disc.basis_w_hess[..., j, i]
-    )
+    # (v0, d2_ji psi_m)_T = (D^T mass_v)_mn with D the exact P_l derivative
+    # map; it vanishes for l <= 1
+    if l >= 2:
+        D = derivative_map(l, (2 - i - j, i + j), mesh.elem_h)
+        R[:, :, :nv0] = np.swapaxes(D, -1, -2) @ disc.mass_v[:, :mw]
     he = mesh.edge_length[mesh.elem_edges]
     nrm = mesh.elem_normals
 
@@ -167,9 +172,8 @@ def assemble_A(disc, field):
     for i in range(2):
         for j in range(2):
             # (a_ij D_ij, psi_m) with D_ij expanded in the W basis
-            W_a = np.einsum(
-                "tq,tq,tqm,tqc->tmc", disc.quad_w, aq[:, :, i, j], disc.basis_w, disc.basis_w
-            )
+            weighted = disc.basis_w * (disc.quad_w * aq[:, :, i, j])[..., None]
+            W_a = np.swapaxes(weighted, 1, 2) @ disc.basis_w
             local = local + W_a @ _weak_hessian_maps(disc, i, j)
 
     rows, cols = np.broadcast_arrays(

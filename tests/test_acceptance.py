@@ -252,6 +252,7 @@ def test_06_prox_correctness():
 
 VERIFY_CHECKS = (
     "weak-hessian-commutativity",
+    "weak-hessian-commutativity-k3",
     "phi-equals-stabilizer-p1",
     "A-full-row-rank-n1",
     "A-full-row-rank-n2",

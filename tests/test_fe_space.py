@@ -7,6 +7,7 @@ from pdwg.fe_space import (
     Discretization,
     SpaceConfig,
     WeakFunction,
+    derivative_map,
     edge_rule,
     eval_basis,
     eval_v0,
@@ -184,17 +185,18 @@ def test_trace_coefficients_match_point_evaluation():
 @pytest.mark.parametrize("l", [1, 2])
 def test_discretization_tables_match_per_element_evaluation(l):
     # the whole-mesh tables against eval_basis called one element at a
-    # time; the W_h tables from the P_l basis itself, not from V_h's
+    # time; the W_h tables from the P_l basis itself, not from V_h's.
+    # Derivatives are the value table times the exact derivative map.
     k = 3
     disc = Discretization(build_uniform(3), SpaceConfig(k=k, l=l))
     mesh = disc.mesh
     ts = np.linspace(0.0, 1.0, 7)
-    hess_orders = {(0, 0): (2, 0), (0, 1): (1, 1), (1, 0): (1, 1), (1, 1): (0, 2)}
+    derivs = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     spaces = (
-        (k, disc.basis_v, disc.basis_v_hess, disc.mass_v, disc.trace_val, disc.trace_grad),
-        (l, disc.basis_w, disc.basis_w_hess, disc.mass_w, disc.trace_w_val, disc.trace_w_grad),
+        (k, disc.basis_v, disc.mass_v, disc.trace_val, disc.trace_grad),
+        (l, disc.basis_w, disc.mass_w, disc.trace_w_val, disc.trace_w_grad),
     )
-    for degree, basis, hess, mass, trace_val, trace_grad in spaces:
+    for degree, basis, mass, trace_val, trace_grad in spaces:
         exps = poly_exponents(degree)
         tm = np.power.outer(ts, np.arange(degree + 1))
         assert trace_val.shape[-2:] == trace_grad.shape[-2:] == (degree + 1, len(exps))
@@ -205,9 +207,10 @@ def test_discretization_tables_match_per_element_evaluation(l):
             assert np.array_equal(basis[t], vals)
             gram = np.einsum("q,qi,qj->ij", disc.quad_w[t], vals, vals)
             assert np.allclose(mass[t], gram, rtol=0, atol=1e-15 * mesh.elem_area[t])
-            for (i, j), d in hess_orders.items():
+            for d in derivs:
                 want = eval_basis(exps, pts, c, h, deriv=d)
-                assert np.array_equal(hess[t, :, :, i, j], want)
+                got = basis[t] @ derivative_map(degree, d, h)
+                assert np.allclose(got, want, rtol=0, atol=1e-13 / h ** sum(d))
             for le in range(3):
                 lo, hi = mesh.edges[mesh.elem_edges[t, le]]
                 epts = mesh.vertices[lo] + np.multiply.outer(
@@ -225,13 +228,14 @@ def test_w_tables_are_views_of_the_v_tables():
     disc = Discretization(build_uniform(2), SpaceConfig(k=3, l=1))
     for w_table, v_table in (
         (disc.basis_w, disc.basis_v),
-        (disc.basis_w_hess, disc.basis_v_hess),
         (disc.mass_w, disc.mass_v),
         (disc.trace_w_val, disc.trace_val),
         (disc.trace_w_grad, disc.trace_grad),
     ):
         assert np.shares_memory(w_table, v_table)
-    for name in ("exps_w", "tri_pts_ref", "tri_w_ref"):
+    for name in (
+        "exps_w", "tri_pts_ref", "tri_w_ref", "basis_v_grad", "basis_v_hess", "basis_w_hess"
+    ):
         assert not hasattr(disc, name)
 
 

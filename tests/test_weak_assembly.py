@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from pdwg.fe_space import Discretization, SpaceConfig, WeakFunction, project_Qh, project_Wh
+from pdwg.fe_space import (
+    Discretization,
+    SpaceConfig,
+    WeakFunction,
+    eval_basis,
+    poly_exponents,
+    project_Qh,
+    project_Wh,
+)
 from pdwg.mesh import Mesh, build_uniform
 from pdwg.weak_assembly import (
     CoefficientField,
@@ -28,6 +36,15 @@ def test_check_ellipticity():
     )
     with pytest.raises(ValueError):
         check_ellipticity(bad, pts)
+    # the symmetry tolerance is absolute: a 5e-6 mismatch is not roundoff
+    near = CoefficientField(
+        a=lambda p: np.broadcast_to(
+            np.array([[2.0, 1.0], [1.000005, 2.0]]), p.shape[:-1] + (2, 2)
+        ),
+        f=lambda p: np.zeros(p.shape[:-1]),
+    )
+    with pytest.raises(ValueError, match="not symmetric"):
+        check_ellipticity(near, pts)
     indef = CoefficientField(
         a=lambda p: np.broadcast_to(
             np.array([[1.0, 3.0], [3.0, 1.0]]), p.shape[:-1] + (2, 2)
@@ -196,9 +213,9 @@ def hess_poly(p):
 
 def test_commutativity_polynomial():
     # weak Hessian of the projection == projection of the Hessian,
-    # exactly when every integrand sits inside the quadrature degree
-    disc = Discretization(build_uniform(2), SpaceConfig(k=2))
-
+    # exactly when every integrand sits inside the quadrature degree; at
+    # k=3 the (v0, d2 psi) block is nonzero, and cond(mass_v) ~ 1e6
+    # amplifies the roundoff
     def u(p):
         x, y = p[..., 0], p[..., 1]
         return x**3 + x**2 * y - y**3 + x * y**2
@@ -209,12 +226,44 @@ def test_commutativity_polynomial():
             [3 * x**2 + 2 * x * y + y**2, x**2 - 3 * y**2 + 2 * x * y], axis=-1
         )
 
-    v = project_Qh(u, grad_u, disc)
+    for k, bound in ((2, 1e-11), (3, 1e-8)):
+        disc = Discretization(build_uniform(2), SpaceConfig(k=k))
+        v = project_Qh(u, grad_u, disc)
+        for i in range(2):
+            for j in range(2):
+                got = weak_hessian_apply(disc, v, i, j)
+                want = project_Wh(lambda p: hess_poly(p)[..., i, j], disc)
+                assert np.abs(got - want).max() < bound, (k, i, j)
+
+
+@pytest.mark.parametrize("k,l", [(3, 2), (4, 3), (4, 2)])
+def test_weak_hessian_v0_block_matches_quadrature(k, l):
+    # the (v0, d2_ji psi)_T block comes from the exact derivative map;
+    # pin it against volume quadrature of eval_basis Hessians per element
+    rng = np.random.default_rng(7)
+    disc = Discretization(build_uniform(2), SpaceConfig(k=k, l=l))
+    layout, mesh = disc.layout, disc.mesh
+    coeffs = np.zeros(layout.N)
+    coeffs[: layout.N1] = rng.standard_normal(layout.N1)
+    v = WeakFunction(layout, coeffs)
+    v0 = coeffs[: layout.N1].reshape(mesh.num_elements, layout.nv0)
     for i in range(2):
         for j in range(2):
+            moments = np.empty((mesh.num_elements, layout.mw))
+            for t in range(mesh.num_elements):
+                d2psi = eval_basis(
+                    poly_exponents(l),
+                    disc.quad_pts[t],
+                    mesh.elem_centroid[t],
+                    mesh.elem_h[t],
+                    deriv=(2 - i - j, i + j),
+                )
+                moments[t] = np.einsum(
+                    "q,qm,qn,n->m", disc.quad_w[t], d2psi, disc.basis_v[t], v0[t]
+                )
+            want = np.einsum("tij,tj->ti", disc.mass_w_inv, moments)
             got = weak_hessian_apply(disc, v, i, j)
-            want = project_Wh(lambda p: hess_poly(p)[..., i, j], disc)
-            assert np.abs(got - want).max() < 1e-11
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_commutativity_smooth_function():
