@@ -65,8 +65,9 @@ class ConvergenceTable:
         return [getattr(r, name) for r in self.reports]
 
     def rate_columns(self):
+        n = self.column("n")
         return {
-            name: rates(self.column(name)) for name in ("e_L", "e_W1", "e_W2")
+            name: rates(self.column(name), n) for name in ("e_L", "e_W1", "e_W2")
         }
 
 
@@ -223,12 +224,23 @@ def _v0_derivative(disc, v0, deriv):
     return (disc.basis_v @ (D @ v0[..., None]))[..., 0]
 
 
-def rates(errors):
-    """Doubling rates log2(e_i / e_{i+1}); needs positive entries."""
+def rates(errors, n=None):
+    """Rates log2(e_i / e_{i+1}) / log2(n_{i+1} / n_i) of errors on meshes
+    of sizes n; n=None means each mesh doubles the last, where the
+    divisor is exactly 1. Needs positive errors and no two consecutive
+    sizes equal."""
     e = np.asarray(errors, dtype=float)
     if np.any(e <= 0):
         raise ValueError("rates need strictly positive errors")
-    return list(np.log2(e[:-1] / e[1:]))
+    r = np.log2(e[:-1] / e[1:])
+    if n is not None:
+        n = np.asarray(n, dtype=float)
+        if n.shape != e.shape or np.any(n[1:] == n[:-1]):
+            raise ValueError(
+                "rates need one mesh size per error, no two consecutive ones equal"
+            )
+        r /= np.log2(n[1:] / n[:-1])
+    return list(r)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +259,8 @@ def check_study(problem, p, n_list):
                 f"the disc case needs even n so mesh lines track the "
                 f"coefficient jumps; got n={n}"
             )
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"mesh sizes n must not repeat, got {tuple(n_list)}")
 
 
 def run_study(case, p, n_list, k=2, l=None, cfg=None):

@@ -33,7 +33,7 @@ from math import comb, perm
 from numbers import Integral
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "SpaceConfig",
@@ -110,8 +110,8 @@ def triangle_rule(degree):
     """
     m = (degree + 2) // 2
     # Gauss-Jacobi with weight (1-s) on [-1,1] handles the (1-u) Jacobian.
-    sj, wj = roots_jacobi(m, 1, 0)
-    sg, wg = roots_legendre(m)
+    sj, wj = _gauss_jacobi_10(m)
+    sg, wg = leggauss(m)
     u = 0.5 * (sj + 1.0)
     v = 0.5 * (sg + 1.0)
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -123,8 +123,25 @@ def triangle_rule(degree):
 
 def edge_rule(npoints):
     """Gauss-Legendre rule on [0, 1]; exact to degree 2*npoints - 1."""
-    s, w = roots_legendre(npoints)
+    s, w = leggauss(npoints)
     return 0.5 * (s + 1.0), 0.5 * w
+
+
+def _gauss_jacobi_10(m):
+    """m-point Gauss rule for the weight 1 - s on [-1, 1], ascending nodes.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the Jacobi polynomials P^(1,0), with diagonal -1/((2j+1)(2j+3)) and
+    off-diagonal sqrt(j(j+1))/(2j+1), and the weights are the weight's
+    total mass 2 times the squared first component of each eigenvector.
+    """
+    j = np.arange(m)
+    jm = np.diag(-1.0 / ((2 * j + 1) * (2 * j + 3)))
+    j = j[1:]
+    off = np.sqrt(j * (j + 1.0)) / (2 * j + 1)
+    jm += np.diag(off, 1) + np.diag(off, -1)
+    s, v = np.linalg.eigh(jm)
+    return s, 2.0 * v[0] ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pdwg import analysis
 from pdwg.analysis import (
     ProblemCase,
     builtin_case,
+    check_study,
     error_lp,
     error_w1p,
     error_w2ph,
@@ -137,6 +138,33 @@ def test_rates_values_and_validation():
     assert np.allclose(rates([8e-3, 1e-3]), [3.0])
     with pytest.raises(ValueError):
         rates([1e-2, 0.0])
+
+
+def test_rates_divide_by_the_log_of_the_mesh_ratio():
+    e = [1e-2, 1e-2 / 27]
+    assert np.allclose(rates(e, [4, 12]), [3.0])  # tripled, not log2(27)
+    assert np.allclose(rates(e[::-1], [12, 4]), [3.0])  # reversed
+    # a doubling list gives the plain log2 ratios bit for bit
+    assert rates([3e-2, 7e-3, 2e-3], [2, 4, 8]) == rates([3e-2, 7e-3, 2e-3])
+    with pytest.raises(ValueError):
+        rates(e, [4, 4])
+    with pytest.raises(ValueError):
+        rates(e, [4])
+    with pytest.raises(ValueError, match="must not repeat"):
+        check_study("const", 2, [2, 4, 2])
+
+
+def test_rate_columns_use_the_mesh_sizes():
+    table = run_study(builtin_case("const"), 2, [4, 12])
+    e = table.column("e_L")
+    assert table.rate_columns()["e_L"] == pytest.approx(
+        [np.log(e[0] / e[1]) / np.log(3)], rel=1e-14
+    )
+    # a reversed list gives the coarsening rate, positive like the refining one
+    reverse = run_study(builtin_case("const"), 2, [4, 2]).rate_columns()
+    forward = run_study(builtin_case("const"), 2, [2, 4]).rate_columns()
+    assert reverse["e_L"] == pytest.approx(forward["e_L"], rel=1e-14)
+    assert reverse["e_L"][0] > 2.5
 
 
 def test_run_study_p2_errors_decrease():

@@ -92,6 +92,26 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.strip() == "False"
 
 
+def test_import_leaves_scipy_special_unloaded():
+    # the Gauss rules come from numpy; scipy.special costs a cold start
+    code = "import sys, pdwg.analysis, pdwg.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(pdwg.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_python_m_pdwg_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(pdwg.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdwg", "solve", "--problem", "const", "--p", "2", "--n", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert COLUMNS in proc.stdout.splitlines()
+
+
 def test_solve_writes_csv(tmp_path):
     out = tmp_path / "study.csv"
     code = main(

@@ -69,6 +69,25 @@ def test_edge_rule_exactness():
         assert np.sum(w * pts**m) == pytest.approx(1.0 / (m + 1), rel=1e-13)
 
 
+def test_gauss_rules_match_scipy_special():
+    # the rules are built with numpy; scipy.special's give the same nodes,
+    # weights and point order
+    from scipy.special import roots_jacobi, roots_legendre
+
+    for m in range(1, 11):
+        s, w = roots_legendre(m)
+        pts, wts = edge_rule(m)
+        assert np.abs(pts - 0.5 * (s + 1.0)).max() <= 1e-14
+        assert np.abs(wts - 0.5 * w).max() <= 1e-14
+        sj, wj = roots_jacobi(m, 1, 0)
+        u, v = np.meshgrid(0.5 * (sj + 1.0), 0.5 * (s + 1.0), indexing="ij")
+        pts, wts = triangle_rule(2 * m - 2)
+        assert len(wts) == m * m
+        assert np.abs(pts[:, 0] - u.ravel()).max() <= 1e-14
+        assert np.abs(pts[:, 1] - (v * (1.0 - u)).ravel()).max() <= 1e-14
+        assert np.abs(wts - np.multiply.outer(wj, w).ravel() / 8.0).max() <= 1e-14
+
+
 def test_eval_basis_values_and_derivatives():
     exps = poly_exponents(2)
     center = np.array([0.3, 0.4])

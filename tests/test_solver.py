@@ -539,10 +539,10 @@ def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
     assert factors[0].U.dtype == np.float32
 
 
-def _p2_saddle(case, k):
-    """The p=2 saddle matrix K and right side of case at n=2, and the
+def _p2_saddle(case, k, n=2):
+    """The p=2 saddle matrix K and right side of case at n, and the
     blocks solve_p2 takes, (system, S2)."""
-    disc = Discretization(build_uniform(2), SpaceConfig(k=k))
+    disc = Discretization(build_uniform(n), SpaceConfig(k=k))
     system = assemble_A(disc, builtin_case(case).field)
     suu = assemble_S2(disc)[0]
     A = system.A
@@ -577,7 +577,8 @@ def test_solve_p2_refined_float32_solve_meets_dsgesv_bound(case, k, monkeypatch)
 def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
     # a float32 factorization that fails, or whose refinement stalls,
     # is freed before K is factorized in float64; the result is then
-    # the float64 path's bit for bit
+    # the float64 path's bit for bit: its solution refined while the
+    # sup-norm residual at least halves, keeping the best iterate
     K, rhs, system, suu = _p2_saddle("disc", 3)
     lu64 = splu(
         K,
@@ -585,8 +586,14 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
-    want = lu64.solve(rhs)
-    want += lu64.solve(rhs - K @ want)
+    z = np.zeros_like(rhs)
+    iterates = [(np.abs(rhs).max(), z)]
+    while len(iterates) <= 30:
+        z = z + lu64.solve(rhs - K @ z)
+        iterates.append((np.abs(rhs - K @ z).max(), z))
+        if not iterates[-1][0] <= 0.5 * iterates[-2][0]:
+            break
+    want = min(iterates, key=lambda it: it[0])[1]
 
     class Stalled:
         """float32 factors whose solves make no progress"""
@@ -617,6 +624,18 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
     z = np.concatenate([u, lam])
     assert np.array_equal(z, want)
     assert res == np.abs(K @ want - rhs).max()
+
+
+@pytest.mark.parametrize("k, n, bound", [(4, 2, 1e-13), (5, 1, 1e-8)])
+def test_solve_p2_float64_route_refines_ill_conditioned_k(k, n, bound):
+    # float32 factors are refused here (cond(K) 6.4e6 and 3.1e9); one
+    # refinement step of the float64 solution left residuals of 8.8e-8
+    # and 1.5e-2
+    K, rhs, system, suu = _p2_saddle("const", k, n)
+    assert pdwg.solver._mixed_solve(K, rhs) is None
+    u, lam, res = solve_p2(system, suu)
+    assert res == np.abs(K @ np.concatenate([u, lam]) - rhs).max()
+    assert res <= bound
 
 
 def test_solve_p2_singular_saddle_raises():
