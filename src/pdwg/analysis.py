@@ -224,23 +224,18 @@ def _v0_derivative(disc, v0, deriv):
     return (disc.basis_v @ (D @ v0[..., None]))[..., 0]
 
 
-def rates(errors, n=None):
+def rates(errors, n):
     """Rates log2(e_i / e_{i+1}) / log2(n_{i+1} / n_i) of errors on meshes
-    of sizes n; n=None means each mesh doubles the last, where the
-    divisor is exactly 1. Needs positive errors and no two consecutive
-    sizes equal."""
+    of sizes n. Needs positive errors and no two consecutive sizes equal."""
     e = np.asarray(errors, dtype=float)
+    n = np.asarray(n, dtype=float)
     if np.any(e <= 0):
         raise ValueError("rates need strictly positive errors")
-    r = np.log2(e[:-1] / e[1:])
-    if n is not None:
-        n = np.asarray(n, dtype=float)
-        if n.shape != e.shape or np.any(n[1:] == n[:-1]):
-            raise ValueError(
-                "rates need one mesh size per error, no two consecutive ones equal"
-            )
-        r /= np.log2(n[1:] / n[:-1])
-    return list(r)
+    if n.shape != e.shape or np.any(n[1:] == n[:-1]):
+        raise ValueError(
+            "rates need one mesh size per error, no two consecutive ones equal"
+        )
+    return list(np.log2(e[:-1] / e[1:]) / np.log2(n[1:] / n[:-1]))
 
 
 # ---------------------------------------------------------------------------

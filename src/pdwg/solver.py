@@ -256,14 +256,17 @@ def _mixed_solve(K, rhs):
 def _refine(K, rhs, lu, dtype):
     """Iterative refinement of K z = rhs with the factors lu of K in dtype.
 
-    z += lu.solve(r) with r = rhs - K z in float64, from z = 0, while the
-    sup-norm of r at least halves, for at most _MIXED_MAX_STEPS solves.
-    Returns the best (z, sup-norm of its residual).
+    z = lu.solve(rhs), then z += lu.solve(r) with r = rhs - K z in
+    float64 while the sup-norm of r at least halves, for at most
+    _MIXED_MAX_STEPS solves in all. The first solve is the first best
+    iterate, so z = 0 is never returned. Returns the best (z, sup-norm
+    of its residual).
     """
-    z, r = np.zeros_like(rhs), rhs
+    z = lu.solve(rhs.astype(dtype, copy=False)).astype(np.float64, copy=False)
+    r = rhs - K @ z
     best = last = np.abs(r).max()
     best_z = z
-    for _ in range(_MIXED_MAX_STEPS):
+    for _ in range(_MIXED_MAX_STEPS - 1):
         z = z + lu.solve(r.astype(dtype, copy=False))
         r = rhs - K @ z
         res = np.abs(r).max()
