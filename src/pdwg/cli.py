@@ -28,6 +28,7 @@ from .solver import (
     polish_face,
     residual_2_90,
     solve_p1,
+    _kkt_norm,
     _mixed_solve,
 )
 from .stabilizer import assemble_B, assemble_S2, eval_phi, eval_s
@@ -360,13 +361,13 @@ def _p2_mixed_refine():
     within dsgesv's bound ||z|| ||K|| eps sqrt(n) in the sup-norm."""
     disc = Discretization(build_uniform(2), SpaceConfig(k=3))
     system = assemble_A(disc, builtin_case("disc").field)
-    A = system.A
-    K = sp.bmat([[assemble_S2(disc)[0], A.T], [A, None]], format="csc")
+    A, suu = system.A, assemble_S2(disc)[0]
     rhs = np.concatenate([np.zeros(A.shape[1]), system.fvec])
-    solved = _mixed_solve(K, rhs)
+    solved = _mixed_solve(suu, A, rhs, _kkt_norm(suu, A))
     if solved is None:
         return False, "the float32 route was rejected"
     z, _ = solved
+    K = sp.bmat([[suu, A.T], [A, None]], format="csc")
     z64 = spsolve(K, rhs)
     gap = np.abs(z - z64).max() / np.abs(z64).max()
     bound = (

@@ -65,12 +65,17 @@ H differs. The p=1 factors are float64. The p=2 solve (_mixed_solve)
 factorizes K in float32, which keeps the pivots and nearly the fill
 (disc, k=3, n=32: 18.07M against 18.09M L+U nonzeros) in about half the
 memory, and refines in float64, with float64 residuals, as LAPACK's
-dsgesv does. It refines while the sup-norm residual at least halves
-(at most 30 solves), not only until dsgesv's test
+dsgesv does. K is built in float32 only, stacked from the blocks S2 and
+A (_kkt_float32), and the float64 residuals come from the same blocks,
+rhs_u - S2 u - A^T lambda and rhs_lambda - A u, so this route holds no
+float64 copy of K. It refines while the sup-norm residual at least
+halves (at most 30 solves), not only until dsgesv's test
 ||r|| <= ||z|| ||K|| eps sqrt(n) passes, because the study's error
 norms move with the roundoff of the solve (solve_p2). A solution that
 fails that test, or a float32 factorization that fails, falls back to
-float64 factors, refined by the same rule (_refine).
+float64 factors of a float64 K built only then, refined by the same
+rule (_refine) with r = rhs - K z; solve_p2 warns if that solution
+fails the test too.
 
 Boundary vb data g shifts the jump vector by c = Bb g and the
 constraint right side by -Cb g in both paths. Shifting the prox
@@ -81,6 +86,7 @@ to the plain scheme when g is absent.
 
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -206,8 +212,9 @@ def _factor_kkt(H, A, failure, D=None):
     which undoes the ordering: on the p=2 K of var, k=2, n=24 that moves
     235 pivots and grows the factors from 3.2M to 5.2M L+U nonzeros.
 
-    The factors are float64. solve_p2 builds the same K and factorizes
-    it with _factor_symmetric, in float32 first (_mixed_solve).
+    The factors are float64. solve_p2 factorizes its K in float32 first,
+    stacked from the blocks (_kkt_float32, _mixed_solve), and calls
+    this function only if that route fails.
 
     Returns (K, lu) with K in CSC form. A singular K raises RuntimeError
     with the message failure.
@@ -230,45 +237,81 @@ def _factor_symmetric(K, failure):
         raise RuntimeError(failure) from exc
 
 
-def _mixed_solve(K, rhs):
-    """Solve K z = rhs with float32 factors refined in float64, as LAPACK's
-    dsgesv does; None when the float32 route fails.
+def _kkt_norm(S2, A):
+    """||K||_inf of K = [[S2, A^T], [A, 0]] from the blocks: the row sums
+    of |S2| + |A^T| on the u rows and of |A| on the lambda rows."""
+    absA = abs(A)
+    u_rows = abs(S2) @ np.ones(S2.shape[1]) + absA.T @ np.ones(A.shape[0])
+    return max(u_rows.max(), (absA @ np.ones(A.shape[1])).max())
 
-    K.astype(float32) is factorized with _factor_kkt's options and its
-    solution refined (_refine). The best z is accepted if its residual
-    is at most ||z|| ||K|| eps sqrt(n) in the sup-norm (dsgesv's test).
-    A singular float32 factorization or a residual above that bound
-    returns None; the float32 factors are freed with this call's frame,
-    before the caller factorizes in float64.
+
+def _dsgesv_bound(z, knorm):
+    """LAPACK dsgesv's acceptance bound ||z|| ||K|| eps sqrt(n), sup-norms."""
+    return np.abs(z).max() * knorm * np.finfo(np.float64).eps * math.sqrt(len(z))
+
+
+def _kkt_float32(S2, A):
+    """K = [[S2, A^T], [A, 0]] in float32 CSC, stacked from the blocks
+    without a float64 copy of K.
+
+    The columns of [S2; A] come first, then those of [A^T; 0], whose CSC
+    arrays are the CSR arrays of A. The result equals
+    _factor_kkt's K cast to float32, index arrays included.
+    """
+    A32 = A.tocsr().astype(np.float32)
+    left = sp.vstack([S2.astype(np.float32).tocsc(), A32.tocsc()], format="csc")
+    right = sp.csc_matrix(
+        (A32.data, A32.indices, A32.indptr), shape=(left.shape[0], A.shape[0])
+    )
+    return sp.hstack([left, right], format="csc")
+
+
+def _mixed_solve(S2, A, rhs, knorm):
+    """Solve K z = rhs, K = [[S2, A^T], [A, 0]], with float32 factors
+    refined in float64, as LAPACK's dsgesv does; None when the float32
+    route fails.
+
+    K is built in float32 only (_kkt_float32) and factorized with
+    _factor_kkt's options; the float64 residuals of the refinement
+    (_refine) come from the blocks, rhs_u - S2 u - A^T lam and
+    rhs_lam - A u. The best z is accepted if its residual is at most
+    _dsgesv_bound(z, knorm), knorm = ||K||_inf (_kkt_norm). A singular
+    float32 factorization or a residual above that bound returns None;
+    the float32 factors are freed with this call's frame, before the
+    caller factorizes in float64.
 
     Returns (z, residual) with residual the sup-norm of K z - rhs.
     """
-    knorm = abs(K).sum(axis=1).max()  # before the factors take memory
     try:
-        lu = _factor_symmetric(K.astype(np.float32), "")
+        lu = _factor_symmetric(_kkt_float32(S2, A), "")
     except RuntimeError:
         return None
-    z, res = _refine(K, rhs, lu, np.float32)
-    bound = np.abs(z).max() * knorm * np.finfo(np.float64).eps * math.sqrt(len(rhs))
-    return (z, res) if res <= bound else None
+    N, AT = S2.shape[0], A.T
+
+    def residual(z):
+        u, lam = z[:N], z[N:]
+        return np.concatenate([rhs[:N] - S2 @ u - AT @ lam, rhs[N:] - A @ u])
+
+    z, res = _refine(residual, rhs, lu, np.float32)
+    return (z, res) if res <= _dsgesv_bound(z, knorm) else None
 
 
-def _refine(K, rhs, lu, dtype):
+def _refine(residual, rhs, lu, dtype):
     """Iterative refinement of K z = rhs with the factors lu of K in dtype.
 
-    z = lu.solve(rhs), then z += lu.solve(r) with r = rhs - K z in
-    float64 while the sup-norm of r at least halves, for at most
-    _MIXED_MAX_STEPS solves in all. The first solve is the first best
-    iterate, so z = 0 is never returned. Returns the best (z, sup-norm
-    of its residual).
+    residual(z) gives rhs - K z in float64. z = lu.solve(rhs), then
+    z += lu.solve(r) with r = residual(z) while the sup-norm of r at
+    least halves, for at most _MIXED_MAX_STEPS solves in all. The first
+    solve is the first best iterate, so z = 0 is never returned. Returns
+    the best (z, sup-norm of its residual).
     """
     z = lu.solve(rhs.astype(dtype, copy=False)).astype(np.float64, copy=False)
-    r = rhs - K @ z
+    r = residual(z)
     best = last = np.abs(r).max()
     best_z = z
     for _ in range(_MIXED_MAX_STEPS - 1):
         z = z + lu.solve(r.astype(dtype, copy=False))
-        r = rhs - K @ z
+        r = residual(z)
         res = np.abs(r).max()
         if res < best:
             best, best_z = res, z
@@ -564,16 +607,20 @@ def solve_p1(system, bmat, k, cfg, g=None):
 def solve_p2(system, s2uu, s2ub=None, g=None):
     """Direct solve of the p=2 Euler-Lagrange saddle system.
 
-    K = [[S2, A^T], [A, 0]] is built once in float64. _mixed_solve
-    factorizes it in float32 and refines the solution in float64 until
-    the sup-norm residual stops halving, keeping the best iterate; it
-    is accepted if its residual passes dsgesv's test. Otherwise, or if
-    the float32 factorization fails, the float32 factors are freed and
-    K is factorized in float64 with _factor_kkt's options, and its
-    solution is refined by the same rule. Every k=4 and k=5 level
-    measured (n=1, 2) takes that route: on const, k=5, n=1 (cond(K)
-    3.1e9) one refinement step leaves a residual of 1.5e-2, refining
-    until it stops halving 2.6e-11.
+    K = [[S2, A^T], [A, 0]]. _mixed_solve builds K in float32 from the
+    blocks, factorizes it and refines the solution until the sup-norm
+    of the float64 residual, taken from S2 and A, stops halving,
+    keeping the best iterate; it is accepted if its residual passes
+    dsgesv's test, with ||K|| from the blocks (_kkt_norm). Otherwise, or
+    if the float32 factorization fails, the float32 factors are freed,
+    K is built and factorized in float64 (_factor_kkt), and its solution is refined by the same rule with r = rhs - K z.
+    Every k=4 and k=5 level measured (n=1, 2) takes that route: on
+    const, k=5, n=1 (cond(K) 3.1e9) one refinement step leaves a
+    residual of 1.5e-2, refining until it stops halving 2.6e-11. A
+    float64 solution whose residual still fails dsgesv's test is
+    returned with a RuntimeWarning that names the residual and the
+    bound (const, k=5: 2.6e-11 against 1.6e-11 at n=1, 1.3e-7 against
+    1.7e-12 at n=2).
 
     Refining past dsgesv's stop matters because the error norms of a
     study are differences of near-equal numbers and move with the
@@ -605,12 +652,22 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
     if g is not None:
         rhs[:N] -= s2ub @ g
         rhs[N:] -= system.Cb @ g
-    K = sp.bmat([[s2uu, A.T], [A, None]], format="csc")
-    solved = _mixed_solve(K, rhs)
-    if solved is None:
-        lu = _factor_symmetric(
-            K, "saddle system is singular; the mesh may be too coarse"
+    knorm = _kkt_norm(s2uu, A)  # before the factors take memory
+    solved = _mixed_solve(s2uu, A, rhs, knorm)
+    if solved is not None:
+        z, residual = solved
+    else:
+        K, lu = _factor_kkt(
+            s2uu, A, "saddle system is singular; the mesh may be too coarse"
         )
-        solved = _refine(K, rhs, lu, np.float64)
-    z, residual = solved
+        z, residual = _refine(lambda z: rhs - K @ z, rhs, lu, np.float64)
+        bound = _dsgesv_bound(z, knorm)
+        if not residual <= bound:
+            warnings.warn(
+                f"p=2 saddle residual {residual:.3g} is above dsgesv's bound "
+                f"||z|| ||K|| eps sqrt(n) = {bound:.3g}; K may be too "
+                "ill-conditioned for the refined float64 solve",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return z[:N], z[N:], residual

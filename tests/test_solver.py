@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -7,7 +10,7 @@ from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
 
 import pdwg.solver
-from pdwg.analysis import builtin_case
+from pdwg.analysis import builtin_case, run_study
 from pdwg.fe_space import (
     Discretization,
     SpaceConfig,
@@ -512,7 +515,22 @@ def test_solve_p2_matches_dense_solve(case, k):
     N = A.shape[1]
     assert np.abs(u - z[:N]).max() <= 1e-10 * np.abs(z[:N]).max()
     assert np.abs(lam - z[N:]).max() <= 1e-10 * np.abs(z[N:]).max()
-    assert res == np.abs(K @ np.concatenate([u, lam]) - rhs).max()
+    _assert_blockwise_residual(res, K, rhs, suu, A, u, lam)
+
+
+def _assert_blockwise_residual(res, K, rhs, suu, A, u, lam):
+    # the float32 route returns the sup-norm of its blockwise float64
+    # residual, (rhs_u - S2 u - A^T lam, rhs_lam - A u), bit for bit; the
+    # assembled K gives the same residual up to its summation order,
+    # within dsgesv's bound ||z|| ||K|| eps sqrt(n)
+    N = A.shape[1]
+    r = np.concatenate([rhs[:N] - suu @ u - A.T @ lam, rhs[N:] - A @ u])
+    assert res == np.abs(r).max()
+    z = np.concatenate([u, lam])
+    eps = np.finfo(np.float64).eps
+    bound = np.abs(z).max() * abs(K).sum(axis=1).max() * eps * np.sqrt(len(z))
+    assert res <= bound
+    assert np.abs(K @ z - rhs).max() <= bound
 
 
 @pytest.mark.parametrize("case, k", [("const", 2), ("disc", 3)])
@@ -567,10 +585,7 @@ def test_solve_p2_refined_float32_solve_meets_dsgesv_bound(case, k, monkeypatch)
     lu = factors[0]
     assert lu.L.dtype == lu.U.dtype == np.float32
     assert np.array_equal(lu.perm_r, lu.perm_c)
-    z = np.concatenate([u, lam])
-    assert res == np.abs(K @ z - rhs).max()
-    eps = np.finfo(np.float64).eps
-    assert res <= np.abs(z).max() * abs(K).sum(axis=1).max() * eps * np.sqrt(len(z))
+    _assert_blockwise_residual(res, K, rhs, suu, system.A, u, lam)
 
 
 @pytest.mark.parametrize("failure", ["singular", "stalled"])
@@ -630,12 +645,84 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
 def test_solve_p2_float64_route_refines_ill_conditioned_k(k, n, bound, monkeypatch):
     # the float64 route, forced here (cond(K) 6.4e6 and 3.1e9); one
     # refinement step of the float64 solution left residuals of 8.8e-8
-    # and 1.5e-2
+    # and 1.5e-2. At k=5 the refinement stops above dsgesv's bound and
+    # warns (test_solve_p2_float64_route_warns_above_dsgesv_bound).
     K, rhs, system, suu = _p2_saddle("const", k, n)
-    monkeypatch.setattr(pdwg.solver, "_mixed_solve", lambda K, rhs: None)
-    u, lam, res = solve_p2(system, suu)
+    monkeypatch.setattr(pdwg.solver, "_mixed_solve", lambda S2, A, rhs, knorm: None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        u, lam, res = solve_p2(system, suu)
+    assert [w.category for w in caught] == [RuntimeWarning] * (k == 5)
     assert res == np.abs(K @ np.concatenate([u, lam]) - rhs).max()
     assert res <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_solve_p2_float64_route_warns_above_dsgesv_bound(n):
+    # const, k=5: the float64 refinement stops once the residual fails
+    # to halve, above ||z|| ||K|| eps sqrt(n) (2.57e-11 against 1.61e-11
+    # at n=1, 1.33e-7 against 1.72e-12 at n=2); the warning names both
+    K, rhs, system, suu = _p2_saddle("const", 5, n)
+    with pytest.warns(RuntimeWarning, match="above dsgesv's bound") as caught:
+        u, lam, res = solve_p2(system, suu)
+    named = re.search(r"residual (\S+) is above .* = (\S+);", str(caught[0].message))
+    z = np.concatenate([u, lam])
+    eps = np.finfo(np.float64).eps
+    bound = np.abs(z).max() * abs(K).sum(axis=1).max() * eps * np.sqrt(len(z))
+    assert named.group(1) == f"{res:.3g}"
+    assert float(named.group(2)) == pytest.approx(bound, rel=1e-2)
+    assert res > bound
+
+
+@pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3), ("const", 4)])
+def test_solve_p2_within_dsgesv_bound_raises_no_warning(case, k):
+    # var k=2 and disc k=3 pass on the float32 route, const k=4 on the
+    # float64 route
+    _, _, system, suu = _p2_saddle(case, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_p2(system, suu)
+
+
+@pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
+def test_float32_kkt_from_blocks_equals_cast_of_float64_k(case, k):
+    # the float32 K stacked from the blocks is the float64 K cast to
+    # float32, index arrays included, so SuperLU sees the same matrix
+    K, _, system, suu = _p2_saddle(case, k)
+    K32 = pdwg.solver._kkt_float32(suu, system.A)
+    cast = K.astype(np.float32)
+    assert K32.format == "csc" and K32.dtype == np.float32
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(K32, name), getattr(cast, name))
+
+
+def test_solve_p2_builds_no_float64_copy_of_k():
+    # the float32 route keeps one copy of K, in float32: a float64 K, its
+    # abs() and a float32 cast of it took 32.4 bytes per stored entry of K
+    disc = Discretization(build_uniform(8), SpaceConfig(k=3))
+    system = assemble_A(disc, builtin_case("disc").field)
+    suu = assemble_S2(disc)[0]
+    nnz = suu.nnz + 2 * system.A.nnz
+    tracemalloc.start()
+    try:
+        solve_p2(system, suu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * nnz
+
+
+@pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
+def test_run_study_p2_factorizes_once_per_level_in_float32(case, k, monkeypatch):
+    dtypes = []
+
+    def recording_splu(K, **kwargs):
+        dtypes.append(K.dtype)
+        return splu(K, **kwargs)
+
+    monkeypatch.setattr(pdwg.solver, "splu", recording_splu)
+    run_study(builtin_case(case), 2, [8], k=k)
+    assert dtypes == [np.float32]
 
 
 def test_solve_p2_singular_saddle_raises():
