@@ -244,10 +244,10 @@ def rates(errors, n):
 
 def check_study(problem, p, n_list):
     """Raise ValueError unless run_study can solve problem at p on every level of n_list."""
-    if p not in (1, 2):
+    if isinstance(p, bool) or p not in (1, 2):
         raise ValueError(f"no solver for p={p}; use 1 or 2")
     for n in n_list:
-        if not isinstance(n, Integral) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
             raise ValueError(f"mesh sizes n must be positive integers, got n={n!r}")
         if problem == "disc" and n % 2:
             raise ValueError(

@@ -28,8 +28,7 @@ from .solver import (
     polish_face,
     residual_2_90,
     solve_p1,
-    _kkt_norm,
-    _mixed_solve,
+    _solve_kkt,
 )
 from .stabilizer import assemble_B, assemble_S2, eval_phi, eval_s
 from .weak_assembly import assemble_A, weak_hessian_apply
@@ -355,18 +354,15 @@ def _p1_step_replay(system, bmat):
 
 def _p2_mixed_refine():
     """Solve the p=2 saddle system of disc, k=3, n=2 from float32 factors
-    refined in float64 (solver._mixed_solve), and with scipy's float64
-    spsolve; returns (ok, detail), ok only if the float32 route was
-    accepted, the two agree within 1e-10 relative and the residual is
-    within dsgesv's bound ||z|| ||K|| eps sqrt(n) in the sup-norm."""
+    refined in float64 (solver._solve_kkt), and with scipy's float64
+    spsolve; returns (ok, detail), ok only if the two agree within 1e-10
+    relative and the residual is within dsgesv's bound
+    ||z|| ||K|| eps sqrt(n) in the sup-norm."""
     disc = Discretization(build_uniform(2), SpaceConfig(k=3))
     system = assemble_A(disc, builtin_case("disc").field)
     A, suu = system.A, assemble_S2(disc)[0]
     rhs = np.concatenate([np.zeros(A.shape[1]), system.fvec])
-    solved = _mixed_solve(suu, A, rhs, _kkt_norm(suu, A))
-    if solved is None:
-        return False, "the float32 route was rejected"
-    z, _ = solved
+    z = _solve_kkt(suu, A, rhs, np.float32, "K is singular")[0]
     K = sp.bmat([[suu, A.T], [A, None]], format="csc")
     z64 = spsolve(K, rhs)
     gap = np.abs(z - z64).max() / np.abs(z64).max()

@@ -66,13 +66,13 @@ class SpaceConfig:
     l: int = None
 
     def __post_init__(self):
-        if not isinstance(self.k, Integral):
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
             raise ValueError(f"k must be an integer, got k={self.k!r}")
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got k={self.k}")
         if self.l is None:
             object.__setattr__(self, "l", self.k - 1)
-        if not isinstance(self.l, Integral):
+        if isinstance(self.l, bool) or not isinstance(self.l, Integral):
             raise ValueError(f"l must be an integer, got l={self.l!r}")
         if self.l not in (self.k - 2, self.k - 1):
             raise ValueError(f"l must be k-2 or k-1, got l={self.l} with k={self.k}")

@@ -47,7 +47,7 @@ checked iterates, and has not been tried before, solve_p1 tries a face
 polish (polish_face, _polish): u moves to the nearest point of
 {Au = fp, B_Z u = -c_Z}; y takes the clipped value off Z, and (x, y_Z)
 moves to the nearest point of {A^T x + alpha B^T y = 0}. Each nearest
-point solves a quasi-definite KKT matrix through _factor_kkt. The
+point solves a quasi-definite KKT matrix through _solve_kkt. The
 candidate replaces the iterate only if its r1, r2 and r3, computed by
 the loop's own helpers, are all at most residual_tol; otherwise the
 loop goes on from the plain iterate. So converged still means that the
@@ -59,23 +59,22 @@ depend on which minimiser is returned.
 
 For p=2 the constrained minimization is one symmetric indefinite solve,
 K (u; lambda) = (0; f) with K = [[S2, A^T], [A, 0]] and S2 the
-quadratic stabilizer's matrix. Both saddle matrices share A and are
-factorized with the same symmetric SuperLU options (_factor_kkt); only
-H differs. The p=1 factors are float64. The p=2 solve (_mixed_solve)
-factorizes K in float32, which keeps the pivots and nearly the fill
-(disc, k=3, n=32: 18.07M against 18.09M L+U nonzeros) in about half the
-memory, and refines in float64, with float64 residuals, as LAPACK's
-dsgesv does. K is built in float32 only, stacked from the blocks S2 and
-A (_kkt_float32), and the float64 residuals come from the same blocks,
-rhs_u - S2 u - A^T lambda and rhs_lambda - A u, so this route holds no
-float64 copy of K. It refines while the sup-norm residual at least
-halves (at most 30 solves), not only until dsgesv's test
-||r|| <= ||z|| ||K|| eps sqrt(n) passes, because the study's error
-norms move with the roundoff of the solve (solve_p2). A solution that
-fails that test, or a float32 factorization that fails, falls back to
-float64 factors of a float64 K built only then, refined by the same
-rule (_refine) with r = rhs - K z; solve_p2 warns if that solution
-fails the test too.
+quadratic stabilizer's matrix. Every saddle matrix here, the p=2 K, the
+p=1 K0 and the polish matrices, is stacked from its blocks by _kkt and
+factorized with the same symmetric SuperLU options (_factor_symmetric).
+The p=1 factors of K0 are float64. The p=2 solve and the polish refine
+their solutions through _solve_kkt: K is built and factorized in one
+dtype and refined in float64, with float64 residuals taken from the
+blocks, (rhs_u - H u - A^T lambda, rhs_lambda - A u - D lambda), so no
+float64 K is held while refining. _refine refines while the sup-norm
+residual at least halves, or while it is above dsgesv's bound
+||z|| ||K|| eps sqrt(n) and below the first solve's residual, for at
+most 30 solves. solve_p2 first factorizes K in float32, as LAPACK's
+dsgesv does, which keeps the pivots and nearly the fill (disc, k=3,
+n=32: 18.07M against 18.09M L+U nonzeros) in about half the memory; a
+solution that fails dsgesv's bound, or a float32 factorization that
+fails, falls back to float64 factors by the same path, and solve_p2
+warns if that solution fails the bound too.
 
 Boundary vb data g shifts the jump vector by c = Bb g and the
 constraint right side by -Cb g in both paths. Shifting the prox
@@ -98,13 +97,12 @@ from .prox import prox_phi_weighted_l1
 
 # Face polish (module docstring): the clip pattern must hold still for
 # _POLISH_WINDOW checked iterates; each projection regularizes its KKT
-# matrix by _POLISH_DELTA and refines its solution _POLISH_REFINE times.
+# matrix by _POLISH_DELTA.
 _POLISH_WINDOW = 200
 _POLISH_DELTA = 1e-12
-_POLISH_REFINE = 2
-# The p=2 solve refines its solution at most _MIXED_MAX_STEPS times,
-# as LAPACK's dsgesv does (_refine).
-_MIXED_MAX_STEPS = 30
+# Every refined saddle solve takes at most _REFINE_MAX_SOLVES solves with
+# its factors, as LAPACK's dsgesv does (_refine).
+_REFINE_MAX_SOLVES = 30
 
 __all__ = [
     "SolverConfig",
@@ -133,7 +131,11 @@ class SolverConfig:
         for name in ("alpha", "residual_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
+        if (
+            isinstance(self.max_iters, bool)
+            or not isinstance(self.max_iters, Integral)
+            or self.max_iters < 1
+        ):
             raise ValueError(
                 f"max_iters must be an integer of at least 1, got {self.max_iters!r}"
             )
@@ -159,7 +161,7 @@ class SMatrix:
     """The iteration matrix S and the factorization that solves with it.
 
     S is the full (y, u, x) matrix. lu factorizes its (u, x) block K0
-    only (see _factor_kkt), and BA = [B; A] in CSR form gives
+    only (see _kkt), and BA = [B; A] in CSR form gives
     y = b1 + Bu and the constraint residual from u.
     """
 
@@ -196,36 +198,47 @@ def make_prox(method, k, alpha):
     return lambda q: prox_phi_weighted_l1(q, alpha, k)
 
 
-def _factor_kkt(H, A, failure, D=None):
-    """Build and factorize the symmetric saddle matrix K = [[H, A^T], [A, D]].
+def _kkt(H, A, D=None, dtype=np.float64):
+    """The symmetric saddle matrix K = [[H, A^T], [A, D]] in dtype, as
+    canonical CSC (sorted indices), stacked from the blocks.
 
-    Both schemes solve with such a K: p=2 with H = S2, every p=1 step
-    with H = alpha B^T B, both with D = 0 (None); the p=1 face polish
-    with H = I and D = -delta I (_project). SuperLU runs in
-    symmetric mode: minimum degree ordering on the pattern of K + K^T
-    (MMD_AT_PLUS_A), applied to rows and columns alike, and a diagonal
-    pivot threshold of 0, so a pivot leaves the diagonal only where the
-    diagonal entry is exactly zero. The zero block of K fills in before
-    its pivots are reached, so on the built-in cases every pivot stays
-    on the diagonal. A positive threshold would let a pivot leave the
-    diagonal wherever the diagonal entry is small against its column,
-    which undoes the ordering: on the p=2 K of var, k=2, n=24 that moves
-    235 pivots and grows the factors from 3.2M to 5.2M L+U nonzeros.
-
-    The factors are float64. solve_p2 factorizes its K in float32 first,
-    stacked from the blocks (_kkt_float32, _mixed_solve), and calls
-    this function only if that route fails.
-
-    Returns (K, lu) with K in CSC form. A singular K raises RuntimeError
-    with the message failure.
+    Both schemes solve with such a K: p=2 with H = S2 (solve_p2), the
+    p=1 steps with H = alpha B^T B (assemble_S), both with D = 0 (None);
+    the p=1 face polish with H = I and D = -delta I (_project). Each
+    block is cast to dtype before stacking, so K exists in dtype only.
+    The columns of [H; A] come first, then those of [A^T; D]; with
+    D = 0 the CSC arrays of [A^T; 0] are the CSR arrays of A. The result
+    equals sp.bmat([[H, A.T], [A, D]]).astype(dtype) in data, indices
+    and indptr.
     """
-    K = sp.bmat([[H, A.T], [A, D]], format="csc")
-    return K, _factor_symmetric(K, failure)
+    A = A.tocsr().astype(dtype, copy=False)
+    N, m = H.shape[0], A.shape[0]
+    left = sp.vstack([H.astype(dtype, copy=False).tocsc(), A.tocsc()], format="csc")
+    if D is None:
+        right = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(N + m, m))
+    else:
+        right = sp.vstack([A.T, D.astype(dtype, copy=False)], format="csc")
+    K = sp.hstack([left, right], format="csc")
+    K.sort_indices()
+    return K
 
 
 def _factor_symmetric(K, failure):
-    """SuperLU factors of K in its own precision, with _factor_kkt's
-    symmetric options; a singular K raises RuntimeError(failure)."""
+    """SuperLU factors of the saddle matrix K (_kkt) in K's own precision.
+
+    SuperLU runs in symmetric mode: minimum degree ordering on the
+    pattern of K + K^T (MMD_AT_PLUS_A), applied to rows and columns
+    alike, and a diagonal pivot threshold of 0, so a pivot leaves the
+    diagonal only where the diagonal entry is exactly zero. The zero
+    block of K fills in before its pivots are reached, so on the
+    built-in cases every pivot stays on the diagonal. A positive
+    threshold would let a pivot leave the diagonal wherever the diagonal
+    entry is small against its column, which undoes the ordering: on
+    the p=2 K of var, k=2, n=24 that moves 235 pivots and grows the
+    factors from 3.2M to 5.2M L+U nonzeros.
+
+    A singular K raises RuntimeError with the message failure.
+    """
     try:
         return splu(
             K,
@@ -237,12 +250,15 @@ def _factor_symmetric(K, failure):
         raise RuntimeError(failure) from exc
 
 
-def _kkt_norm(S2, A):
-    """||K||_inf of K = [[S2, A^T], [A, 0]] from the blocks: the row sums
-    of |S2| + |A^T| on the u rows and of |A| on the lambda rows."""
+def _kkt_norm(H, A, D=None):
+    """||K||_inf of K = [[H, A^T], [A, D]] from the blocks: the row sums
+    of |H| + |A^T| on the u rows and of |A| + |D| on the lambda rows."""
     absA = abs(A)
-    u_rows = abs(S2) @ np.ones(S2.shape[1]) + absA.T @ np.ones(A.shape[0])
-    return max(u_rows.max(), (absA @ np.ones(A.shape[1])).max())
+    u_rows = abs(H) @ np.ones(H.shape[1]) + absA.T @ np.ones(A.shape[0])
+    lam_rows = absA @ np.ones(A.shape[1])
+    if D is not None:
+        lam_rows += abs(D) @ np.ones(D.shape[1])
+    return max(u_rows.max(), lam_rows.max())
 
 
 def _dsgesv_bound(z, knorm):
@@ -250,72 +266,57 @@ def _dsgesv_bound(z, knorm):
     return np.abs(z).max() * knorm * np.finfo(np.float64).eps * math.sqrt(len(z))
 
 
-def _kkt_float32(S2, A):
-    """K = [[S2, A^T], [A, 0]] in float32 CSC, stacked from the blocks
-    without a float64 copy of K.
+def _solve_kkt(H, A, rhs, dtype, failure, D=None):
+    """Solve K z = rhs, K = [[H, A^T], [A, D]], from factors of K in
+    dtype refined in float64 (_refine).
 
-    The columns of [S2; A] come first, then those of [A^T; 0], whose CSC
-    arrays are the CSR arrays of A. The result equals
-    _factor_kkt's K cast to float32, index arrays included.
+    ||K||_inf comes from the blocks (_kkt_norm) before K is built. K is
+    built in dtype only (_kkt) and dropped once factorized; the float64
+    residual comes from the blocks, (rhs_u - H u - A^T lam,
+    rhs_lam - A u - D lam). A singular K raises RuntimeError(failure);
+    the factors are freed when this call returns.
+
+    Returns (z, residual, bound): the best z, the sup-norm of its
+    residual, and its dsgesv bound _dsgesv_bound(z, ||K||_inf).
     """
-    A32 = A.tocsr().astype(np.float32)
-    left = sp.vstack([S2.astype(np.float32).tocsc(), A32.tocsc()], format="csc")
-    right = sp.csc_matrix(
-        (A32.data, A32.indices, A32.indptr), shape=(left.shape[0], A.shape[0])
-    )
-    return sp.hstack([left, right], format="csc")
-
-
-def _mixed_solve(S2, A, rhs, knorm):
-    """Solve K z = rhs, K = [[S2, A^T], [A, 0]], with float32 factors
-    refined in float64, as LAPACK's dsgesv does; None when the float32
-    route fails.
-
-    K is built in float32 only (_kkt_float32) and factorized with
-    _factor_kkt's options; the float64 residuals of the refinement
-    (_refine) come from the blocks, rhs_u - S2 u - A^T lam and
-    rhs_lam - A u. The best z is accepted if its residual is at most
-    _dsgesv_bound(z, knorm), knorm = ||K||_inf (_kkt_norm). A singular
-    float32 factorization or a residual above that bound returns None;
-    the float32 factors are freed with this call's frame, before the
-    caller factorizes in float64.
-
-    Returns (z, residual) with residual the sup-norm of K z - rhs.
-    """
-    try:
-        lu = _factor_symmetric(_kkt_float32(S2, A), "")
-    except RuntimeError:
-        return None
-    N, AT = S2.shape[0], A.T
+    knorm = _kkt_norm(H, A, D)
+    lu = _factor_symmetric(_kkt(H, A, D, dtype), failure)
+    N, AT = H.shape[0], A.T
 
     def residual(z):
         u, lam = z[:N], z[N:]
-        return np.concatenate([rhs[:N] - S2 @ u - AT @ lam, rhs[N:] - A @ u])
+        r_lam = rhs[N:] - A @ u
+        if D is not None:
+            r_lam -= D @ lam
+        return np.concatenate([rhs[:N] - H @ u - AT @ lam, r_lam])
 
-    z, res = _refine(residual, rhs, lu, np.float32)
-    return (z, res) if res <= _dsgesv_bound(z, knorm) else None
+    z, res = _refine(residual, rhs, lu, dtype, knorm)
+    return z, res, _dsgesv_bound(z, knorm)
 
 
-def _refine(residual, rhs, lu, dtype):
+def _refine(residual, rhs, lu, dtype, knorm):
     """Iterative refinement of K z = rhs with the factors lu of K in dtype.
 
     residual(z) gives rhs - K z in float64. z = lu.solve(rhs), then
     z += lu.solve(r) with r = residual(z) while the sup-norm of r at
-    least halves, for at most _MIXED_MAX_STEPS solves in all. The first
-    solve is the first best iterate, so z = 0 is never returned. Returns
-    the best (z, sup-norm of its residual).
+    least halves, or while it is still above dsgesv's bound
+    _dsgesv_bound(z, knorm) and below the first solve's, for at most
+    _REFINE_MAX_SOLVES solves in all, as LAPACK's dsgesv keeps refining
+    while its test fails. The first solve is the first best iterate, so
+    z = 0 is never returned. Returns the best (z, sup-norm of its
+    residual).
     """
     z = lu.solve(rhs.astype(dtype, copy=False)).astype(np.float64, copy=False)
     r = residual(z)
-    best = last = np.abs(r).max()
+    best = last = first = np.abs(r).max()
     best_z = z
-    for _ in range(_MIXED_MAX_STEPS - 1):
+    for _ in range(_REFINE_MAX_SOLVES - 1):
         z = z + lu.solve(r.astype(dtype, copy=False))
         r = residual(z)
         res = np.abs(r).max()
         if res < best:
             best, best_z = res, z
-        if not res <= 0.5 * last:
+        if not (res <= 0.5 * last or _dsgesv_bound(z, knorm) < res < first):
             break
         last = res
     return best_z, best
@@ -326,9 +327,8 @@ def assemble_S(A, B, alpha):
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
     nB, N = B.shape
-    K0, lu = _factor_kkt(
-        alpha * (B.T @ B), A, "factorization of S failed; A may be rank-deficient"
-    )
+    K0 = _kkt(alpha * (B.T @ B), A)
+    lu = _factor_symmetric(K0, "factorization of S failed; A may be rank-deficient")
     top = sp.hstack([-B, sp.csr_matrix((nB, A.shape[0]))])
     S = sp.bmat([[sp.eye(nB), top], [None, K0]], format="csc")
     return SMatrix(S=S, lu=lu, nB=nB, N=N, BA=sp.vstack([B, A], format="csr"))
@@ -466,21 +466,13 @@ def _project(C, r, w):
     """Nearest point to w on {C w' = r}, w + C^T (C C^T + delta I)^{-1} (r - C w).
 
     C may have dependent rows, so the correction solves the quasi-definite
-    [[I, C^T], [C, -delta I]], which is never singular, and refines the
-    solution _POLISH_REFINE times with the same factors.
+    [[I, C^T], [C, -delta I]], which is never singular, through _solve_kkt.
     """
     n = C.shape[1]
-    K, lu = _factor_kkt(
-        sp.identity(n),
-        C,
-        "face polish projection is singular",
-        -_POLISH_DELTA * sp.identity(C.shape[0]),
-    )
     rhs = np.concatenate([np.zeros(n), r - C @ w])
-    z = lu.solve(rhs)
-    for _ in range(_POLISH_REFINE):
-        z += lu.solve(rhs - K @ z)
-    return w + z[:n]
+    D = -_POLISH_DELTA * sp.identity(C.shape[0])
+    failure = "face polish projection is singular"
+    return w + _solve_kkt(sp.identity(n), C, rhs, np.float64, failure, D)[0][:n]
 
 
 def _check_boundary_data(system, g):
@@ -607,20 +599,21 @@ def solve_p1(system, bmat, k, cfg, g=None):
 def solve_p2(system, s2uu, s2ub=None, g=None):
     """Direct solve of the p=2 Euler-Lagrange saddle system.
 
-    K = [[S2, A^T], [A, 0]]. _mixed_solve builds K in float32 from the
-    blocks, factorizes it and refines the solution until the sup-norm
-    of the float64 residual, taken from S2 and A, stops halving,
-    keeping the best iterate; it is accepted if its residual passes
-    dsgesv's test, with ||K|| from the blocks (_kkt_norm). Otherwise, or
-    if the float32 factorization fails, the float32 factors are freed,
-    K is built and factorized in float64 (_factor_kkt), and its solution is refined by the same rule with r = rhs - K z.
-    Every k=4 and k=5 level measured (n=1, 2) takes that route: on
-    const, k=5, n=1 (cond(K) 3.1e9) one refinement step leaves a
-    residual of 1.5e-2, refining until it stops halving 2.6e-11. A
-    float64 solution whose residual still fails dsgesv's test is
-    returned with a RuntimeWarning that names the residual and the
-    bound (const, k=5: 2.6e-11 against 1.6e-11 at n=1, 1.3e-7 against
-    1.7e-12 at n=2).
+    K = [[S2, A^T], [A, 0]]. _solve_kkt builds K in float32 from the
+    blocks, factorizes it and refines the solution with the float64
+    residual taken from S2 and A, by _refine's rule, keeping the best
+    iterate; it is accepted if its residual passes dsgesv's test, with
+    ||K|| from the blocks (_kkt_norm). Otherwise, or if the float32
+    factorization fails, the float32 factors are freed and the same
+    path runs in float64. var, k=3, n=1 is accepted in float32 after 23
+    solves; at n=2, 4 and 8 the float32 refinement diverges and gives up
+    after 2-4 solves. Every k=4 and k=5 level measured (n=1, 2) takes
+    the float64 route: on const, k=5, n=1 (cond(K) 3.1e9) one
+    refinement step leaves a residual of 1.5e-2, and refining on while
+    the residual is above dsgesv's bound reaches 4.0e-12 (bound
+    1.6e-11). A float64 solution whose residual still fails dsgesv's
+    test is returned with a RuntimeWarning that names the residual and
+    the bound.
 
     Refining past dsgesv's stop matters because the error norms of a
     study are differences of near-equal numbers and move with the
@@ -644,30 +637,28 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
         _check_boundary_data(system, g)
         if s2ub is None:
             raise ValueError("s2ub is required with boundary data g")
-    A, fvec = system.A, system.fvec
+    A = system.A
     N = A.shape[1]
-    M = A.shape[0]
-    rhs = np.zeros(N + M)
-    rhs[N:] = fvec
+    rhs = np.concatenate([np.zeros(N), system.fvec])
     if g is not None:
         rhs[:N] -= s2ub @ g
         rhs[N:] -= system.Cb @ g
-    knorm = _kkt_norm(s2uu, A)  # before the factors take memory
-    solved = _mixed_solve(s2uu, A, rhs, knorm)
-    if solved is not None:
-        z, residual = solved
+    failure = "saddle system is singular; the mesh may be too coarse"
+    for dtype in (np.float32, np.float64):
+        try:
+            z, residual, bound = _solve_kkt(s2uu, A, rhs, dtype, failure)
+        except RuntimeError:
+            if dtype is np.float64:
+                raise
+            continue
+        if residual <= bound:
+            break
     else:
-        K, lu = _factor_kkt(
-            s2uu, A, "saddle system is singular; the mesh may be too coarse"
+        warnings.warn(
+            f"p=2 saddle residual {residual:.3g} is above dsgesv's bound "
+            f"||z|| ||K|| eps sqrt(n) = {bound:.3g}; K may be too "
+            "ill-conditioned for the refined float64 solve",
+            RuntimeWarning,
+            stacklevel=2,
         )
-        z, residual = _refine(lambda z: rhs - K @ z, rhs, lu, np.float64)
-        bound = _dsgesv_bound(z, knorm)
-        if not residual <= bound:
-            warnings.warn(
-                f"p=2 saddle residual {residual:.3g} is above dsgesv's bound "
-                f"||z|| ||K|| eps sqrt(n) = {bound:.3g}; K may be too "
-                "ill-conditioned for the refined float64 solve",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     return z[:N], z[N:], residual

@@ -155,6 +155,14 @@ def test_rates_divide_by_the_log_of_the_mesh_ratio():
         check_study("const", 2, [2, 4, 2])
 
 
+def test_check_study_rejects_bool_p_and_n():
+    # bool is an Integral subclass: True would pass as p=1 or n=1
+    with pytest.raises(ValueError, match="no solver for p=True"):
+        check_study("const", True, [2, 4])
+    with pytest.raises(ValueError, match="n=True"):
+        check_study("const", 1, [True, 2])
+
+
 def test_rate_columns_use_the_mesh_sizes():
     table = run_study(builtin_case("const"), 2, [4, 12])
     e = table.column("e_L")

@@ -44,6 +44,11 @@ def test_space_config_defaults_and_validation():
         SpaceConfig(k=2.5)
     with pytest.raises(ValueError, match="l must be an integer"):
         SpaceConfig(k=3, l=1.0)
+    # bool is an Integral subclass, not a degree
+    with pytest.raises(ValueError, match="k must be an integer"):
+        SpaceConfig(k=True)
+    with pytest.raises(ValueError, match="l must be an integer"):
+        SpaceConfig(k=2, l=True)
     assert SpaceConfig(k=np.int64(3), l=np.int64(1)).l == 1
 
 

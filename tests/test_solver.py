@@ -55,6 +55,7 @@ def test_solver_config_validation():
         {"residual_tol": np.inf},
         {"max_iters": 0},
         {"max_iters": 2.5},
+        {"max_iters": True},
         {"prox_method": "newton"},
         {"prox_method": "exact"},
         {"prox_method": "oracle"},
@@ -533,10 +534,11 @@ def _assert_blockwise_residual(res, K, rhs, suu, A, u, lam):
     assert np.abs(K @ z - rhs).max() <= bound
 
 
-@pytest.mark.parametrize("case, k", [("const", 2), ("disc", 3)])
+@pytest.mark.parametrize("case, k", [("const", 2), ("disc", 3), ("const", 4)])
 def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
-    # both saddle factorizations keep the symmetric ordering: a pivot
-    # off the diagonal would show as perm_r != perm_c
+    # every saddle factorization keeps the symmetric ordering: a pivot
+    # off the diagonal would show as perm_r != perm_c. const, k=4 refuses
+    # the float32 route and refactorizes K in float64
     field = builtin_case(case).field
     disc = Discretization(build_uniform(2), SpaceConfig(k=k))
     system = assemble_A(disc, field)
@@ -549,12 +551,13 @@ def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
 
     monkeypatch.setattr(pdwg.solver, "splu", recording_splu)
     solve_p2(system, assemble_S2(disc)[0])
-    assert len(factors) == 1
-    for lu in (p1, factors[0]):
+    for lu in (p1, *factors):
         assert np.array_equal(lu.perm_r, lu.perm_c)
-    # p=1 keeps float64 factors; p=2 factorizes in float32 and refines
+    # p=1 keeps float64 factors; p=2 factorizes in float32 and refines,
+    # and falls back to float64 factors only where float32 fails
     assert p1.U.dtype == np.float64
-    assert factors[0].U.dtype == np.float32
+    want = [np.float32, np.float64] if k == 4 else [np.float32]
+    assert [lu.U.dtype for lu in factors] == want
 
 
 def _p2_saddle(case, k, n=2):
@@ -566,6 +569,17 @@ def _p2_saddle(case, k, n=2):
     A = system.A
     K = sp.bmat([[suu, A.T], [A, None]], format="csc")
     return K, np.concatenate([np.zeros(A.shape[1]), system.fvec]), system, suu
+
+
+class Stalled:
+    """Factors whose solves after the first make no progress."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b) if self.solves == 1 else np.zeros_like(b)
 
 
 @pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
@@ -592,32 +606,40 @@ def test_solve_p2_refined_float32_solve_meets_dsgesv_bound(case, k, monkeypatch)
 def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
     # a float32 factorization that fails, or whose refinement stalls,
     # is freed before K is factorized in float64; the result is then
-    # the float64 path's bit for bit: its solution refined while the
-    # sup-norm residual at least halves, keeping the best iterate
+    # the float64 path's bit for bit: its solution refined with the
+    # blockwise residual while the sup-norm residual at least halves, or
+    # is above dsgesv's bound and below the first solve's, keeping the
+    # best iterate
     K, rhs, system, suu = _p2_saddle("disc", 3)
+    A, N = system.A, system.A.shape[1]
+    # solve_p2 takes ||K|| from abs(S2), which sums duplicates and so
+    # sorts S2's indices in place before the refinement; the replay's
+    # products with S2 use the same order
+    suu.sort_indices()
     lu64 = splu(
         K,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+
+    def residual(z):
+        return np.concatenate([rhs[:N] - suu @ z[:N] - A.T @ z[N:], rhs[N:] - A @ z[:N]])
+
+    knorm = abs(K).sum(axis=1).max()
+    eps = np.finfo(np.float64).eps
     z = lu64.solve(rhs)
-    iterates = [(np.abs(rhs - K @ z).max(), z)]
+    r = residual(z)
+    iterates = [(np.abs(r).max(), z)]
     while len(iterates) < 30:
-        z = z + lu64.solve(rhs - K @ z)
-        iterates.append((np.abs(rhs - K @ z).max(), z))
-        if not iterates[-1][0] <= 0.5 * iterates[-2][0]:
+        z = z + lu64.solve(r)
+        r = residual(z)
+        res = np.abs(r).max()
+        iterates.append((res, z))
+        bound = np.abs(z).max() * knorm * eps * np.sqrt(len(z))
+        if not (res <= 0.5 * iterates[-2][0] or bound < res < iterates[0][0]):
             break
-    want = min(iterates, key=lambda it: it[0])[1]
-
-    class Stalled:
-        """float32 factors whose solves make no progress"""
-
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, b):
-            return np.zeros_like(b)
+    want_res, want = min(iterates, key=lambda it: it[0])
 
     dtypes, float32_factors = [], []
 
@@ -636,33 +658,40 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
     u, lam, res = solve_p2(system, suu)
     assert dtypes == [np.float32, np.float64]
     assert len(float32_factors) == (failure == "stalled")
-    z = np.concatenate([u, lam])
-    assert np.array_equal(z, want)
-    assert res == np.abs(K @ want - rhs).max()
+    assert np.array_equal(np.concatenate([u, lam]), want)
+    assert res == want_res
 
 
 @pytest.mark.parametrize("k, n, bound", [(4, 2, 1e-13), (5, 1, 1e-8)])
 def test_solve_p2_float64_route_refines_ill_conditioned_k(k, n, bound, monkeypatch):
-    # the float64 route, forced here (cond(K) 6.4e6 and 3.1e9); one
-    # refinement step of the float64 solution left residuals of 8.8e-8
-    # and 1.5e-2. At k=5 the refinement stops above dsgesv's bound and
-    # warns (test_solve_p2_float64_route_warns_above_dsgesv_bound).
+    # the float64 route, forced here by a float32 factorization that
+    # fails (cond(K) 6.4e6 and 3.1e9); one refinement step of the float64
+    # solution left residuals of 8.8e-8 and 1.5e-2. Refining on while the
+    # residual is above dsgesv's bound ends within it at k=5 too (4.0e-12
+    # against 1.6e-11), so neither level warns. Its residual comes from
+    # the blocks, as on the float32 route, bit for bit.
     K, rhs, system, suu = _p2_saddle("const", k, n)
-    monkeypatch.setattr(pdwg.solver, "_mixed_solve", lambda S2, A, rhs, knorm: None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+
+    def float64_only_splu(A, **kwargs):
+        if A.dtype == np.float32:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(pdwg.solver, "splu", float64_only_splu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         u, lam, res = solve_p2(system, suu)
-    assert [w.category for w in caught] == [RuntimeWarning] * (k == 5)
-    assert res == np.abs(K @ np.concatenate([u, lam]) - rhs).max()
+    _assert_blockwise_residual(res, K, rhs, suu, system.A, u, lam)
     assert res <= bound
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_solve_p2_float64_route_warns_above_dsgesv_bound(n):
-    # const, k=5: the float64 refinement stops once the residual fails
-    # to halve, above ||z|| ||K|| eps sqrt(n) (2.57e-11 against 1.61e-11
-    # at n=1, 1.33e-7 against 1.72e-12 at n=2); the warning names both
+def test_solve_p2_float64_route_warns_above_dsgesv_bound(n, monkeypatch):
+    # const, k=5, with factors whose solves after the first make no
+    # progress (Stalled): the float64 solution keeps its first solve's
+    # residual, above ||z|| ||K|| eps sqrt(n); the warning names both
     K, rhs, system, suu = _p2_saddle("const", 5, n)
+    monkeypatch.setattr(pdwg.solver, "splu", lambda A, **kw: Stalled(splu(A, **kw)))
     with pytest.warns(RuntimeWarning, match="above dsgesv's bound") as caught:
         u, lam, res = solve_p2(system, suu)
     named = re.search(r"residual (\S+) is above .* = (\S+);", str(caught[0].message))
@@ -674,26 +703,47 @@ def test_solve_p2_float64_route_warns_above_dsgesv_bound(n):
     assert res > bound
 
 
-@pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3), ("const", 4)])
-def test_solve_p2_within_dsgesv_bound_raises_no_warning(case, k):
-    # var k=2 and disc k=3 pass on the float32 route, const k=4 on the
-    # float64 route
-    _, _, system, suu = _p2_saddle(case, k)
+@pytest.mark.parametrize(
+    "case, k, n",
+    [
+        pytest.param("var", 2, 2, id="var-2"),
+        pytest.param("disc", 3, 2, id="disc-3"),
+        pytest.param("const", 4, 2, id="const-4"),
+        pytest.param("const", 5, 1, id="const-5-n1"),
+        pytest.param("const", 5, 2, id="const-5-n2"),
+    ],
+)
+def test_solve_p2_within_dsgesv_bound_raises_no_warning(case, k, n):
+    # var k=2 and disc k=3 pass on the float32 route, const k=4 and k=5
+    # on the float64 route (cond(K) up to 3.1e9 at k=5, n=1)
+    _, _, system, suu = _p2_saddle(case, k, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solve_p2(system, suu)
 
 
-@pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
-def test_float32_kkt_from_blocks_equals_cast_of_float64_k(case, k):
-    # the float32 K stacked from the blocks is the float64 K cast to
-    # float32, index arrays included, so SuperLU sees the same matrix
-    K, _, system, suu = _p2_saddle(case, k)
-    K32 = pdwg.solver._kkt_float32(suu, system.A)
-    cast = K.astype(np.float32)
-    assert K32.format == "csc" and K32.dtype == np.float32
+@pytest.mark.parametrize("matrix", ["p2-float32", "p2-float64", "p1-K0", "polish"])
+def test_kkt_from_blocks_equals_bmat(matrix):
+    # every saddle matrix is stacked from its blocks by _kkt, equal to
+    # sp.bmat's K cast to the dtype, index arrays included, so SuperLU
+    # sees the same matrix: the p=2 K in both precisions, the p=1 step
+    # matrix K0 and a face polish matrix [[I, C^T], [C, -delta I]]
+    disc = Discretization(build_uniform(2), SpaceConfig(k=3))
+    A = assemble_A(disc, builtin_case("disc").field).A
+    B = assemble_B(disc, 1).B
+    D, dtype = None, np.float32 if matrix == "p2-float32" else np.float64
+    if matrix.startswith("p2"):
+        H = assemble_S2(disc)[0]
+    elif matrix == "p1-K0":
+        H = 16.0 * (B.T @ B)
+    else:
+        A = sp.vstack([A, B[::3]], format="csr")
+        H, D = sp.identity(A.shape[1]), -1e-12 * sp.identity(A.shape[0])
+    K = pdwg.solver._kkt(H, A, D, dtype)
+    want = sp.bmat([[H, A.T], [A, D]], format="csc").astype(dtype)
+    assert K.format == "csc" and K.dtype == dtype and K.has_sorted_indices
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(K32, name), getattr(cast, name))
+        assert np.array_equal(getattr(K, name), getattr(want, name))
 
 
 def test_solve_p2_builds_no_float64_copy_of_k():
