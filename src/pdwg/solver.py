@@ -59,22 +59,27 @@ depend on which minimiser is returned.
 
 For p=2 the constrained minimization is one symmetric indefinite solve,
 K (u; lambda) = (0; f) with K = [[S2, A^T], [A, 0]] and S2 the
-quadratic stabilizer's matrix. Every saddle matrix here, the p=2 K, the
-p=1 K0 and the polish matrices, is stacked from its blocks by _kkt and
-factorized with the same symmetric SuperLU options (_factor_symmetric).
-The p=1 factors of K0 are float64. The p=2 solve and the polish refine
-their solutions through _solve_kkt: K is built and factorized in one
-dtype and refined in float64, with float64 residuals taken from the
-blocks, (rhs_u - H u - A^T lambda, rhs_lambda - A u - D lambda), so no
+quadratic stabilizer's matrix. Its solution is also the saddle point of
+the augmented Lagrangian, which adds gamma-weighted |Au - f|^2, so
+solve_p2 factorizes the SPD block H = S2 + A^T W A once, in float32
+(_solve_augmented), and refines the original system in float64: a
+residual (r_u, r_lambda) gives the correction du = H^-1 (r_u + A^T W
+r_lambda), dlambda = W (A du - r_lambda). H has about half the L+U
+nonzeros of K (disc, k=3, n=32: 9.6M against 18.1M). The p=2 float64
+fallback, the p=1 K0 and the polish matrices are saddle matrices,
+stacked from their blocks by _kkt; every matrix here is factorized with
+the same symmetric SuperLU options (_factor_symmetric). The p=1 factors
+of K0 are float64. The p=2 fallback and the polish refine their
+solutions from float64 factors of K through _solve_kkt, with float64
+residuals taken from the blocks, (rhs_u - H u - A^T lambda,
+rhs_lambda - A u - D lambda), as the augmented route does, so no
 float64 K is held while refining. _refine refines while the sup-norm
-residual at least halves, or while it is above dsgesv's bound
-||z|| ||K|| eps sqrt(n) and below the first solve's residual, for at
-most 30 solves. solve_p2 first factorizes K in float32, as LAPACK's
-dsgesv does, which keeps the pivots and nearly the fill (disc, k=3,
-n=32: 18.07M against 18.09M L+U nonzeros) in about half the memory; a
-solution that fails dsgesv's bound, or a float32 factorization that
-fails, falls back to float64 factors by the same path, and solve_p2
-warns if that solution fails the bound too.
+residual or the sup-norm correction at least halves, or while the
+residual is above dsgesv's bound ||z|| ||K|| eps sqrt(n) and below the
+first solve's, for at most 30 solves. A solution of the augmented route
+that fails dsgesv's bound, or a float32 factorization of H that fails,
+falls back to float64 factors of K, and solve_p2 warns if that solution
+fails the bound too.
 
 Boundary vb data g shifts the jump vector by c = Bb g and the
 constraint right side by -Cb g in both paths. Shifting the prox
@@ -103,6 +108,13 @@ _POLISH_DELTA = 1e-12
 # Every refined saddle solve takes at most _REFINE_MAX_SOLVES solves with
 # its factors, as LAPACK's dsgesv does (_refine).
 _REFINE_MAX_SOLVES = 30
+# Weight gamma of the augmented term of the p=2 correction
+# (_augmented_weights). On disc, k=3, n=32 the refined u came within
+# 1e-12 relative of the float64 solve's by about the 16th solve with
+# gamma = 100, but was still 7e-8 away after 24 solves with gamma = 10
+# (slower contraction) and 1e-11 with gamma = 1000 (a less accurate
+# float32 H).
+_AUGMENT_GAMMA = 100.0
 
 __all__ = [
     "SolverConfig",
@@ -198,44 +210,90 @@ def make_prox(method, k, alpha):
     return lambda q: prox_phi_weighted_l1(q, alpha, k)
 
 
-def _kkt(H, A, D=None, dtype=np.float64):
-    """The symmetric saddle matrix K = [[H, A^T], [A, D]] in dtype, as
-    canonical CSC (sorted indices), stacked from the blocks.
+def _kkt(H, A, D=None):
+    """The symmetric saddle matrix K = [[H, A^T], [A, D]] as canonical CSC
+    (sorted indices), stacked from the blocks.
 
-    Both schemes solve with such a K: p=2 with H = S2 (solve_p2), the
-    p=1 steps with H = alpha B^T B (assemble_S), both with D = 0 (None);
-    the p=1 face polish with H = I and D = -delta I (_project). Each
-    block is cast to dtype before stacking, so K exists in dtype only.
-    The columns of [H; A] come first, then those of [A^T; D]; with
-    D = 0 the CSC arrays of [A^T; 0] are the CSR arrays of A. The result
-    equals sp.bmat([[H, A.T], [A, D]]).astype(dtype) in data, indices
-    and indptr.
+    The p=2 float64 fallback (solve_p2) takes H = S2, the p=1 steps
+    H = alpha B^T B (assemble_S), both with D = 0 (None); the p=1 face
+    polish takes H = I and D = -delta I (_project). The columns of
+    [H; A] come first, then those of [A^T; D]; with D = 0 the CSC arrays
+    of [A^T; 0] are the CSR arrays of A. The result equals
+    sp.bmat([[H, A.T], [A, D]]) in data, indices and indptr.
     """
-    A = A.tocsr().astype(dtype, copy=False)
+    A = A.tocsr()
     N, m = H.shape[0], A.shape[0]
-    left = sp.vstack([H.astype(dtype, copy=False).tocsc(), A.tocsc()], format="csc")
+    left = sp.vstack([H.tocsc(), A.tocsc()], format="csc")
     if D is None:
         right = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(N + m, m))
     else:
-        right = sp.vstack([A.T, D.astype(dtype, copy=False)], format="csc")
+        right = sp.vstack([A.T, D], format="csc")
     K = sp.hstack([left, right], format="csc")
     K.sort_indices()
     return K
 
 
+def _augmented_weights(S2, A):
+    """The weights w = gamma / diag(A diag(S2)^-1 A^T) of the augmented
+    block H = S2 + A^T diag(w) A (_solve_augmented), gamma =
+    _AUGMENT_GAMMA.
+
+    diag(A diag(S2)^-1 A^T) is the diagonal of the Schur complement
+    A S2^-1 A^T with S2 replaced by its diagonal, so w scales every
+    constraint row to about gamma times its own stiffness. A column
+    whose S2 diagonal is zero adds nothing to the sums, and a row whose
+    sum is zero (a zero row of A) gets the weight 0, so no weight is
+    inf or NaN.
+    """
+    d = S2.diagonal()
+    dinv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    s = sp.csr_matrix((A.data**2, A.indices, A.indptr), shape=A.shape) @ dinv
+    return np.divide(_AUGMENT_GAMMA, s, out=np.zeros_like(s), where=s > 0)
+
+
+def _augmented(S2, A, w):
+    """H = S2 + A^T diag(w) A in float32 as canonical CSC, from one sparse
+    product.
+
+    With G = diag(sqrt(w)) A in float32, H = [G^T, I] [G; S2]: the product
+    sums G^T G and S2 in one pass, so no float64 H is built, and no
+    second float32 matrix of H's size as G^T G + S2 would hold. S2
+    cannot be added into G^T G in place: for k=2 its pattern is not
+    inside A^T A's (A does not see v0). Entry (i, j) sums the same
+    products in the same order as entry (j, i), and S2 is symmetric, so
+    H is exactly symmetric and its CSR arrays are its CSC arrays.
+    """
+    sqrt_w = np.repeat(np.sqrt(w), np.diff(A.indptr))
+    G = sp.csr_matrix(
+        ((A.data * sqrt_w).astype(np.float32), A.indices, A.indptr), shape=A.shape
+    )
+    S2f = sp.csr_matrix(
+        (S2.data.astype(np.float32), S2.indices, S2.indptr), shape=S2.shape
+    )
+    eye = sp.identity(S2.shape[0], dtype=np.float32, format="csr")
+    left = sp.hstack([G.T.tocsr(), eye], format="csr")
+    right = sp.vstack([G, S2f], format="csr")
+    del sqrt_w, G, S2f  # only the two factors and H are held by the product
+    H = left @ right
+    H.sort_indices()
+    return H.T
+
+
 def _factor_symmetric(K, failure):
-    """SuperLU factors of the saddle matrix K (_kkt) in K's own precision.
+    """SuperLU factors of the symmetric or saddle matrix K in K's own
+    precision: the augmented block H (_augmented) or a saddle matrix
+    (_kkt).
 
     SuperLU runs in symmetric mode: minimum degree ordering on the
     pattern of K + K^T (MMD_AT_PLUS_A), applied to rows and columns
     alike, and a diagonal pivot threshold of 0, so a pivot leaves the
-    diagonal only where the diagonal entry is exactly zero. The zero
-    block of K fills in before its pivots are reached, so on the
-    built-in cases every pivot stays on the diagonal. A positive
-    threshold would let a pivot leave the diagonal wherever the diagonal
-    entry is small against its column, which undoes the ordering: on
-    the p=2 K of var, k=2, n=24 that moves 235 pivots and grows the
-    factors from 3.2M to 5.2M L+U nonzeros.
+    diagonal only where the diagonal entry is exactly zero. H is SPD,
+    and the zero block of a saddle matrix fills in before its pivots
+    are reached, so on the built-in cases every pivot stays on the
+    diagonal. A positive threshold would let a pivot leave the diagonal
+    wherever the diagonal entry is small against its column, which
+    undoes the ordering: on the p=2 K of var, k=2, n=24 that moves 235
+    pivots and grows the factors from 3.2M to 5.2M L+U nonzeros.
 
     A singular K raises RuntimeError with the message failure.
     """
@@ -266,21 +324,9 @@ def _dsgesv_bound(z, knorm):
     return np.abs(z).max() * knorm * np.finfo(np.float64).eps * math.sqrt(len(z))
 
 
-def _solve_kkt(H, A, rhs, dtype, failure, D=None):
-    """Solve K z = rhs, K = [[H, A^T], [A, D]], from factors of K in
-    dtype refined in float64 (_refine).
-
-    ||K||_inf comes from the blocks (_kkt_norm) before K is built. K is
-    built in dtype only (_kkt) and dropped once factorized; the float64
-    residual comes from the blocks, (rhs_u - H u - A^T lam,
-    rhs_lam - A u - D lam). A singular K raises RuntimeError(failure);
-    the factors are freed when this call returns.
-
-    Returns (z, residual, bound): the best z, the sup-norm of its
-    residual, and its dsgesv bound _dsgesv_bound(z, ||K||_inf).
-    """
-    knorm = _kkt_norm(H, A, D)
-    lu = _factor_symmetric(_kkt(H, A, D, dtype), failure)
+def _saddle_residual(H, A, rhs, D=None):
+    """rhs - K z in float64 for K = [[H, A^T], [A, D]], taken from the
+    blocks: (rhs_u - H u - A^T lam, rhs_lam - A u - D lam)."""
     N, AT = H.shape[0], A.T
 
     def residual(z):
@@ -290,35 +336,106 @@ def _solve_kkt(H, A, rhs, dtype, failure, D=None):
             r_lam -= D @ lam
         return np.concatenate([rhs[:N] - H @ u - AT @ lam, r_lam])
 
-    z, res = _refine(residual, rhs, lu, dtype, knorm)
+    return residual
+
+
+def _solve_kkt(H, A, rhs, failure, D=None):
+    """Solve K z = rhs, K = [[H, A^T], [A, D]], from float64 factors of K
+    refined in float64 (_refine).
+
+    ||K||_inf comes from the blocks (_kkt_norm) before K is built; K is
+    dropped once factorized and the residual comes from the blocks
+    (_saddle_residual). A singular K raises RuntimeError(failure); the
+    factors are freed when this call returns.
+
+    Returns (z, residual, bound): the best z, the sup-norm of its
+    residual, and its dsgesv bound _dsgesv_bound(z, ||K||_inf).
+    """
+    knorm = _kkt_norm(H, A, D)
+    lu = _factor_symmetric(_kkt(H, A, D), failure)
+    z, res = _refine(_saddle_residual(H, A, rhs, D), rhs, lu.solve, knorm)
     return z, res, _dsgesv_bound(z, knorm)
 
 
-def _refine(residual, rhs, lu, dtype, knorm):
-    """Iterative refinement of K z = rhs with the factors lu of K in dtype.
+def _solve_augmented(S2, A, rhs, failure):
+    """Solve the p=2 saddle system K z = rhs, K = [[S2, A^T], [A, 0]],
+    from float32 factors of the augmented block H = S2 + A^T W A,
+    refined in float64 (_refine).
 
-    residual(z) gives rhs - K z in float64. z = lu.solve(rhs), then
-    z += lu.solve(r) with r = residual(z) while the sup-norm of r at
-    least halves, or while it is still above dsgesv's bound
-    _dsgesv_bound(z, knorm) and below the first solve's, for at most
-    _REFINE_MAX_SOLVES solves in all, as LAPACK's dsgesv keeps refining
-    while its test fails. The first solve is the first best iterate, so
-    z = 0 is never returned. Returns the best (z, sup-norm of its
-    residual).
+    W = diag(w) (_augmented_weights). Adding A^T W (A u - rhs_lam) to
+    the first block row leaves the solution unchanged, and H is SPD
+    exactly when ker S2 and ker A meet only in 0, the condition under
+    which the p=2 solution is unique. For a residual r = (r_u, r_lam)
+    the correction solves [[S2, A^T], [A, -W^-1]] (du, dlam) = r:
+
+        du = H^-1 (r_u + A^T W r_lam),  dlam = W (A du - r_lam),
+
+    which differs from K only by -W^-1 in the multiplier block, so the
+    refinement converges like the augmented Lagrangian (Uzawa)
+    iteration: its error contracts by a factor that falls as gamma
+    grows, until the rounding of the float32 factors, which grows with
+    gamma, limits it (disc, k=3, n=16, 32: 0.15-0.3 per solve). H is
+    built in float32 only (_augmented), and the residual comes from the
+    blocks (_saddle_residual). A singular H raises RuntimeError(failure);
+    the factors are freed when this call returns.
+
+    Returns (z, residual, bound) as _solve_kkt does.
     """
-    z = lu.solve(rhs.astype(dtype, copy=False)).astype(np.float64, copy=False)
+    S2, A = S2.tocsr(), A.tocsr()
+    knorm = _kkt_norm(S2, A)
+    w = _augmented_weights(S2, A)
+    lu = _factor_symmetric(_augmented(S2, A, w), failure)
+    N, AT = S2.shape[0], A.T
+
+    def correction(r):
+        r_u, r_lam = r[:N], r[N:]
+        du = lu.solve((r_u + AT @ (w * r_lam)).astype(np.float32))
+        du = du.astype(np.float64)
+        return np.concatenate([du, w * (A @ du - r_lam)])
+
+    z, res = _refine(_saddle_residual(S2, A, rhs), rhs, correction, knorm)
+    return z, res, _dsgesv_bound(z, knorm)
+
+
+def _refine(residual, rhs, solve, knorm):
+    """Iterative refinement of K z = rhs from an approximate solve.
+
+    residual(z) gives rhs - K z in float64, and solve(r) a float64
+    correction: a solve with float64 factors of K (_solve_kkt) or the
+    augmented correction (_solve_augmented). z = solve(rhs), then
+    z += dz with dz = solve(residual(z)) while the sup-norm of the
+    residual at least halves, or the sup-norm of the correction dz at
+    least halves (the dx test of LAPACK's xGERFSX), or the residual is
+    still above dsgesv's bound _dsgesv_bound(z, knorm) and below the
+    first solve's, for at most _REFINE_MAX_SOLVES solves in all, as
+    LAPACK's dsgesv keeps refining while its test fails.
+
+    The best iterate is kept: the one with the least residual, or a
+    later one within dsgesv's bound whose correction halved. Both
+    correction tests matter once the residual reaches its roundoff
+    floor, where z can still be converging and the least residual picks
+    an iterate at random: on disc, k=3, n=16 the augmented residual
+    reaches 2e-14 at the 13th solve, when u is still 1.4e-11 relative
+    from the float64 solution, and the refinement returns u within
+    3.2e-13. The first solve is the first best iterate, so z = 0 is
+    never returned. Returns the best (z, sup-norm of its residual).
+    """
+    z = solve(rhs)
     r = residual(z)
     best = last = first = np.abs(r).max()
-    best_z = z
+    best_z, step = z, np.abs(z).max()
     for _ in range(_REFINE_MAX_SOLVES - 1):
-        z = z + lu.solve(r.astype(dtype, copy=False))
+        dz = solve(r)
+        z = z + dz
         r = residual(z)
-        res = np.abs(r).max()
-        if res < best:
+        res, dz_norm = np.abs(r).max(), np.abs(dz).max()
+        bound = _dsgesv_bound(z, knorm)
+        halved = dz_norm <= 0.5 * step
+        if res < best or (halved and res <= bound):
             best, best_z = res, z
-        if not (res <= 0.5 * last or _dsgesv_bound(z, knorm) < res < first):
+        if not (res <= 0.5 * last or halved or bound < res < first):
             break
-        last = res
+        last, step = res, dz_norm
     return best_z, best
 
 
@@ -472,7 +589,7 @@ def _project(C, r, w):
     rhs = np.concatenate([np.zeros(n), r - C @ w])
     D = -_POLISH_DELTA * sp.identity(C.shape[0])
     failure = "face polish projection is singular"
-    return w + _solve_kkt(sp.identity(n), C, rhs, np.float64, failure, D)[0][:n]
+    return w + _solve_kkt(sp.identity(n), C, rhs, failure, D)[0][:n]
 
 
 def _check_boundary_data(system, g):
@@ -599,32 +716,34 @@ def solve_p1(system, bmat, k, cfg, g=None):
 def solve_p2(system, s2uu, s2ub=None, g=None):
     """Direct solve of the p=2 Euler-Lagrange saddle system.
 
-    K = [[S2, A^T], [A, 0]]. _solve_kkt builds K in float32 from the
-    blocks, factorizes it and refines the solution with the float64
-    residual taken from S2 and A, by _refine's rule, keeping the best
-    iterate; it is accepted if its residual passes dsgesv's test, with
-    ||K|| from the blocks (_kkt_norm). Otherwise, or if the float32
-    factorization fails, the float32 factors are freed and the same
-    path runs in float64. var, k=3, n=1 is accepted in float32 after 23
-    solves; at n=2, 4 and 8 the float32 refinement diverges and gives up
-    after 2-4 solves. Every k=4 and k=5 level measured (n=1, 2) takes
-    the float64 route: on const, k=5, n=1 (cond(K) 3.1e9) one
-    refinement step leaves a residual of 1.5e-2, and refining on while
-    the residual is above dsgesv's bound reaches 4.0e-12 (bound
-    1.6e-11). A float64 solution whose residual still fails dsgesv's
-    test is returned with a RuntimeWarning that names the residual and
-    the bound.
+    K = [[S2, A^T], [A, 0]]. _solve_augmented factorizes the augmented
+    block H = S2 + A^T W A in float32, built from S2 and A, and refines
+    the solution of K with the float64 residual taken from S2 and A, by
+    _refine's rule, keeping the best iterate; it is accepted if its
+    residual passes dsgesv's test, with ||K|| from the blocks
+    (_kkt_norm). Otherwise, or if the float32 factorization of H fails,
+    those factors are freed and K itself is factorized in float64
+    (_solve_kkt) and refined by the same rule. Every const, var and disc
+    level measured with k=3 (n=1 to 8) and the benchmark levels (var,
+    k=2, n=16, 32; disc, k=3, n=8 to 32) are accepted on the augmented
+    route, after 11 to 20 solves. const, k=4 and k=5 (n=1, 2) take the
+    float64 route: on const, k=5, n=1 (cond(K) 3.1e9) the augmented
+    refinement diverges from its first solve, and the float64 route
+    reaches 4.0e-12 (bound 1.6e-11). A float64 solution whose residual
+    still fails dsgesv's test is returned with a RuntimeWarning that
+    names the residual and the bound.
 
     Refining past dsgesv's stop matters because the error norms of a
     study are differences of near-equal numbers and move with the
-    roundoff of the solve. On disc, k=3, n=32, stopping at the first
-    iterate that passes the test (four float32 solves, residual 1.2e-10)
-    leaves e_L 5.6e-6 relative from the float64 solve's; refining until
-    the residual stops halving (seven solves, 8.8e-14) brings it within
-    5.2e-8. For the same reason the float64 route refines too: e_L
-    from this factorization and from one with minimum degree ordering
-    on K^T K and partial pivoting differ by about 1.9e-6 relative
-    unrefined, and agree to about 2e-8 refined.
+    roundoff of the solve. On disc, k=3, n=32, refining the augmented
+    route only until its residual stops halving (15 solves) leaves u
+    5.0e-12 relative from the float64 solution and e_L 8.9e-7 relative
+    from the benchmark's reference value; refining on while the
+    correction halves (20 solves) gives 1.4e-12 and 3.3e-7. For the
+    same reason the float64 route refines too: e_L from this
+    factorization and from one with minimum degree ordering on K^T K
+    and partial pivoting differ by about 1.9e-6 relative unrefined, and
+    agree to about 2e-8 refined.
 
     Optional boundary vb data g (one finite value per column of system.Cb)
     needs s2ub, its coupling block of S2; both are checked before the
@@ -644,21 +763,19 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
         rhs[:N] -= s2ub @ g
         rhs[N:] -= system.Cb @ g
     failure = "saddle system is singular; the mesh may be too coarse"
-    for dtype in (np.float32, np.float64):
-        try:
-            z, residual, bound = _solve_kkt(s2uu, A, rhs, dtype, failure)
-        except RuntimeError:
-            if dtype is np.float64:
-                raise
-            continue
-        if residual <= bound:
-            break
-    else:
-        warnings.warn(
-            f"p=2 saddle residual {residual:.3g} is above dsgesv's bound "
-            f"||z|| ||K|| eps sqrt(n) = {bound:.3g}; K may be too "
-            "ill-conditioned for the refined float64 solve",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    try:
+        z, residual, bound = _solve_augmented(s2uu, A, rhs, failure)
+        accepted = residual <= bound
+    except RuntimeError:
+        accepted = False
+    if not accepted:
+        z, residual, bound = _solve_kkt(s2uu, A, rhs, failure)
+        if not residual <= bound:
+            warnings.warn(
+                f"p=2 saddle residual {residual:.3g} is above dsgesv's bound "
+                f"||z|| ||K|| eps sqrt(n) = {bound:.3g}; K may be too "
+                "ill-conditioned for the refined float64 solve",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return z[:N], z[N:], residual

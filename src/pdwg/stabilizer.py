@@ -142,7 +142,9 @@ def assemble_S2(disc):
     jump block scaled by w (bmat.scale; w^2 / w gives back h_e/h_T^3
     and h_e/h_T).
     W is applied as D'D with D = blockdiag(L' / sqrt(w)) and
-    edge_gram = L L', so Suu = (DB)'(DB) is exactly symmetric.
+    edge_gram = L L', so Suu = (DB)'(DB) is exactly symmetric. Both
+    matrices are returned in canonical form (sorted indices, no
+    duplicates), so no caller's products or abs() reorder them.
     """
     bmat = assemble_B(disc, 2)
     w = bmat.scale
@@ -154,7 +156,10 @@ def assemble_S2(disc):
     ).tocsr()
     C = D @ bmat.B
     Ct = C.T.tocsr()
-    return Ct @ C, Ct @ (D @ bmat.Bb)
+    Suu, Sub = Ct @ C, Ct @ (D @ bmat.Bb)
+    Suu.sum_duplicates()
+    Sub.sum_duplicates()
+    return Suu, Sub
 
 
 # ---------------------------------------------------------------------------

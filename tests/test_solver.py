@@ -536,9 +536,10 @@ def _assert_blockwise_residual(res, K, rhs, suu, A, u, lam):
 
 @pytest.mark.parametrize("case, k", [("const", 2), ("disc", 3), ("const", 4)])
 def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
-    # every saddle factorization keeps the symmetric ordering: a pivot
-    # off the diagonal would show as perm_r != perm_c. const, k=4 refuses
-    # the float32 route and refactorizes K in float64
+    # every factorization keeps the symmetric ordering: a pivot off the
+    # diagonal would show as perm_r != perm_c. const, k=4 refuses the
+    # float32 route through the augmented block and factorizes K in
+    # float64
     field = builtin_case(case).field
     disc = Discretization(build_uniform(2), SpaceConfig(k=k))
     system = assemble_A(disc, field)
@@ -553,8 +554,9 @@ def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
     solve_p2(system, assemble_S2(disc)[0])
     for lu in (p1, *factors):
         assert np.array_equal(lu.perm_r, lu.perm_c)
-    # p=1 keeps float64 factors; p=2 factorizes in float32 and refines,
-    # and falls back to float64 factors only where float32 fails
+    # p=1 keeps float64 factors; p=2 factorizes its augmented block in
+    # float32 and refines, and falls back to float64 factors of K only
+    # where that route fails
     assert p1.U.dtype == np.float64
     want = [np.float32, np.float64] if k == 4 else [np.float32]
     assert [lu.U.dtype for lu in factors] == want
@@ -584,8 +586,9 @@ class Stalled:
 
 @pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
 def test_solve_p2_refined_float32_solve_meets_dsgesv_bound(case, k, monkeypatch):
-    # one float32 factorization, no float64 fallback, and the returned
-    # residual within ||z|| ||K|| eps sqrt(n), LAPACK dsgesv's test
+    # one float32 factorization, of the augmented block, no float64
+    # fallback, and the returned residual within ||z|| ||K|| eps sqrt(n),
+    # LAPACK dsgesv's test
     K, rhs, system, suu = _p2_saddle(case, k)
     factors = []
 
@@ -604,17 +607,19 @@ def test_solve_p2_refined_float32_solve_meets_dsgesv_bound(case, k, monkeypatch)
 
 @pytest.mark.parametrize("failure", ["singular", "stalled"])
 def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
-    # a float32 factorization that fails, or whose refinement stalls,
-    # is freed before K is factorized in float64; the result is then
-    # the float64 path's bit for bit: its solution refined with the
-    # blockwise residual while the sup-norm residual at least halves, or
-    # is above dsgesv's bound and below the first solve's, keeping the
-    # best iterate
+    # a float32 factorization of the augmented block that fails, or
+    # whose refinement stalls, is freed before K is factorized in
+    # float64; the result is then the float64 path's bit for bit: its
+    # solution refined with the blockwise residual while the sup-norm
+    # residual or the sup-norm correction at least halves, or the
+    # residual is above dsgesv's bound and below the first solve's,
+    # keeping the iterate of least residual, or a later one within the
+    # bound whose correction halved
     K, rhs, system, suu = _p2_saddle("disc", 3)
     A, N = system.A, system.A.shape[1]
-    # solve_p2 takes ||K|| from abs(S2), which sums duplicates and so
-    # sorts S2's indices in place before the refinement; the replay's
-    # products with S2 use the same order
+    # assemble_S2 returns S2 in canonical form, so this sort changes
+    # nothing, and solve_p2's products with S2 take the replay's order
+    assert suu.has_canonical_format
     suu.sort_indices()
     lu64 = splu(
         K,
@@ -630,16 +635,20 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
     eps = np.finfo(np.float64).eps
     z = lu64.solve(rhs)
     r = residual(z)
-    iterates = [(np.abs(r).max(), z)]
-    while len(iterates) < 30:
-        z = z + lu64.solve(r)
+    want_res = last = first = np.abs(r).max()
+    want, step = z, np.abs(z).max()
+    for _ in range(29):
+        dz = lu64.solve(r)
+        z = z + dz
         r = residual(z)
-        res = np.abs(r).max()
-        iterates.append((res, z))
+        res, dz_norm = np.abs(r).max(), np.abs(dz).max()
         bound = np.abs(z).max() * knorm * eps * np.sqrt(len(z))
-        if not (res <= 0.5 * iterates[-2][0] or bound < res < iterates[0][0]):
+        halved = dz_norm <= 0.5 * step
+        if res < want_res or (halved and res <= bound):
+            want_res, want = res, z
+        if not (res <= 0.5 * last or halved or bound < res < first):
             break
-    want_res, want = min(iterates, key=lambda it: it[0])
+        last, step = res, dz_norm
 
     dtypes, float32_factors = [], []
 
@@ -664,12 +673,13 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
 
 @pytest.mark.parametrize("k, n, bound", [(4, 2, 1e-13), (5, 1, 1e-8)])
 def test_solve_p2_float64_route_refines_ill_conditioned_k(k, n, bound, monkeypatch):
-    # the float64 route, forced here by a float32 factorization that
-    # fails (cond(K) 6.4e6 and 3.1e9); one refinement step of the float64
-    # solution left residuals of 8.8e-8 and 1.5e-2. Refining on while the
-    # residual is above dsgesv's bound ends within it at k=5 too (4.0e-12
-    # against 1.6e-11), so neither level warns. Its residual comes from
-    # the blocks, as on the float32 route, bit for bit.
+    # the float64 route, forced here by a float32 factorization of the
+    # augmented block that fails (cond(K) 6.4e6 and 3.1e9); one
+    # refinement step of the float64 solution left residuals of 8.8e-8
+    # and 1.5e-2. Refining on while the residual is above dsgesv's bound
+    # ends within it at k=5 too (4.0e-12 against 1.6e-11), so neither
+    # level warns. Its residual comes from the blocks, as on the float32
+    # route, bit for bit.
     K, rhs, system, suu = _p2_saddle("const", k, n)
 
     def float64_only_splu(A, **kwargs):
@@ -714,41 +724,62 @@ def test_solve_p2_float64_route_warns_above_dsgesv_bound(n, monkeypatch):
     ],
 )
 def test_solve_p2_within_dsgesv_bound_raises_no_warning(case, k, n):
-    # var k=2 and disc k=3 pass on the float32 route, const k=4 and k=5
-    # on the float64 route (cond(K) up to 3.1e9 at k=5, n=1)
+    # var k=2 and disc k=3 pass on the augmented float32 route, const k=4
+    # and k=5 on the float64 route (cond(K) up to 3.1e9 at k=5, n=1)
     _, _, system, suu = _p2_saddle(case, k, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solve_p2(system, suu)
 
 
-@pytest.mark.parametrize("matrix", ["p2-float32", "p2-float64", "p1-K0", "polish"])
+@pytest.mark.parametrize("matrix", ["p2-float64", "p1-K0", "polish"])
 def test_kkt_from_blocks_equals_bmat(matrix):
     # every saddle matrix is stacked from its blocks by _kkt, equal to
-    # sp.bmat's K cast to the dtype, index arrays included, so SuperLU
-    # sees the same matrix: the p=2 K in both precisions, the p=1 step
-    # matrix K0 and a face polish matrix [[I, C^T], [C, -delta I]]
+    # sp.bmat's K, index arrays included, so SuperLU sees the same
+    # matrix: the p=2 K of the float64 fallback, the p=1 step matrix K0
+    # and a face polish matrix [[I, C^T], [C, -delta I]]
     disc = Discretization(build_uniform(2), SpaceConfig(k=3))
     A = assemble_A(disc, builtin_case("disc").field).A
     B = assemble_B(disc, 1).B
-    D, dtype = None, np.float32 if matrix == "p2-float32" else np.float64
-    if matrix.startswith("p2"):
+    D = None
+    if matrix == "p2-float64":
         H = assemble_S2(disc)[0]
     elif matrix == "p1-K0":
         H = 16.0 * (B.T @ B)
     else:
         A = sp.vstack([A, B[::3]], format="csr")
         H, D = sp.identity(A.shape[1]), -1e-12 * sp.identity(A.shape[0])
-    K = pdwg.solver._kkt(H, A, D, dtype)
-    want = sp.bmat([[H, A.T], [A, D]], format="csc").astype(dtype)
-    assert K.format == "csc" and K.dtype == dtype and K.has_sorted_indices
+    K = pdwg.solver._kkt(H, A, D)
+    want = sp.bmat([[H, A.T], [A, D]], format="csc")
+    assert K.format == "csc" and K.dtype == np.float64 and K.has_sorted_indices
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(K, name), getattr(want, name))
 
 
+@pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
+def test_augmented_block_is_symmetric_float32_s2_plus_atwa(case, k):
+    # solve_p2 factorizes H = S2 + A^T diag(w) A, built in float32 by one
+    # product: exactly symmetric, canonical CSC, and equal to the float64
+    # sum up to float32 rounding, also for k=2, where S2 has entries
+    # outside A^T A's pattern (A does not see v0)
+    _, _, system, suu = _p2_saddle(case, k)
+    A = system.A
+    w = pdwg.solver._augmented_weights(suu, A)
+    assert np.isfinite(w).all() and (w > 0).all()
+    H = pdwg.solver._augmented(suu, A, w)
+    assert H.format == "csc" and H.dtype == np.float32 and H.has_canonical_format
+    assert (H != H.T).nnz == 0
+    want = (suu + A.T @ sp.diags(w) @ A).tocsc()
+    outside = (abs(suu) > 0).astype(int) - (abs(A.T @ A) > 0).astype(int)
+    assert (outside > 0).nnz > 0 if k == 2 else (outside > 0).nnz == 0
+    assert abs(H - want).max() <= 1e-6 * abs(want).max()
+
+
 def test_solve_p2_builds_no_float64_copy_of_k():
-    # the float32 route keeps one copy of K, in float32: a float64 K, its
-    # abs() and a float32 cast of it took 32.4 bytes per stored entry of K
+    # the float32 route builds the augmented block H = S2 + A^T W A in
+    # float32 only, by one product: at this size the builds
+    # (S2 + A^T W A).astype(float32) and a float32 product G^T G plus a
+    # float32 S2 peaked at 54 and 37 bytes per stored entry of K
     disc = Discretization(build_uniform(8), SpaceConfig(k=3))
     system = assemble_A(disc, builtin_case("disc").field)
     suu = assemble_S2(disc)[0]
@@ -762,8 +793,19 @@ def test_solve_p2_builds_no_float64_copy_of_k():
     assert peak <= 24 * nnz
 
 
-@pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
-def test_run_study_p2_factorizes_once_per_level_in_float32(case, k, monkeypatch):
+@pytest.mark.parametrize(
+    "case, k, levels",
+    [
+        pytest.param("var", 2, [8], id="var-2"),
+        pytest.param("disc", 3, [8], id="disc-3"),
+        pytest.param("var", 3, [2, 4], id="var-3"),
+    ],
+)
+def test_run_study_p2_factorizes_once_per_level_in_float32(
+    case, k, levels, monkeypatch
+):
+    # var k=3 refused the float32 KKT route at n >= 2 and paid a second,
+    # float64 factorization; the augmented block meets dsgesv's bound there
     dtypes = []
 
     def recording_splu(K, **kwargs):
@@ -771,8 +813,46 @@ def test_run_study_p2_factorizes_once_per_level_in_float32(case, k, monkeypatch)
         return splu(K, **kwargs)
 
     monkeypatch.setattr(pdwg.solver, "splu", recording_splu)
-    run_study(builtin_case(case), 2, [8], k=k)
-    assert dtypes == [np.float32]
+    run_study(builtin_case(case), 2, levels, k=k)
+    assert dtypes == [np.float32] * len(levels)
+
+
+def test_solve_p2_leaves_its_inputs_unchanged():
+    # assemble_S2 returns S2 in canonical form, so the abs() that takes
+    # ||K|| from the blocks no longer sorts the caller's S2 in place
+    disc = Discretization(build_uniform(2), SpaceConfig(k=3))
+    system = assemble_A(disc, builtin_case("disc").field)
+    suu, sub = assemble_S2(disc)
+    g = project_boundary(lambda p: 1.0 + p[..., 0], disc)
+    before = {
+        (name, part): getattr(M, part).copy()
+        for name, M in (("S2", suu), ("A", system.A))
+        for part in ("data", "indices", "indptr")
+    }
+    solve_p2(system, suu, sub, g=g)
+    for (name, part), arr in before.items():
+        M = suu if name == "S2" else system.A
+        assert np.array_equal(getattr(M, part), arr), (name, part)
+
+
+def test_solve_p2_refines_past_the_residual_floor(monkeypatch):
+    # on disc, k=3, n=16 the augmented refinement reaches its residual
+    # floor (2e-14) at the 13th solve, while u is still 1.4e-11 relative
+    # from the float64 solution; refining on while the correction halves
+    # returns u within 3.2e-13
+    _, rhs, system, suu = _p2_saddle("disc", 3, 16)
+    dtypes = []
+
+    def recording_splu(K, **kwargs):
+        dtypes.append(K.dtype)
+        return splu(K, **kwargs)
+
+    monkeypatch.setattr(pdwg.solver, "splu", recording_splu)
+    u = solve_p2(system, suu)[0]
+    z64 = pdwg.solver._solve_kkt(suu, system.A, rhs, "singular")[0]
+    assert dtypes == [np.float32, np.float64]
+    u64 = z64[: len(u)]
+    assert np.abs(u - u64).max() <= 2e-12 * np.abs(u64).max()
 
 
 def test_solve_p2_singular_saddle_raises():
@@ -782,8 +862,29 @@ def test_solve_p2_singular_saddle_raises():
     A = system.A.tolil()
     A[0, :] = 0.0  # a zero constraint row makes K rank-deficient
     bad = ConstraintSystem(A=A.tocsr(), Cb=system.Cb, fvec=system.fvec)
-    with pytest.raises(RuntimeError, match="saddle system is singular"):
-        solve_p2(bad, suu, sub, g=project_boundary(field.u, disc))
+    # the zero row gets the weight 0 in the augmented block, not inf or
+    # NaN: no RuntimeWarning comes before the float64 fallback raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeError, match="saddle system is singular"):
+            solve_p2(bad, suu, sub, g=project_boundary(field.u, disc))
+
+
+def test_augmented_weights_stay_finite():
+    # a zero row of A and a zero diagonal entry of S2 give finite,
+    # non-negative weights without a numpy RuntimeWarning; the zero row
+    # gets the weight 0
+    _, _, system, suu = _p2_saddle("disc", 3)
+    A = system.A.tolil()
+    A[0, :] = 0.0
+    S2 = suu.tolil()
+    j = system.A[1].indices[0]  # a column the second constraint row sees
+    S2[j, j] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = pdwg.solver._augmented_weights(S2.tocsr(), A.tocsr())
+    assert np.isfinite(w).all() and (w >= 0).all()
+    assert w[0] == 0.0 and (w[1:] > 0).all()
 
 
 def test_solvers_reject_bad_boundary_data_before_factorizing(monkeypatch):
