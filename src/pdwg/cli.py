@@ -364,7 +364,7 @@ def _p2_mixed_refine():
     system = assemble_A(disc, builtin_case("disc").field)
     A, suu = system.A, assemble_S2(disc)[0]
     rhs = np.concatenate([np.zeros(A.shape[1]), system.fvec])
-    z = _solve_augmented(suu, A, rhs, "H is singular")[0]
+    z = _solve_augmented(suu, A, rhs, "H is singular", np.float32)[0]
     K = sp.bmat([[suu, A.T], [A, None]], format="csc")
     z64 = spsolve(K, rhs)
     gap = np.abs(z - z64).max() / np.abs(z64).max()

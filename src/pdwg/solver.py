@@ -47,7 +47,7 @@ checked iterates, and has not been tried before, solve_p1 tries a face
 polish (polish_face, _polish): u moves to the nearest point of
 {Au = fp, B_Z u = -c_Z}; y takes the clipped value off Z, and (x, y_Z)
 moves to the nearest point of {A^T x + alpha B^T y = 0}. Each nearest
-point solves a quasi-definite KKT matrix through _solve_kkt. The
+point solves a quasi-definite KKT matrix (_project). The
 candidate replaces the iterate only if its r1, r2 and r3, computed by
 the loop's own helpers, are all at most residual_tol; otherwise the
 loop goes on from the plain iterate. So converged still means that the
@@ -61,25 +61,21 @@ For p=2 the constrained minimization is one symmetric indefinite solve,
 K (u; lambda) = (0; f) with K = [[S2, A^T], [A, 0]] and S2 the
 quadratic stabilizer's matrix. Its solution is also the saddle point of
 the augmented Lagrangian, which adds gamma-weighted |Au - f|^2, so
-solve_p2 factorizes the SPD block H = S2 + A^T W A once, in float32
-(_solve_augmented), and refines the original system in float64: a
-residual (r_u, r_lambda) gives the correction du = H^-1 (r_u + A^T W
-r_lambda), dlambda = W (A du - r_lambda). H has about half the L+U
-nonzeros of K (disc, k=3, n=32: 9.6M against 18.1M). The p=2 float64
-fallback, the p=1 K0 and the polish matrices are saddle matrices,
-stacked from their blocks by _kkt; every matrix here is factorized with
-the same symmetric SuperLU options (_factor_symmetric). The p=1 factors
-of K0 are float64. The p=2 fallback and the polish refine their
-solutions from float64 factors of K through _solve_kkt, with float64
-residuals taken from the blocks, (rhs_u - H u - A^T lambda,
-rhs_lambda - A u - D lambda), as the augmented route does, so no
-float64 K is held while refining. _refine refines while the sup-norm
-residual or the sup-norm correction at least halves, or while the
-residual is above dsgesv's bound ||z|| ||K|| eps sqrt(n) and below the
-first solve's, for at most 30 solves. A solution of the augmented route
-that fails dsgesv's bound, or a float32 factorization of H that fails,
-falls back to float64 factors of K, and solve_p2 warns if that solution
-fails the bound too.
+solve_p2 factorizes the SPD block H = S2 + A^T W A once
+(_solve_augmented) and refines the original system in float64: a
+residual (r_u, r_lambda), taken from the blocks, gives the correction
+du = H^-1 (r_u + A^T W r_lambda), dlambda = W (A du - r_lambda). H has
+about half the L+U nonzeros of K (disc, k=3, n=32: 9.6M against 18.1M)
+and is factorized in float32; a solution that fails dsgesv's bound
+||z|| ||K|| eps sqrt(n), or a float32 H that cannot be factorized,
+falls back to the same route with H in float64 and a larger gamma
+(_AUGMENT_GAMMA), and solve_p2 warns if that solution fails the bound
+too. K itself is never built. The p=1 K0 and the polish matrices are
+saddle matrices, stacked from their blocks by _kkt; every matrix here
+is factorized with the same symmetric SuperLU options
+(_factor_symmetric), and every refined solve, p=2 and polish, follows
+one rule (_refine): apply the next correction while it is at most half
+the previous one, for at most 30 solves.
 
 Boundary vb data g shifts the jump vector by c = Bb g and the
 constraint right side by -Cb g in both paths. Shifting the prox
@@ -108,13 +104,17 @@ _POLISH_DELTA = 1e-12
 # Every refined saddle solve takes at most _REFINE_MAX_SOLVES solves with
 # its factors, as LAPACK's dsgesv does (_refine).
 _REFINE_MAX_SOLVES = 30
-# Weight gamma of the augmented term of the p=2 correction
-# (_augmented_weights). On disc, k=3, n=32 the refined u came within
-# 1e-12 relative of the float64 solve's by about the 16th solve with
-# gamma = 100, but was still 7e-8 away after 24 solves with gamma = 10
-# (slower contraction) and 1e-11 with gamma = 1000 (a less accurate
-# float32 H).
-_AUGMENT_GAMMA = 100.0
+# Weight gamma of the augmented term of the p=2 correction, per precision
+# of H (_augmented_weights). float32: on disc, k=3, n=32 the refined u
+# came within 1e-12 relative of the float64 solve's by about the 16th
+# solve with gamma = 100, but was still 7e-8 away after 24 solves with
+# gamma = 10 (slower contraction) and 1e-11 with gamma = 1000 (a less
+# accurate float32 H). float64, on 15 levels that fall back (const, var
+# and disc with k = 4 to 6, n = 1 to 8): with gamma = 100 the correction
+# soon stops halving and 9 of them fail dsgesv's bound (const, k=4, n=2:
+# residual 1.8e-4 after 3 solves), 1e4 passes all in 5-11 solves and 1e6
+# in 5-7.
+_AUGMENT_GAMMA = {np.float32: 100.0, np.float64: 1e6}
 
 __all__ = [
     "SolverConfig",
@@ -141,8 +141,9 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("alpha", "residual_tol"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if (
             isinstance(self.max_iters, bool)
             or not isinstance(self.max_iters, Integral)
@@ -214,12 +215,12 @@ def _kkt(H, A, D=None):
     """The symmetric saddle matrix K = [[H, A^T], [A, D]] as canonical CSC
     (sorted indices), stacked from the blocks.
 
-    The p=2 float64 fallback (solve_p2) takes H = S2, the p=1 steps
-    H = alpha B^T B (assemble_S), both with D = 0 (None); the p=1 face
-    polish takes H = I and D = -delta I (_project). The columns of
-    [H; A] come first, then those of [A^T; D]; with D = 0 the CSC arrays
-    of [A^T; 0] are the CSR arrays of A. The result equals
-    sp.bmat([[H, A.T], [A, D]]) in data, indices and indptr.
+    The p=1 steps take H = alpha B^T B (assemble_S) with D = 0 (None),
+    the p=1 face polish H = I and D = -delta I (_project); p=2 factorizes
+    no saddle matrix (_solve_augmented). The columns of [H; A] come
+    first, then those of [A^T; D]; with D = 0 the CSC arrays of [A^T; 0]
+    are the CSR arrays of A. The result equals sp.bmat([[H, A.T], [A,
+    D]]) in data, indices and indptr.
     """
     A = A.tocsr()
     N, m = H.shape[0], A.shape[0]
@@ -233,10 +234,10 @@ def _kkt(H, A, D=None):
     return K
 
 
-def _augmented_weights(S2, A):
+def _augmented_weights(S2, A, dtype):
     """The weights w = gamma / diag(A diag(S2)^-1 A^T) of the augmented
-    block H = S2 + A^T diag(w) A (_solve_augmented), gamma =
-    _AUGMENT_GAMMA.
+    block H = S2 + A^T diag(w) A in precision dtype (_solve_augmented),
+    gamma = _AUGMENT_GAMMA[dtype].
 
     diag(A diag(S2)^-1 A^T) is the diagonal of the Schur complement
     A S2^-1 A^T with S2 replaced by its diagonal, so w scales every
@@ -248,32 +249,30 @@ def _augmented_weights(S2, A):
     d = S2.diagonal()
     dinv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
     s = sp.csr_matrix((A.data**2, A.indices, A.indptr), shape=A.shape) @ dinv
-    return np.divide(_AUGMENT_GAMMA, s, out=np.zeros_like(s), where=s > 0)
+    return np.divide(_AUGMENT_GAMMA[dtype], s, out=np.zeros_like(s), where=s > 0)
 
 
-def _augmented(S2, A, w):
-    """H = S2 + A^T diag(w) A in float32 as canonical CSC, from one sparse
-    product.
+def _augmented(S2, A, w, dtype):
+    """H = S2 + A^T diag(w) A in precision dtype as canonical CSC, from
+    one sparse product.
 
-    With G = diag(sqrt(w)) A in float32, H = [G^T, I] [G; S2]: the product
-    sums G^T G and S2 in one pass, so no float64 H is built, and no
-    second float32 matrix of H's size as G^T G + S2 would hold. S2
-    cannot be added into G^T G in place: for k=2 its pattern is not
-    inside A^T A's (A does not see v0). Entry (i, j) sums the same
+    With G = diag(sqrt(w)) A in dtype, H = [G^T, I] [G; S2]: the product
+    sums G^T G and S2 in one pass, so no float64 H is built for a
+    float32 one, and no second matrix of H's size as G^T G + S2 would
+    hold. S2 cannot be added into G^T G in place: for k=2 its pattern is
+    not inside A^T A's (A does not see v0). Entry (i, j) sums the same
     products in the same order as entry (j, i), and S2 is symmetric, so
     H is exactly symmetric and its CSR arrays are its CSC arrays.
     """
     sqrt_w = np.repeat(np.sqrt(w), np.diff(A.indptr))
     G = sp.csr_matrix(
-        ((A.data * sqrt_w).astype(np.float32), A.indices, A.indptr), shape=A.shape
+        ((A.data * sqrt_w).astype(dtype), A.indices, A.indptr), shape=A.shape
     )
-    S2f = sp.csr_matrix(
-        (S2.data.astype(np.float32), S2.indices, S2.indptr), shape=S2.shape
-    )
-    eye = sp.identity(S2.shape[0], dtype=np.float32, format="csr")
+    S2d = sp.csr_matrix((S2.data.astype(dtype), S2.indices, S2.indptr), shape=S2.shape)
+    eye = sp.identity(S2.shape[0], dtype=dtype, format="csr")
     left = sp.hstack([G.T.tocsr(), eye], format="csr")
-    right = sp.vstack([G, S2f], format="csr")
-    del sqrt_w, G, S2f  # only the two factors and H are held by the product
+    right = sp.vstack([G, S2d], format="csr")
+    del sqrt_w, G, S2d  # only the two factors and H are held by the product
     H = left @ right
     H.sort_indices()
     return H.T
@@ -281,8 +280,8 @@ def _augmented(S2, A, w):
 
 def _factor_symmetric(K, failure):
     """SuperLU factors of the symmetric or saddle matrix K in K's own
-    precision: the augmented block H (_augmented) or a saddle matrix
-    (_kkt).
+    precision: the p=2 augmented block H (_augmented) or a p=1 saddle
+    matrix (_kkt).
 
     SuperLU runs in symmetric mode: minimum degree ordering on the
     pattern of K + K^T (MMD_AT_PLUS_A), applied to rows and columns
@@ -292,8 +291,9 @@ def _factor_symmetric(K, failure):
     are reached, so on the built-in cases every pivot stays on the
     diagonal. A positive threshold would let a pivot leave the diagonal
     wherever the diagonal entry is small against its column, which
-    undoes the ordering: on the p=2 K of var, k=2, n=24 that moves 235
-    pivots and grows the factors from 3.2M to 5.2M L+U nonzeros.
+    undoes the ordering: on the p=2 saddle matrix K of var, k=2, n=24
+    that moved 235 pivots and grew the factors from 3.2M to 5.2M L+U
+    nonzeros.
 
     A singular K raises RuntimeError with the message failure.
     """
@@ -308,15 +308,12 @@ def _factor_symmetric(K, failure):
         raise RuntimeError(failure) from exc
 
 
-def _kkt_norm(H, A, D=None):
-    """||K||_inf of K = [[H, A^T], [A, D]] from the blocks: the row sums
-    of |H| + |A^T| on the u rows and of |A| + |D| on the lambda rows."""
+def _kkt_norm(H, A):
+    """||K||_inf of K = [[H, A^T], [A, 0]] from the blocks: the row sums
+    of |H| + |A^T| on the u rows and of |A| on the lambda rows."""
     absA = abs(A)
     u_rows = abs(H) @ np.ones(H.shape[1]) + absA.T @ np.ones(A.shape[0])
-    lam_rows = absA @ np.ones(A.shape[1])
-    if D is not None:
-        lam_rows += abs(D) @ np.ones(D.shape[1])
-    return max(u_rows.max(), lam_rows.max())
+    return max(u_rows.max(), (absA @ np.ones(A.shape[1])).max())
 
 
 def _dsgesv_bound(z, knorm):
@@ -339,28 +336,10 @@ def _saddle_residual(H, A, rhs, D=None):
     return residual
 
 
-def _solve_kkt(H, A, rhs, failure, D=None):
-    """Solve K z = rhs, K = [[H, A^T], [A, D]], from float64 factors of K
-    refined in float64 (_refine).
-
-    ||K||_inf comes from the blocks (_kkt_norm) before K is built; K is
-    dropped once factorized and the residual comes from the blocks
-    (_saddle_residual). A singular K raises RuntimeError(failure); the
-    factors are freed when this call returns.
-
-    Returns (z, residual, bound): the best z, the sup-norm of its
-    residual, and its dsgesv bound _dsgesv_bound(z, ||K||_inf).
-    """
-    knorm = _kkt_norm(H, A, D)
-    lu = _factor_symmetric(_kkt(H, A, D), failure)
-    z, res = _refine(_saddle_residual(H, A, rhs, D), rhs, lu.solve, knorm)
-    return z, res, _dsgesv_bound(z, knorm)
-
-
-def _solve_augmented(S2, A, rhs, failure):
+def _solve_augmented(S2, A, rhs, failure, dtype):
     """Solve the p=2 saddle system K z = rhs, K = [[S2, A^T], [A, 0]],
-    from float32 factors of the augmented block H = S2 + A^T W A,
-    refined in float64 (_refine).
+    from factors of the augmented block H = S2 + A^T W A in precision
+    dtype, refined in float64 (_refine).
 
     W = diag(w) (_augmented_weights). Adding A^T W (A u - rhs_lam) to
     the first block row leaves the solution unchanged, and H is SPD
@@ -373,70 +352,61 @@ def _solve_augmented(S2, A, rhs, failure):
     which differs from K only by -W^-1 in the multiplier block, so the
     refinement converges like the augmented Lagrangian (Uzawa)
     iteration: its error contracts by a factor that falls as gamma
-    grows, until the rounding of the float32 factors, which grows with
-    gamma, limits it (disc, k=3, n=16, 32: 0.15-0.3 per solve). H is
-    built in float32 only (_augmented), and the residual comes from the
-    blocks (_saddle_residual). A singular H raises RuntimeError(failure);
-    the factors are freed when this call returns.
+    grows, until the rounding of the factors, which grows with gamma,
+    limits it (float32, disc, k=3, n=16, 32: 0.15-0.3 per solve). H is
+    built in dtype only (_augmented), and the residual comes from the
+    blocks (_saddle_residual). A zero weight means a zero row of A, so K
+    is singular: it raises RuntimeError(failure) before anything is
+    factorized, as a singular H does. The factors are freed when this
+    call returns.
 
-    Returns (z, residual, bound) as _solve_kkt does.
+    Returns (z, sup-norm of its residual).
     """
     S2, A = S2.tocsr(), A.tocsr()
-    knorm = _kkt_norm(S2, A)
-    w = _augmented_weights(S2, A)
-    lu = _factor_symmetric(_augmented(S2, A, w), failure)
+    w = _augmented_weights(S2, A, dtype)
+    if not w.all():
+        raise RuntimeError(failure)
+    lu = _factor_symmetric(_augmented(S2, A, w, dtype), failure)
     N, AT = S2.shape[0], A.T
 
     def correction(r):
         r_u, r_lam = r[:N], r[N:]
-        du = lu.solve((r_u + AT @ (w * r_lam)).astype(np.float32))
-        du = du.astype(np.float64)
+        du = lu.solve((r_u + AT @ (w * r_lam)).astype(dtype, copy=False))
+        du = du.astype(np.float64, copy=False)
         return np.concatenate([du, w * (A @ du - r_lam)])
 
-    z, res = _refine(_saddle_residual(S2, A, rhs), rhs, correction, knorm)
-    return z, res, _dsgesv_bound(z, knorm)
+    return _refine(_saddle_residual(S2, A, rhs), rhs, correction)
 
 
-def _refine(residual, rhs, solve, knorm):
+def _refine(residual, rhs, solve):
     """Iterative refinement of K z = rhs from an approximate solve.
 
     residual(z) gives rhs - K z in float64, and solve(r) a float64
-    correction: a solve with float64 factors of K (_solve_kkt) or the
-    augmented correction (_solve_augmented). z = solve(rhs), then
-    z += dz with dz = solve(residual(z)) while the sup-norm of the
-    residual at least halves, or the sup-norm of the correction dz at
-    least halves (the dx test of LAPACK's xGERFSX), or the residual is
-    still above dsgesv's bound _dsgesv_bound(z, knorm) and below the
-    first solve's, for at most _REFINE_MAX_SOLVES solves in all, as
-    LAPACK's dsgesv keeps refining while its test fails.
+    correction: the augmented correction (_solve_augmented) or a solve
+    with float64 factors of a polish matrix (_project). z = solve(rhs),
+    then z += dz with dz = solve(residual(z)) while the sup-norm of dz is
+    at most half that of the correction before it (the dx test of
+    LAPACK's xGERFSX), for at most _REFINE_MAX_SOLVES solves in all; the
+    first correction is always applied. The correction, not the
+    residual, decides: the residual reaches its roundoff floor several
+    solves before z stops moving (disc, k=3, n=16: 2e-14 at the 13th
+    float32 solve, with u still 1.4e-11 relative from the float64
+    solution), and past it the least residual picks an iterate at
+    random. Whether z is accepted is the caller's test (solve_p2).
 
-    The best iterate is kept: the one with the least residual, or a
-    later one within dsgesv's bound whose correction halved. Both
-    correction tests matter once the residual reaches its roundoff
-    floor, where z can still be converging and the least residual picks
-    an iterate at random: on disc, k=3, n=16 the augmented residual
-    reaches 2e-14 at the 13th solve, when u is still 1.4e-11 relative
-    from the float64 solution, and the refinement returns u within
-    3.2e-13. The first solve is the first best iterate, so z = 0 is
-    never returned. Returns the best (z, sup-norm of its residual).
+    Returns (z, sup-norm of its residual): the last iterate applied.
     """
     z = solve(rhs)
     r = residual(z)
-    best = last = first = np.abs(r).max()
-    best_z, step = z, np.abs(z).max()
+    step = np.inf
     for _ in range(_REFINE_MAX_SOLVES - 1):
         dz = solve(r)
-        z = z + dz
-        r = residual(z)
-        res, dz_norm = np.abs(r).max(), np.abs(dz).max()
-        bound = _dsgesv_bound(z, knorm)
-        halved = dz_norm <= 0.5 * step
-        if res < best or (halved and res <= bound):
-            best, best_z = res, z
-        if not (res <= 0.5 * last or halved or bound < res < first):
+        dz_norm = np.abs(dz).max()
+        if not dz_norm <= 0.5 * step:
             break
-        last, step = res, dz_norm
-    return best_z, best
+        z, step = z + dz, dz_norm
+        r = residual(z)
+    return z, np.abs(r).max()
 
 
 def assemble_S(A, B, alpha):
@@ -583,13 +553,14 @@ def _project(C, r, w):
     """Nearest point to w on {C w' = r}, w + C^T (C C^T + delta I)^{-1} (r - C w).
 
     C may have dependent rows, so the correction solves the quasi-definite
-    [[I, C^T], [C, -delta I]], which is never singular, through _solve_kkt.
+    [[I, C^T], [C, -delta I]], which is never singular, from its float64
+    factors refined by _refine.
     """
     n = C.shape[1]
     rhs = np.concatenate([np.zeros(n), r - C @ w])
-    D = -_POLISH_DELTA * sp.identity(C.shape[0])
-    failure = "face polish projection is singular"
-    return w + _solve_kkt(sp.identity(n), C, rhs, failure, D)[0][:n]
+    I, D = sp.identity(n), -_POLISH_DELTA * sp.identity(C.shape[0])
+    lu = _factor_symmetric(_kkt(I, C, D), "face polish projection is singular")
+    return w + _refine(_saddle_residual(I, C, rhs, D), rhs, lu.solve)[0][:n]
 
 
 def _check_boundary_data(system, g):
@@ -718,32 +689,29 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
 
     K = [[S2, A^T], [A, 0]]. _solve_augmented factorizes the augmented
     block H = S2 + A^T W A in float32, built from S2 and A, and refines
-    the solution of K with the float64 residual taken from S2 and A, by
-    _refine's rule, keeping the best iterate; it is accepted if its
-    residual passes dsgesv's test, with ||K|| from the blocks
+    the solution of K with the float64 residual taken from S2 and A
+    (_refine); the result is accepted if its residual passes dsgesv's
+    test ||z|| ||K|| eps sqrt(n), with ||K|| from the blocks
     (_kkt_norm). Otherwise, or if the float32 factorization of H fails,
-    those factors are freed and K itself is factorized in float64
-    (_solve_kkt) and refined by the same rule. Every const, var and disc
-    level measured with k=3 (n=1 to 8) and the benchmark levels (var,
-    k=2, n=16, 32; disc, k=3, n=8 to 32) are accepted on the augmented
-    route, after 11 to 20 solves. const, k=4 and k=5 (n=1, 2) take the
-    float64 route: on const, k=5, n=1 (cond(K) 3.1e9) the augmented
-    refinement diverges from its first solve, and the float64 route
-    reaches 4.0e-12 (bound 1.6e-11). A float64 solution whose residual
-    still fails dsgesv's test is returned with a RuntimeWarning that
-    names the residual and the bound.
+    those factors are freed and the same route runs with H in float64
+    and gamma = 1e6 (_AUGMENT_GAMMA). K itself is never factorized. The
+    benchmark levels (var, k=2, n=16, 32; disc, k=3, n=8 to 32) and
+    every const, var and disc level measured with k=3 are accepted in
+    float32, after 10 to 20 solves; nearly every level with k = 4 to 6
+    falls back, and the float64 route meets the bound in 5 to 7 solves
+    (const, k=5, n=1, cond(K) 3.1e9: 2.7e-14). A float64 solution whose
+    residual still fails dsgesv's test is returned with a RuntimeWarning
+    that names the residual and the bound; so is the answer to
+    inconsistent constraints (equal rows of A with different right
+    sides), where K is singular but H is not.
 
     Refining past dsgesv's stop matters because the error norms of a
     study are differences of near-equal numbers and move with the
-    roundoff of the solve. On disc, k=3, n=32, refining the augmented
+    roundoff of the solve. On disc, k=3, n=32, refining the float32
     route only until its residual stops halving (15 solves) leaves u
     5.0e-12 relative from the float64 solution and e_L 8.9e-7 relative
     from the benchmark's reference value; refining on while the
-    correction halves (20 solves) gives 1.4e-12 and 3.3e-7. For the
-    same reason the float64 route refines too: e_L from this
-    factorization and from one with minimum degree ordering on K^T K
-    and partial pivoting differ by about 1.9e-6 relative unrefined, and
-    agree to about 2e-8 refined.
+    correction halves (20 solves) gives 1.4e-12 and 3.3e-7.
 
     Optional boundary vb data g (one finite value per column of system.Cb)
     needs s2ub, its coupling block of S2; both are checked before the
@@ -764,12 +732,13 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
         rhs[N:] -= system.Cb @ g
     failure = "saddle system is singular; the mesh may be too coarse"
     try:
-        z, residual, bound = _solve_augmented(s2uu, A, rhs, failure)
-        accepted = residual <= bound
+        z, residual = _solve_augmented(s2uu, A, rhs, failure, np.float32)
     except RuntimeError:
-        accepted = False
-    if not accepted:
-        z, residual, bound = _solve_kkt(s2uu, A, rhs, failure)
+        z = None
+    knorm = _kkt_norm(s2uu, A)
+    if z is None or not residual <= _dsgesv_bound(z, knorm):
+        z, residual = _solve_augmented(s2uu, A, rhs, failure, np.float64)
+        bound = _dsgesv_bound(z, knorm)
         if not residual <= bound:
             warnings.warn(
                 f"p=2 saddle residual {residual:.3g} is above dsgesv's bound "

@@ -50,9 +50,11 @@ def test_solver_config_validation():
         {"alpha": 0.0},
         {"alpha": np.nan},
         {"alpha": np.inf},
+        {"alpha": True},
         {"residual_tol": -1e-8},
         {"residual_tol": np.nan},
         {"residual_tol": np.inf},
+        {"residual_tol": True},
         {"max_iters": 0},
         {"max_iters": 2.5},
         {"max_iters": True},
@@ -538,8 +540,8 @@ def _assert_blockwise_residual(res, K, rhs, suu, A, u, lam):
 def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
     # every factorization keeps the symmetric ordering: a pivot off the
     # diagonal would show as perm_r != perm_c. const, k=4 refuses the
-    # float32 route through the augmented block and factorizes K in
-    # float64
+    # float32 route through the augmented block and factorizes that
+    # block again in float64
     field = builtin_case(case).field
     disc = Discretization(build_uniform(2), SpaceConfig(k=k))
     system = assemble_A(disc, field)
@@ -555,8 +557,8 @@ def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
     for lu in (p1, *factors):
         assert np.array_equal(lu.perm_r, lu.perm_c)
     # p=1 keeps float64 factors; p=2 factorizes its augmented block in
-    # float32 and refines, and falls back to float64 factors of K only
-    # where that route fails
+    # float32 and refines, and falls back to float64 factors of that
+    # block only where the float32 route fails
     assert p1.U.dtype == np.float64
     want = [np.float32, np.float64] if k == 4 else [np.float32]
     assert [lu.U.dtype for lu in factors] == want
@@ -608,21 +610,23 @@ def test_solve_p2_refined_float32_solve_meets_dsgesv_bound(case, k, monkeypatch)
 @pytest.mark.parametrize("failure", ["singular", "stalled"])
 def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
     # a float32 factorization of the augmented block that fails, or
-    # whose refinement stalls, is freed before K is factorized in
-    # float64; the result is then the float64 path's bit for bit: its
-    # solution refined with the blockwise residual while the sup-norm
-    # residual or the sup-norm correction at least halves, or the
-    # residual is above dsgesv's bound and below the first solve's,
-    # keeping the iterate of least residual, or a later one within the
-    # bound whose correction halved
-    K, rhs, system, suu = _p2_saddle("disc", 3)
+    # whose refinement stalls, is freed before the block is factorized
+    # again in float64, with gamma = 1e6; the result is then the float64
+    # route's bit for bit: its first solve, then each next correction
+    # applied while it is at most half the one before, at most 30 solves,
+    # with the residual taken from the blocks
+    _, rhs, system, suu = _p2_saddle("disc", 3)
     A, N = system.A, system.A.shape[1]
     # assemble_S2 returns S2 in canonical form, so this sort changes
     # nothing, and solve_p2's products with S2 take the replay's order
     assert suu.has_canonical_format
     suu.sort_indices()
+    w = pdwg.solver._augmented_weights(suu, A, np.float64)
+    w32 = pdwg.solver._augmented_weights(suu, A, np.float32)
+    assert np.allclose(w, 1e4 * w32, rtol=1e-15, atol=0)
+    H = pdwg.solver._augmented(suu, A, w, np.float64)
     lu64 = splu(
-        K,
+        H,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -631,29 +635,26 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
     def residual(z):
         return np.concatenate([rhs[:N] - suu @ z[:N] - A.T @ z[N:], rhs[N:] - A @ z[:N]])
 
-    knorm = abs(K).sum(axis=1).max()
-    eps = np.finfo(np.float64).eps
-    z = lu64.solve(rhs)
-    r = residual(z)
-    want_res = last = first = np.abs(r).max()
-    want, step = z, np.abs(z).max()
-    for _ in range(29):
-        dz = lu64.solve(r)
-        z = z + dz
-        r = residual(z)
-        res, dz_norm = np.abs(r).max(), np.abs(dz).max()
-        bound = np.abs(z).max() * knorm * eps * np.sqrt(len(z))
-        halved = dz_norm <= 0.5 * step
-        if res < want_res or (halved and res <= bound):
-            want_res, want = res, z
-        if not (res <= 0.5 * last or halved or bound < res < first):
-            break
-        last, step = res, dz_norm
+    def correction(r):
+        du = lu64.solve(r[:N] + A.T @ (w * r[N:]))
+        return np.concatenate([du, w * (A @ du - r[N:])])
 
-    dtypes, float32_factors = [], []
+    want = correction(rhs)
+    r = residual(want)
+    step, solves = np.inf, 1
+    while solves < 30:
+        dz = correction(r)
+        solves += 1
+        if not np.abs(dz).max() <= 0.5 * step:
+            break
+        want, step = want + dz, np.abs(dz).max()
+        r = residual(want)
+    assert 2 < solves <= 7
+
+    shapes, float32_factors = [], []
 
     def patched_splu(A, **kwargs):
-        dtypes.append(A.dtype)
+        shapes.append((A.dtype, A.shape))
         if A.dtype == np.float32:
             if failure == "singular":
                 raise RuntimeError("Factor is exactly singular")
@@ -665,21 +666,21 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
 
     monkeypatch.setattr(pdwg.solver, "splu", patched_splu)
     u, lam, res = solve_p2(system, suu)
-    assert dtypes == [np.float32, np.float64]
+    assert shapes == [(np.float32, (N, N)), (np.float64, (N, N))]
     assert len(float32_factors) == (failure == "stalled")
     assert np.array_equal(np.concatenate([u, lam]), want)
-    assert res == want_res
+    assert res == np.abs(r).max()
 
 
 @pytest.mark.parametrize("k, n, bound", [(4, 2, 1e-13), (5, 1, 1e-8)])
 def test_solve_p2_float64_route_refines_ill_conditioned_k(k, n, bound, monkeypatch):
     # the float64 route, forced here by a float32 factorization of the
-    # augmented block that fails (cond(K) 6.4e6 and 3.1e9); one
-    # refinement step of the float64 solution left residuals of 8.8e-8
-    # and 1.5e-2. Refining on while the residual is above dsgesv's bound
-    # ends within it at k=5 too (4.0e-12 against 1.6e-11), so neither
-    # level warns. Its residual comes from the blocks, as on the float32
-    # route, bit for bit.
+    # augmented block that fails (cond(K) 6.4e6 and 3.1e9). One
+    # refinement step of a float64 solve of K left residuals of 8.8e-8
+    # and 1.5e-2; the float64 augmented block with gamma = 1e6 meets
+    # dsgesv's bound in 5 solves on both (5.0e-15 and 2.7e-14, against
+    # 1.3e-12 and 1.6e-11), so neither level warns. Its residual comes
+    # from the blocks, as on the float32 route, bit for bit.
     K, rhs, system, suu = _p2_saddle("const", k, n)
 
     def float64_only_splu(A, **kwargs):
@@ -721,23 +722,79 @@ def test_solve_p2_float64_route_warns_above_dsgesv_bound(n, monkeypatch):
         pytest.param("const", 4, 2, id="const-4"),
         pytest.param("const", 5, 1, id="const-5-n1"),
         pytest.param("const", 5, 2, id="const-5-n2"),
+        pytest.param("var", 5, 1, id="var-5-n1"),
+        pytest.param("const", 6, 1, id="const-6-n1"),
     ],
 )
 def test_solve_p2_within_dsgesv_bound_raises_no_warning(case, k, n):
-    # var k=2 and disc k=3 pass on the augmented float32 route, const k=4
-    # and k=5 on the float64 route (cond(K) up to 3.1e9 at k=5, n=1)
+    # var k=2 and disc k=3 pass on the float32 route, k=4 to 6 on the
+    # float64 route (cond(K) up to 3.1e9 at const, k=5, n=1)
     _, _, system, suu = _p2_saddle(case, k, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solve_p2(system, suu)
 
 
+@pytest.mark.parametrize("case, k, n", [("const", 4, 2), ("const", 5, 1)])
+def test_solve_p2_float64_route_factorizes_the_augmented_block(case, k, n, monkeypatch):
+    # the levels that refuse the float32 route factorize the N x N
+    # augmented block twice, in float32 and in float64, and never the
+    # (N + M) x (N + M) saddle matrix K. The float32 route gives up once
+    # its correction stops halving (const, k=4, n=2: 9 solves; a rule
+    # that refines on while the residual is above dsgesv's bound spends
+    # all 30 there)
+    _, _, system, suu = _p2_saddle(case, k, n)
+    N, factors = system.A.shape[1], []
+
+    def counting_splu(A, **kwargs):
+        factors.append([A.dtype, A.shape, 0])
+        lu, entry = splu(A, **kwargs), factors[-1]
+
+        class Counting:
+            def solve(self, b):
+                entry[2] += 1
+                return lu.solve(b)
+
+        return Counting()
+
+    monkeypatch.setattr(pdwg.solver, "splu", counting_splu)
+    solve_p2(system, suu)
+    assert [(dtype, shape) for dtype, shape, _ in factors] == [
+        (np.float32, (N, N)),
+        (np.float64, (N, N)),
+    ]
+    assert factors[0][2] <= 10 and factors[1][2] <= 7
+
+
+@pytest.mark.parametrize("case, k", [("disc", 3), ("const", 2)])
+def test_solve_p2_warns_on_inconsistent_rank_deficient_constraints(case, k):
+    # two equal rows of A with different right sides: K is singular and
+    # the system has no solution, but H = S2 + A^T W A stays SPD. Both
+    # routes fail dsgesv's bound, so the answer comes with the warning
+    # and the sup-norm of its own residual (a float64 LU of K gave disc
+    # ||z|| about 1e29 and a residual of 2.1e13, within that bound, and
+    # failed on const)
+    _, _, system, suu = _p2_saddle(case, k)
+    A = system.A.tolil()
+    A[0, :] = A[1, :]
+    A = A.tocsr()
+    f = system.fvec
+    assert f[0] != f[1]
+    bad = ConstraintSystem(A=A, Cb=system.Cb, fvec=f)
+    with pytest.warns(RuntimeWarning, match="above dsgesv's bound"):
+        u, lam, res = solve_p2(bad, suu)
+    r = np.concatenate([-(suu @ u) - A.T @ lam, f - A @ u])
+    assert res == np.abs(r).max()
+    assert np.isfinite(res) and res > 1e-3
+
+
 @pytest.mark.parametrize("matrix", ["p2-float64", "p1-K0", "polish"])
 def test_kkt_from_blocks_equals_bmat(matrix):
     # every saddle matrix is stacked from its blocks by _kkt, equal to
     # sp.bmat's K, index arrays included, so SuperLU sees the same
-    # matrix: the p=2 K of the float64 fallback, the p=1 step matrix K0
-    # and a face polish matrix [[I, C^T], [C, -delta I]]
+    # matrix: the p=1 step matrix K0 and a face polish matrix
+    # [[I, C^T], [C, -delta I]]; solve_p2 builds no saddle matrix, and
+    # its K, stacked here too, is the tests' reference
     disc = Discretization(build_uniform(2), SpaceConfig(k=3))
     A = assemble_A(disc, builtin_case("disc").field).A
     B = assemble_B(disc, 1).B
@@ -761,18 +818,20 @@ def test_augmented_block_is_symmetric_float32_s2_plus_atwa(case, k):
     # solve_p2 factorizes H = S2 + A^T diag(w) A, built in float32 by one
     # product: exactly symmetric, canonical CSC, and equal to the float64
     # sum up to float32 rounding, also for k=2, where S2 has entries
-    # outside A^T A's pattern (A does not see v0)
+    # outside A^T A's pattern (A does not see v0). The float64 fallback
+    # builds it the same way in float64, with 1e4 times the weights
     _, _, system, suu = _p2_saddle(case, k)
     A = system.A
-    w = pdwg.solver._augmented_weights(suu, A)
-    assert np.isfinite(w).all() and (w > 0).all()
-    H = pdwg.solver._augmented(suu, A, w)
-    assert H.format == "csc" and H.dtype == np.float32 and H.has_canonical_format
-    assert (H != H.T).nnz == 0
-    want = (suu + A.T @ sp.diags(w) @ A).tocsc()
     outside = (abs(suu) > 0).astype(int) - (abs(A.T @ A) > 0).astype(int)
     assert (outside > 0).nnz > 0 if k == 2 else (outside > 0).nnz == 0
-    assert abs(H - want).max() <= 1e-6 * abs(want).max()
+    for dtype, rtol in ((np.float32, 1e-6), (np.float64, 1e-14)):
+        w = pdwg.solver._augmented_weights(suu, A, dtype)
+        assert np.isfinite(w).all() and (w > 0).all()
+        H = pdwg.solver._augmented(suu, A, w, dtype)
+        assert H.format == "csc" and H.dtype == dtype and H.has_canonical_format
+        assert (H != H.T).nnz == 0
+        want = (suu + A.T @ sp.diags(w) @ A).tocsc()
+        assert abs(H - want).max() <= rtol * abs(want).max()
 
 
 def test_solve_p2_builds_no_float64_copy_of_k():
@@ -839,8 +898,8 @@ def test_solve_p2_refines_past_the_residual_floor(monkeypatch):
     # on disc, k=3, n=16 the augmented refinement reaches its residual
     # floor (2e-14) at the 13th solve, while u is still 1.4e-11 relative
     # from the float64 solution; refining on while the correction halves
-    # returns u within 3.2e-13
-    _, rhs, system, suu = _p2_saddle("disc", 3, 16)
+    # returns u within 3.2e-13 of a float64 LU solve of K refined twice
+    K, rhs, system, suu = _p2_saddle("disc", 3, 16)
     dtypes = []
 
     def recording_splu(K, **kwargs):
@@ -849,8 +908,11 @@ def test_solve_p2_refines_past_the_residual_floor(monkeypatch):
 
     monkeypatch.setattr(pdwg.solver, "splu", recording_splu)
     u = solve_p2(system, suu)[0]
-    z64 = pdwg.solver._solve_kkt(suu, system.A, rhs, "singular")[0]
-    assert dtypes == [np.float32, np.float64]
+    assert dtypes == [np.float32]
+    lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+    z64 = lu.solve(rhs)
+    for _ in range(2):
+        z64 += lu.solve(rhs - K @ z64)
     u64 = z64[: len(u)]
     assert np.abs(u - u64).max() <= 2e-12 * np.abs(u64).max()
 
@@ -882,7 +944,7 @@ def test_augmented_weights_stay_finite():
     S2[j, j] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        w = pdwg.solver._augmented_weights(S2.tocsr(), A.tocsr())
+        w = pdwg.solver._augmented_weights(S2.tocsr(), A.tocsr(), np.float32)
     assert np.isfinite(w).all() and (w >= 0).all()
     assert w[0] == 0.0 and (w[1:] > 0).all()
 
