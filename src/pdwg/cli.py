@@ -355,16 +355,17 @@ def _p1_step_replay(system, bmat):
 
 def _p2_mixed_refine():
     """Solve the p=2 saddle system of disc, k=3, n=2 by the route solve_p2
-    takes, float32 factors of the augmented block S2 + A^T W A refined
-    in float64 (solver._solve_augmented), and with scipy's float64
-    spsolve; returns (ok, detail), ok only if the two agree within 1e-10
-    relative and the residual is within dsgesv's bound
+    takes, float32 factors of the augmented block S2 + A^T W A condensed
+    to its skeleton unknowns, refined in float64
+    (solver._solve_augmented), and with scipy's float64 spsolve of the
+    assembled K; returns (ok, detail), ok only if the two agree within
+    1e-10 relative and the residual is within dsgesv's bound
     ||z|| ||K|| eps sqrt(n) in the sup-norm."""
     disc = Discretization(build_uniform(2), SpaceConfig(k=3))
     system = assemble_A(disc, builtin_case("disc").field)
     A, suu = system.A, assemble_S2(disc)[0]
     rhs = np.concatenate([np.zeros(A.shape[1]), system.fvec])
-    z = _solve_augmented(suu, A, rhs, "H is singular", np.float32)[0]
+    z = _solve_augmented(suu, A, system.v0_blocks, rhs, "H is singular", np.float32)[0]
     K = sp.bmat([[suu, A.T], [A, None]], format="csc")
     z64 = spsolve(K, rhs)
     gap = np.abs(z - z64).max() / np.abs(z64).max()

@@ -61,16 +61,20 @@ For p=2 the constrained minimization is one symmetric indefinite solve,
 K (u; lambda) = (0; f) with K = [[S2, A^T], [A, 0]] and S2 the
 quadratic stabilizer's matrix. Its solution is also the saddle point of
 the augmented Lagrangian, which adds gamma-weighted |Au - f|^2, so
-solve_p2 factorizes the SPD block H = S2 + A^T W A once
-(_solve_augmented) and refines the original system in float64: a
-residual (r_u, r_lambda), taken from the blocks, gives the correction
-du = H^-1 (r_u + A^T W r_lambda), dlambda = W (A du - r_lambda). H has
-about half the L+U nonzeros of K (disc, k=3, n=32: 9.6M against 18.1M)
-and is factorized in float32; a solution that fails dsgesv's bound
-||z|| ||K|| eps sqrt(n), or a float32 H that cannot be factorized,
-falls back to the same route with H in float64 and a larger gamma
+solve_p2 solves with the SPD block H = S2 + A^T W A (_solve_augmented)
+and refines the original system in float64: a residual (r_u, r_lambda),
+taken from the blocks, gives the correction du = H^-1 (r_u + A^T W
+r_lambda), dlambda = W (A du - r_lambda). Each element's v0 couples only
+to that element's own unknowns, so the v0-v0 part of H is block
+diagonal, and H is condensed to its skeleton unknowns (vb, vg) before
+it is factorized (_condensed): the v0 blocks get dense Cholesky
+factors, and SuperLU factorizes only the Schur complement H_c (disc,
+k=3, n=32: 6.96M L+U nonzeros, against 9.64M for H and 18.1M for K).
+H_c is factorized in float32; a solution that fails dsgesv's bound
+||z|| ||K|| eps sqrt(n), or a float32 H_c that cannot be factorized,
+falls back to the same route with H_c in float64 and a larger gamma
 (_AUGMENT_GAMMA), and solve_p2 warns if that solution fails the bound
-too. K itself is never built. The p=1 K0 and the polish matrices are
+too. Neither K nor H is ever built. The p=1 K0 and the polish matrices are
 saddle matrices, stacked from their blocks by _kkt; every matrix here
 is factorized with the same symmetric SuperLU options
 (_factor_symmetric), and every refined solve, p=2 and polish, follows
@@ -252,36 +256,92 @@ def _augmented_weights(S2, A, dtype):
     return np.divide(_AUGMENT_GAMMA[dtype], s, out=np.zeros_like(s), where=s > 0)
 
 
-def _augmented(S2, A, w, dtype):
-    """H = S2 + A^T diag(w) A in precision dtype as canonical CSC, from
-    one sparse product.
-
-    With G = diag(sqrt(w)) A in dtype, H = [G^T, I] [G; S2]: the product
-    sums G^T G and S2 in one pass, so no float64 H is built for a
-    float32 one, and no second matrix of H's size as G^T G + S2 would
-    hold. S2 cannot be added into G^T G in place: for k=2 its pattern is
-    not inside A^T A's (A does not see v0). Entry (i, j) sums the same
-    products in the same order as entry (j, i), and S2 is symmetric, so
-    H is exactly symmetric and its CSR arrays are its CSC arrays.
-    """
-    sqrt_w = np.repeat(np.sqrt(w), np.diff(A.indptr))
-    G = sp.csr_matrix(
-        ((A.data * sqrt_w).astype(dtype), A.indices, A.indptr), shape=A.shape
+def _check_v0_blocks(blocks, N):
+    """Raise ValueError unless blocks = (T, nv0) names T >= 1 element
+    blocks of nv0 >= 1 leading v0 columns that leave skeleton columns
+    among the N unknowns (ConstraintSystem.v0_blocks)."""
+    ok = (
+        isinstance(blocks, tuple)
+        and len(blocks) == 2
+        and all(isinstance(b, Integral) and not isinstance(b, bool) for b in blocks)
+        and min(blocks) >= 1
+        and blocks[0] * blocks[1] < N
     )
-    S2d = sp.csr_matrix((S2.data.astype(dtype), S2.indices, S2.indptr), shape=S2.shape)
-    eye = sp.identity(S2.shape[0], dtype=dtype, format="csr")
-    left = sp.hstack([G.T.tocsr(), eye], format="csr")
-    right = sp.vstack([G, S2d], format="csr")
-    del sqrt_w, G, S2d  # only the two factors and H are held by the product
-    H = left @ right
-    H.sort_indices()
-    return H.T
+    if not ok:
+        raise ValueError(
+            f"v0_blocks must be (T, nv0), positive integers with T * nv0 < N = {N}; "
+            f"got {blocks!r}"
+        )
+
+
+def _condensed(S2, A, w, blocks, failure, dtype):
+    """The augmented block H = S2 + A^T diag(w) A with its element-interior
+    v0 unknowns eliminated exactly (static condensation).
+
+    blocks = (T, nv0): the first N1 = T nv0 unknowns are v0, element-major,
+    and each element's v0 couples to no other element's, so the v0-v0 part
+    H00 of H is block diagonal. With G = diag(sqrt(w)) A (float64) the v0
+    rows of H are H0 = S2[:N1] + G[:, :N1]^T G; H00 = L L^T (batched
+    Cholesky of its (T, nv0, nv0) diagonal blocks) and C = L^-1 H0[:, N1:].
+    The skeleton Schur complement
+
+        H_c = H_ss - C^T C = [G_s^T, C^T, I] [G_s; -C; S2_ss]
+
+    is one sparse product in precision dtype, so no float64 H_c is built
+    for a float32 one. Entry (i, j) sums the same products in the same
+    order as entry (j, i), and S2 is symmetric, so H_c is exactly
+    symmetric and its CSR arrays are its CSC arrays. G, H0 and the
+    product's inputs are freed before this returns.
+
+    A v0-v0 entry outside the diagonal blocks raises ValueError, and a
+    block that is not positive definite RuntimeError(failure), both
+    before anything is factorized.
+
+    Returns (H_c as canonical CSC, L^-1 as (T, nv0, nv0), C as CSR).
+    """
+    T, nv0 = blocks
+    N1 = T * nv0
+    sqrt_w = np.repeat(np.sqrt(w), np.diff(A.indptr))
+    G = sp.csr_matrix((A.data * sqrt_w, A.indices, A.indptr), shape=A.shape)
+    del sqrt_w
+    H0 = S2[:N1] + G[:, :N1].T.tocsr() @ G
+    v00 = H0[:, :N1].tocoo()
+    t, i = np.divmod(v00.row, nv0)
+    t_col, j = np.divmod(v00.col, nv0)
+    inside = t == t_col
+    if np.any(v00.data[~inside]):
+        raise ValueError(
+            f"the v0-v0 part of the augmented block is not block diagonal with "
+            f"v0_blocks = {blocks!r}"
+        )
+    H00 = np.zeros((T, nv0, nv0))
+    H00[t[inside], i[inside], j[inside]] = v00.data[inside]
+    del v00, t, i, t_col, j, inside
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(H00))
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(failure) from exc
+    L_inv_diag = sp.bsr_matrix((L_inv, np.arange(T), np.arange(T + 1)), shape=(N1, N1))
+    C = (L_inv_diag @ H0[:, N1:]).tocsr()
+    del H00, H0, L_inv_diag
+    Gs = G[:, N1:].astype(dtype)
+    del G
+    Cd = C.astype(dtype)
+    S2s = S2[N1:, N1:].astype(dtype)
+    eye = sp.identity(S2s.shape[0], dtype=dtype, format="csr")
+    left = sp.hstack([Gs.T.tocsr(), Cd.T.tocsr(), eye], format="csr")
+    right = sp.vstack([Gs, -Cd, S2s], format="csr")
+    del Gs, Cd, S2s, eye  # only the two factors and H_c are held by the product
+    Hc = left @ right
+    del left, right
+    Hc.sort_indices()
+    return Hc.T, L_inv, C
 
 
 def _factor_symmetric(K, failure):
     """SuperLU factors of the symmetric or saddle matrix K in K's own
-    precision: the p=2 augmented block H (_augmented) or a p=1 saddle
-    matrix (_kkt).
+    precision: the p=2 condensed augmented block H_c (_condensed) or a
+    p=1 saddle matrix (_kkt).
 
     SuperLU runs in symmetric mode: minimum degree ordering on the
     pattern of K + K^T (MMD_AT_PLUS_A), applied to rows and columns
@@ -336,10 +396,11 @@ def _saddle_residual(H, A, rhs, D=None):
     return residual
 
 
-def _solve_augmented(S2, A, rhs, failure, dtype):
+def _solve_augmented(S2, A, blocks, rhs, failure, dtype):
     """Solve the p=2 saddle system K z = rhs, K = [[S2, A^T], [A, 0]],
-    from factors of the augmented block H = S2 + A^T W A in precision
-    dtype, refined in float64 (_refine).
+    from factors of the augmented block H = S2 + A^T W A, condensed to
+    its skeleton unknowns, in precision dtype, refined in float64
+    (_refine).
 
     W = diag(w) (_augmented_weights). Adding A^T W (A u - rhs_lam) to
     the first block row leaves the solution unchanged, and H is SPD
@@ -353,12 +414,17 @@ def _solve_augmented(S2, A, rhs, failure, dtype):
     refinement converges like the augmented Lagrangian (Uzawa)
     iteration: its error contracts by a factor that falls as gamma
     grows, until the rounding of the factors, which grows with gamma,
-    limits it (float32, disc, k=3, n=16, 32: 0.15-0.3 per solve). H is
-    built in dtype only (_augmented), and the residual comes from the
-    blocks (_saddle_residual). A zero weight means a zero row of A, so K
-    is singular: it raises RuntimeError(failure) before anything is
-    factorized, as a singular H does. The factors are freed when this
-    call returns.
+    limits it (float32, disc, k=3, n=16, 32: 0.15-0.3 per solve).
+
+    Only the skeleton Schur complement H_c of H is factorized
+    (_condensed, blocks = ConstraintSystem.v0_blocks): H^-1 b is
+    y = L^-1 b_0, x_s = H_c^-1 (b_s - C^T y), x_0 = L^-T (y - C x_s),
+    with the v0 blocks' Cholesky factors L and C = L^-1 H_0s applied in
+    float64. On disc, k=3, n=32 H_c has 6.96M L+U nonzeros against
+    9.64M for H. The residual comes from the blocks (_saddle_residual).
+    A zero weight means a zero row of A, so K is singular: it raises
+    RuntimeError(failure) before anything is factorized, as a singular
+    H does. The factors are freed when this call returns.
 
     Returns (z, sup-norm of its residual).
     """
@@ -366,13 +432,20 @@ def _solve_augmented(S2, A, rhs, failure, dtype):
     w = _augmented_weights(S2, A, dtype)
     if not w.all():
         raise RuntimeError(failure)
-    lu = _factor_symmetric(_augmented(S2, A, w, dtype), failure)
-    N, AT = S2.shape[0], A.T
+    Hc, L_inv, C = _condensed(S2, A, w, blocks, failure, dtype)
+    lu = _factor_symmetric(Hc, failure)
+    del Hc
+    T, nv0 = blocks
+    N, N1, AT, CT, L_invT = S2.shape[0], T * nv0, A.T, C.T, np.swapaxes(L_inv, 1, 2)
 
     def correction(r):
         r_u, r_lam = r[:N], r[N:]
-        du = lu.solve((r_u + AT @ (w * r_lam)).astype(dtype, copy=False))
-        du = du.astype(np.float64, copy=False)
+        b = r_u + AT @ (w * r_lam)
+        y = (L_inv @ b[:N1].reshape(T, nv0, 1)).ravel()
+        xs = lu.solve((b[N1:] - CT @ y).astype(dtype, copy=False))
+        xs = xs.astype(np.float64, copy=False)
+        x0 = (L_invT @ (y - C @ xs).reshape(T, nv0, 1)).ravel()
+        du = np.concatenate([x0, xs])
         return np.concatenate([du, w * (A @ du - r_lam)])
 
     return _refine(_saddle_residual(S2, A, rhs), rhs, correction)
@@ -687,31 +760,36 @@ def solve_p1(system, bmat, k, cfg, g=None):
 def solve_p2(system, s2uu, s2ub=None, g=None):
     """Direct solve of the p=2 Euler-Lagrange saddle system.
 
-    K = [[S2, A^T], [A, 0]]. _solve_augmented factorizes the augmented
-    block H = S2 + A^T W A in float32, built from S2 and A, and refines
-    the solution of K with the float64 residual taken from S2 and A
+    K = [[S2, A^T], [A, 0]]. _solve_augmented condenses the augmented
+    block H = S2 + A^T W A to its skeleton unknowns, with the v0 layout
+    that system.v0_blocks names (checked first: a layout that does not fit
+    raises ValueError before anything is factorized), factorizes the
+    Schur complement H_c in float32, built from S2 and A, and refines the
+    solution of K with the float64 residual taken from S2 and A
     (_refine); the result is accepted if its residual passes dsgesv's
     test ||z|| ||K|| eps sqrt(n), with ||K|| from the blocks
-    (_kkt_norm). Otherwise, or if the float32 factorization of H fails,
-    those factors are freed and the same route runs with H in float64
-    and gamma = 1e6 (_AUGMENT_GAMMA). K itself is never factorized. The
-    benchmark levels (var, k=2, n=16, 32; disc, k=3, n=8 to 32) and
-    every const, var and disc level measured with k=3 are accepted in
-    float32, after 10 to 20 solves; nearly every level with k = 4 to 6
-    falls back, and the float64 route meets the bound in 5 to 7 solves
-    (const, k=5, n=1, cond(K) 3.1e9: 2.7e-14). A float64 solution whose
-    residual still fails dsgesv's test is returned with a RuntimeWarning
-    that names the residual and the bound; so is the answer to
-    inconsistent constraints (equal rows of A with different right
-    sides), where K is singular but H is not.
+    (_kkt_norm). Otherwise, or if the float32 factorization of H_c
+    fails, those factors are freed and the same route runs with H_c in
+    float64 and gamma = 1e6 (_AUGMENT_GAMMA). Neither K nor H is ever
+    factorized. The benchmark levels (var, k=2, n=16, 32; disc, k=3,
+    n=8 to 32) and every const, var and disc level measured with k=3 are
+    accepted in float32, after 10 to 20 solves; every level with k = 4
+    to 6 and n <= 4 but disc, k=4, n=1 (accepted in float32 after 21
+    solves) falls back after 3 or 4 float32 solves, and the float64
+    route meets the bound in 5 to 9 solves (const, k=5, n=1, cond(K)
+    3.1e9: 7.1e-15). A float64 solution whose residual still fails
+    dsgesv's test is returned with a RuntimeWarning that names the
+    residual and the bound; so is the answer to inconsistent
+    constraints (equal rows of A with different right sides), where K
+    is singular but H is not.
 
     Refining past dsgesv's stop matters because the error norms of a
     study are differences of near-equal numbers and move with the
     roundoff of the solve. On disc, k=3, n=32, refining the float32
-    route only until its residual stops halving (15 solves) leaves u
-    5.0e-12 relative from the float64 solution and e_L 8.9e-7 relative
-    from the benchmark's reference value; refining on while the
-    correction halves (20 solves) gives 1.4e-12 and 3.3e-7.
+    route only until its residual stops halving (13 solves) leaves u
+    2.2e-11 relative from a float64 solve of K and e_L 1.2e-6 relative
+    from the benchmark's reference value, outside its gate; refining on
+    while the correction halves (20 solves) gives 8.7e-13 and 4.8e-7.
 
     Optional boundary vb data g (one finite value per column of system.Cb)
     needs s2ub, its coupling block of S2; both are checked before the
@@ -724,20 +802,21 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
         _check_boundary_data(system, g)
         if s2ub is None:
             raise ValueError("s2ub is required with boundary data g")
-    A = system.A
+    A, blocks = system.A, system.v0_blocks
     N = A.shape[1]
+    _check_v0_blocks(blocks, N)
     rhs = np.concatenate([np.zeros(N), system.fvec])
     if g is not None:
         rhs[:N] -= s2ub @ g
         rhs[N:] -= system.Cb @ g
     failure = "saddle system is singular; the mesh may be too coarse"
     try:
-        z, residual = _solve_augmented(s2uu, A, rhs, failure, np.float32)
+        z, residual = _solve_augmented(s2uu, A, blocks, rhs, failure, np.float32)
     except RuntimeError:
         z = None
     knorm = _kkt_norm(s2uu, A)
     if z is None or not residual <= _dsgesv_bound(z, knorm):
-        z, residual = _solve_augmented(s2uu, A, rhs, failure, np.float64)
+        z, residual = _solve_augmented(s2uu, A, blocks, rhs, failure, np.float64)
         bound = _dsgesv_bound(z, knorm)
         if not residual <= bound:
             warnings.warn(

@@ -146,11 +146,15 @@ class ConstraintSystem:
 
     A is M x N over the unknowns, Cb is M x NB over boundary vb data;
     the constraint with boundary data g reads A v = fvec - Cb g.
+    v0_blocks = (T, nv0) says that the first T * nv0 columns are the
+    element-interior v0 DOFs, element-major, nv0 per element (DofLayout);
+    solve_p2 condenses them out of its augmented block.
     """
 
     A: sp.csr_matrix
     Cb: sp.csr_matrix
     fvec: np.ndarray
+    v0_blocks: tuple
 
 
 def assemble_A(disc, field):
@@ -185,7 +189,12 @@ def assemble_A(disc, field):
             shape=(layout.M, layout.N + layout.NB),
         )
     )
-    return ConstraintSystem(A=full[:, : layout.N], Cb=full[:, layout.N :], fvec=fvec)
+    return ConstraintSystem(
+        A=full[:, : layout.N],
+        Cb=full[:, layout.N :],
+        fvec=fvec,
+        v0_blocks=(T, layout.nv0),
+    )
 
 
 def apply_Lw(disc, field, v, system=None):

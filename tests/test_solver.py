@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -33,7 +34,7 @@ from pdwg.solver import (
     solve_p2,
 )
 from pdwg.stabilizer import assemble_B, assemble_S2, eval_s
-from pdwg.weak_assembly import ConstraintSystem, assemble_A
+from pdwg.weak_assembly import assemble_A
 
 from conftest import plain_iterates, poly_field, replay_p1
 
@@ -106,7 +107,7 @@ def test_p1_stops_on_nonfinite_residual():
     _, system, bmat = setup(1, builtin_case("const").field)
     fvec = system.fvec.copy()
     fvec[0] = np.nan
-    bad = ConstraintSystem(A=system.A, Cb=system.Cb, fvec=fvec)
+    bad = dataclasses.replace(system, fvec=fvec)
     _, state, diag = solve_p1(bad, bmat, 2, SolverConfig())
     assert diag.stop_reason == "nonfinite"
     assert not diag.converged
@@ -609,14 +610,16 @@ def test_solve_p2_refined_float32_solve_meets_dsgesv_bound(case, k, monkeypatch)
 
 @pytest.mark.parametrize("failure", ["singular", "stalled"])
 def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
-    # a float32 factorization of the augmented block that fails, or
-    # whose refinement stalls, is freed before the block is factorized
-    # again in float64, with gamma = 1e6; the result is then the float64
-    # route's bit for bit: its first solve, then each next correction
-    # applied while it is at most half the one before, at most 30 solves,
-    # with the residual taken from the blocks
+    # a float32 factorization of the condensed augmented block that
+    # fails, or whose refinement stalls, is freed before the block is
+    # condensed and factorized again in float64, with gamma = 1e6; the
+    # result is then the float64 route's bit for bit: its first solve,
+    # then each next correction applied while it is at most half the one
+    # before, at most 30 solves, with the residual taken from the blocks
     _, rhs, system, suu = _p2_saddle("disc", 3)
     A, N = system.A, system.A.shape[1]
+    T, nv0 = system.v0_blocks
+    N1 = T * nv0
     # assemble_S2 returns S2 in canonical form, so this sort changes
     # nothing, and solve_p2's products with S2 take the replay's order
     assert suu.has_canonical_format
@@ -624,9 +627,9 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
     w = pdwg.solver._augmented_weights(suu, A, np.float64)
     w32 = pdwg.solver._augmented_weights(suu, A, np.float32)
     assert np.allclose(w, 1e4 * w32, rtol=1e-15, atol=0)
-    H = pdwg.solver._augmented(suu, A, w, np.float64)
+    Hc, L_inv, C = pdwg.solver._condensed(suu, A, w, (T, nv0), "singular", np.float64)
     lu64 = splu(
-        H,
+        Hc,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -636,7 +639,11 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
         return np.concatenate([rhs[:N] - suu @ z[:N] - A.T @ z[N:], rhs[N:] - A @ z[:N]])
 
     def correction(r):
-        du = lu64.solve(r[:N] + A.T @ (w * r[N:]))
+        b = r[:N] + A.T @ (w * r[N:])
+        y = (L_inv @ b[:N1].reshape(T, nv0, 1)).ravel()
+        xs = lu64.solve(b[N1:] - C.T @ y)
+        x0 = (np.swapaxes(L_inv, 1, 2) @ (y - C @ xs).reshape(T, nv0, 1)).ravel()
+        du = np.concatenate([x0, xs])
         return np.concatenate([du, w * (A @ du - r[N:])])
 
     want = correction(rhs)
@@ -666,7 +673,7 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
 
     monkeypatch.setattr(pdwg.solver, "splu", patched_splu)
     u, lam, res = solve_p2(system, suu)
-    assert shapes == [(np.float32, (N, N)), (np.float64, (N, N))]
+    assert shapes == [(np.float32, (N - N1, N - N1)), (np.float64, (N - N1, N - N1))]
     assert len(float32_factors) == (failure == "stalled")
     assert np.array_equal(np.concatenate([u, lam]), want)
     assert res == np.abs(r).max()
@@ -737,14 +744,15 @@ def test_solve_p2_within_dsgesv_bound_raises_no_warning(case, k, n):
 
 @pytest.mark.parametrize("case, k, n", [("const", 4, 2), ("const", 5, 1)])
 def test_solve_p2_float64_route_factorizes_the_augmented_block(case, k, n, monkeypatch):
-    # the levels that refuse the float32 route factorize the N x N
-    # augmented block twice, in float32 and in float64, and never the
-    # (N + M) x (N + M) saddle matrix K. The float32 route gives up once
-    # its correction stops halving (const, k=4, n=2: 9 solves; a rule
-    # that refines on while the residual is above dsgesv's bound spends
-    # all 30 there)
+    # the levels that refuse the float32 route factorize the augmented
+    # block condensed to its N - T nv0 skeleton unknowns twice, in
+    # float32 and in float64, and never the (N + M) x (N + M) saddle
+    # matrix K. The float32 route gives up once its correction stops
+    # halving (const, k=4, n=2: 9 solves; a rule that refines on while
+    # the residual is above dsgesv's bound spends all 30 there)
     _, _, system, suu = _p2_saddle(case, k, n)
-    N, factors = system.A.shape[1], []
+    T, nv0 = system.v0_blocks
+    N, factors = system.A.shape[1] - T * nv0, []
 
     def counting_splu(A, **kwargs):
         factors.append([A.dtype, A.shape, 0])
@@ -780,7 +788,7 @@ def test_solve_p2_warns_on_inconsistent_rank_deficient_constraints(case, k):
     A = A.tocsr()
     f = system.fvec
     assert f[0] != f[1]
-    bad = ConstraintSystem(A=A, Cb=system.Cb, fvec=f)
+    bad = dataclasses.replace(system, A=A)
     with pytest.warns(RuntimeWarning, match="above dsgesv's bound"):
         u, lam, res = solve_p2(bad, suu)
     r = np.concatenate([-(suu @ u) - A.T @ lam, f - A @ u])
@@ -814,31 +822,66 @@ def test_kkt_from_blocks_equals_bmat(matrix):
 
 
 @pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
-def test_augmented_block_is_symmetric_float32_s2_plus_atwa(case, k):
-    # solve_p2 factorizes H = S2 + A^T diag(w) A, built in float32 by one
-    # product: exactly symmetric, canonical CSC, and equal to the float64
-    # sum up to float32 rounding, also for k=2, where S2 has entries
-    # outside A^T A's pattern (A does not see v0). The float64 fallback
-    # builds it the same way in float64, with 1e4 times the weights
+def test_condensed_block_is_symmetric_schur_complement_of_s2_plus_atwa(case, k):
+    # solve_p2 factorizes the skeleton Schur complement H_c of
+    # H = S2 + A^T diag(w) A, built in float32 by one product: exactly
+    # symmetric, canonical CSC, and equal to the Schur complement of a
+    # dense float64 H up to float32 rounding of H's entries, also for
+    # k=2, where S2 has entries outside A^T A's pattern (A does not see
+    # v0). The float64 fallback builds it the same way in float64, with
+    # 1e4 times the weights
     _, _, system, suu = _p2_saddle(case, k)
     A = system.A
+    T, nv0 = system.v0_blocks
+    N1 = T * nv0
     outside = (abs(suu) > 0).astype(int) - (abs(A.T @ A) > 0).astype(int)
     assert (outside > 0).nnz > 0 if k == 2 else (outside > 0).nnz == 0
+    if k == 2:
+        assert abs(A[:, :N1]).max() == 0
     for dtype, rtol in ((np.float32, 1e-6), (np.float64, 1e-14)):
         w = pdwg.solver._augmented_weights(suu, A, dtype)
         assert np.isfinite(w).all() and (w > 0).all()
-        H = pdwg.solver._augmented(suu, A, w, dtype)
-        assert H.format == "csc" and H.dtype == dtype and H.has_canonical_format
-        assert (H != H.T).nnz == 0
-        want = (suu + A.T @ sp.diags(w) @ A).tocsc()
-        assert abs(H - want).max() <= rtol * abs(want).max()
+        Hc, L_inv, C = pdwg.solver._condensed(suu, A, w, (T, nv0), "singular", dtype)
+        assert Hc.format == "csc" and Hc.dtype == dtype and Hc.has_canonical_format
+        assert (Hc != Hc.T).nnz == 0
+        H = (suu + A.T @ sp.diags(w) @ A).toarray()
+        H00, H0s, Hss = H[:N1, :N1], H[:N1, N1:], H[N1:, N1:]
+        want = Hss - H0s.T @ np.linalg.solve(H00, H0s)
+        assert abs(Hc.toarray() - want).max() <= rtol * abs(Hss).max()
+        # L^-1 holds the inverse Cholesky factors of H's diagonal v0
+        # blocks, and C = L^-1 H_0s
+        L_inv = sp.block_diag(L_inv).toarray()
+        assert abs(L_inv @ H00 @ L_inv.T - np.eye(N1)).max() <= 1e-10
+        assert abs(L_inv @ H0s - C.toarray()).max() <= 1e-13 * abs(C).max()
+
+
+def test_solve_p2_rejects_a_v0_layout_that_does_not_fit(monkeypatch):
+    # solve_p2 condenses the leading T nv0 unknowns, named by
+    # ConstraintSystem.v0_blocks, out of its augmented block. A layout
+    # that is not two positive integers, leaves no skeleton unknowns, or
+    # whose blocks cut through the v0-v0 part of H raises ValueError
+    # before anything is factorized
+    _, _, system, suu = _p2_saddle("disc", 3)
+    T, nv0 = system.v0_blocks
+    N = system.A.shape[1]
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("factorized with a bad v0 layout")
+
+    monkeypatch.setattr(pdwg.solver, "splu", no_splu)
+    for blocks in ((1, N), (N, 1), (0, nv0), (T, 0), (T, float(nv0)), (True, nv0), [T, nv0], (T,)):
+        with pytest.raises(ValueError, match="v0_blocks must be"):
+            solve_p2(dataclasses.replace(system, v0_blocks=blocks), suu)
+    with pytest.raises(ValueError, match="not block diagonal"):
+        solve_p2(dataclasses.replace(system, v0_blocks=(2 * T, nv0 // 2)), suu)
 
 
 def test_solve_p2_builds_no_float64_copy_of_k():
-    # the float32 route builds the augmented block H = S2 + A^T W A in
-    # float32 only, by one product: at this size the builds
+    # the float32 route builds the condensed augmented block in float32
+    # only, by one product: it peaks at 19.8 bytes per stored entry of K
+    # (19.6 for the uncondensed H built the same way), while the builds
     # (S2 + A^T W A).astype(float32) and a float32 product G^T G plus a
-    # float32 S2 peaked at 54 and 37 bytes per stored entry of K
+    # float32 S2 of the uncondensed H peaked at 54 and 37
     disc = Discretization(build_uniform(8), SpaceConfig(k=3))
     system = assemble_A(disc, builtin_case("disc").field)
     suu = assemble_S2(disc)[0]
@@ -923,7 +966,7 @@ def test_solve_p2_singular_saddle_raises():
     suu, sub = assemble_S2(disc)
     A = system.A.tolil()
     A[0, :] = 0.0  # a zero constraint row makes K rank-deficient
-    bad = ConstraintSystem(A=A.tocsr(), Cb=system.Cb, fvec=system.fvec)
+    bad = dataclasses.replace(system, A=A.tocsr())
     # the zero row gets the weight 0 in the augmented block, not inf or
     # NaN: no RuntimeWarning comes before the float64 fallback raises
     with warnings.catch_warnings():
