@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 import warnings
@@ -394,36 +395,94 @@ def test_p1_objective_matches_lp_optimum(n):
 
 
 def test_p1_polish_accepts_after_a_rejected_attempt():
-    # on const n=2 the clip pattern first holds still for 200 checked
-    # iterates at step 536, where the dual projection is inconsistent and
-    # the candidate fails on r1; the loop goes on from the plain iterate,
-    # and the second still pattern is certified at step 3701
+    # on const n=2 the clip pattern first holds still for 50 checked
+    # iterates at step 386 and for 200 at step 536; at both the dual
+    # projection is inconsistent and the candidate fails on r1, and the
+    # loop goes on from the plain iterate. The next pattern is certified
+    # after 50 still iterates, at step 3468
     _, system, bmat = setup(2, builtin_case("const").field)
     cfg = SolverConfig(alpha=16.0)
     _, limit, diag = solve_p1(system, bmat, 2, cfg)
     assert diag.converged
-    assert (diag.polish_attempts, diag.polished_at, diag.iterations) == (2, 3701, 3701)
+    assert (diag.polish_attempts, diag.polished_at, diag.iterations) == (3, 3468, 3468)
     A, B, f = system.A, bmat.B, system.fvec
     prox = make_prox(cfg.prox_method, 2, cfg.alpha)
-    signs, first = {}, []
+    signs, rejected = {}, {}
 
     def visit(state):
-        if 335 <= state.iteration <= 536:
+        if 335 <= state.iteration <= 536 or 3417 <= state.iteration:
             signs[state.iteration] = np.sign(prox(B @ state.u + state.y)).tobytes()
-        if state.iteration == 536:
-            first.append(polish_face(state, A, B, f, cfg.alpha, prox))
+        if state.iteration in (386, 536):
+            rejected[state.iteration] = polish_face(state, A, B, f, cfg.alpha, prox)
 
     final, rows = replay_p1(system, bmat, cfg, diag, visit)
     assert signs[335] != signs[336]
     assert {signs[n] for n in range(336, 537)} == {signs[536]}
-    candidate, (r1, r2, r3) = first[0]
-    assert candidate.iteration == 536
-    assert r1 > cfg.residual_tol  # 4.0e-6
+    assert signs[3417] != signs[3418]
+    assert {signs[n] for n in range(3418, 3469)} == {signs[3468]}
+    for step, (candidate, (r1, r2, r3)) in rejected.items():
+        assert candidate.iteration == step
+        assert r1 > cfg.residual_tol  # 4.0e-6
     # the plain prefix and the accepted polish replay bit for bit
     assert np.array_equal(rows, diag.residual_history)
     for name in "uyx":
         assert np.array_equal(getattr(final, name), getattr(limit, name)), name
     assert max(residual_2_90(limit, A, B, f, cfg.alpha, prox)) <= cfg.residual_tol
+
+
+@pytest.mark.parametrize("case, k", [("const", 2), ("var", 2), ("disc", 3)])
+def test_p1_short_polish_trigger_never_ends_a_run_later(case, k, monkeypatch):
+    # a rejected candidate leaves the plain iterate untouched, so the
+    # short trigger (50 still iterates, one attempt per 1,000 steps) only
+    # adds attempts to the plain trajectory, and every pattern it tries
+    # still gets its attempt at the 200-iterate window
+    disc = Discretization(build_uniform(2), SpaceConfig(k=k))
+    system = assemble_A(disc, builtin_case(case).field)
+    bmat = assemble_B(disc, 1)
+    cfg = SolverConfig(alpha=16.0)
+    polish = pdwg.solver._polish
+    tries = {}  # step of each attempt -> the candidate's (r1, r2, r3)
+
+    def record(state, *args):
+        cand, r = polish(state, *args)
+        tries[state.iteration] = r
+        return cand, r
+
+    monkeypatch.setattr(pdwg.solver, "_polish", record)
+    _, _, short = solve_p1(system, bmat, k, cfg)
+    short_tries, tries = tries, {}
+    # a short window longer than the run: only the 200-iterate trigger
+    monkeypatch.setattr(pdwg.solver, "_POLISH_SHORT_WINDOW", cfg.max_iters)
+    _, _, long = solve_p1(system, bmat, k, cfg)
+    assert short.converged and long.converged
+    assert short.iterations <= long.iterations
+    plain = short.iterations + (short.polished_at is None)
+    assert np.array_equal(
+        short.residual_history[:plain], long.residual_history[:plain]
+    )
+    # every attempt of the long trigger alone is made, with the same result
+    assert {
+        step: r for step, r in tries.items() if step <= short.iterations
+    }.items() <= short_tries.items()
+    assert short.polish_attempts == len(short_tries)
+    assert short.polish_attempts <= long.polish_attempts + math.ceil(
+        short.iterations / 1000
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "case, k, steps", [("const", 2, 9441), ("var", 2, 7471), ("disc", 3, 15062)]
+)
+def test_p1_n4_converges_within_the_long_trigger_step_counts(case, k, steps):
+    # steps: the certified step at n=4 when only the 200-iterate window
+    # triggered the polish
+    disc = Discretization(build_uniform(4), SpaceConfig(k=k))
+    system = assemble_A(disc, builtin_case(case).field)
+    bmat = assemble_B(disc, 1)
+    _, _, diag = solve_p1(system, bmat, k, SolverConfig(alpha=16.0))
+    assert diag.converged
+    assert diag.iterations <= steps
 
 
 @pytest.mark.parametrize(
