@@ -28,7 +28,7 @@ from .solver import (
     polish_face,
     residual_2_90,
     solve_p1,
-    _solve_augmented,
+    solve_p2,
 )
 from .stabilizer import assemble_B, assemble_S2, eval_phi, eval_s
 from .weak_assembly import assemble_A, weak_hessian_apply
@@ -292,8 +292,7 @@ def _run_verify(_cfg):
     # the public step functions replay solve_p1 bit for bit
     ok &= _check("p1-step-replay-n1", *_p1_step_replay(system, bmat))
 
-    # the p=2 solve from float32 factors of the augmented block agrees
-    # with a float64 solve
+    # solve_p2 agrees with a float64 solve of the assembled K
     ok &= _check("p2-mixed-refine-n2", *_p2_mixed_refine())
 
     # firm nonexpansiveness of every prox operator; the numerical
@@ -354,18 +353,17 @@ def _p1_step_replay(system, bmat):
 
 
 def _p2_mixed_refine():
-    """Solve the p=2 saddle system of disc, k=3, n=2 by the route solve_p2
-    takes, float32 factors of the augmented block S2 + A^T W A condensed
-    to its skeleton unknowns, refined in float64
-    (solver._solve_augmented), and with scipy's float64 spsolve of the
-    assembled K; returns (ok, detail), ok only if the two agree within
-    1e-10 relative and the residual is within dsgesv's bound
-    ||z|| ||K|| eps sqrt(n) in the sup-norm."""
+    """Solve the p=2 saddle system of disc, k=3, n=2 with solve_p2, which
+    refines a solve from factors of the augmented block S2 + A^T W A in
+    float64, and with scipy's float64 spsolve of the assembled K;
+    returns (ok, detail), ok only if the two agree within 1e-10 relative
+    and the residual is within dsgesv's bound ||z|| ||K|| eps sqrt(n) in
+    the sup-norm."""
     disc = Discretization(build_uniform(2), SpaceConfig(k=3))
     system = assemble_A(disc, builtin_case("disc").field)
     A, suu = system.A, assemble_S2(disc)[0]
     rhs = np.concatenate([np.zeros(A.shape[1]), system.fvec])
-    z = _solve_augmented(suu, A, system.v0_blocks, rhs, "H is singular", np.float32)[0]
+    z = np.concatenate(solve_p2(system, suu)[:2])
     K = sp.bmat([[suu, A.T], [A, None]], format="csc")
     z64 = spsolve(K, rhs)
     gap = np.abs(z - z64).max() / np.abs(z64).max()

@@ -159,7 +159,7 @@ def build_uniform(n):
     -------
     Mesh
     """
-    if not isinstance(n, Integral) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
         raise ValueError(f"n must be a positive integer, got n={n!r}")
     n = int(n)
 

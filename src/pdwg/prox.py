@@ -59,8 +59,9 @@ def integral_abs_linear(a, b):
 
 
 def _check_parameter(name, value):
-    """Raise ValueError unless a prox parameter is positive and finite."""
-    if not 0 < value < math.inf:
+    """Raise ValueError unless a prox parameter is positive and finite
+    (a bool is neither)."""
+    if isinstance(value, bool) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 

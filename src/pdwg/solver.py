@@ -80,12 +80,13 @@ H_c is factorized in float32; a solution that fails dsgesv's bound
 ||z|| ||K|| eps sqrt(n), or a float32 H_c that cannot be factorized,
 falls back to the same route with H_c in float64 and a larger gamma
 (_AUGMENT_GAMMA), and solve_p2 warns if that solution fails the bound
-too. Neither K nor H is ever built. The p=1 K0 and the polish matrices are
-saddle matrices, stacked from their blocks by _kkt; every matrix here
-is factorized with the same symmetric SuperLU options
-(_factor_symmetric), and every refined solve, p=2 and polish, follows
-one rule (_refine): apply the next correction while it is at most half
-the previous one, for at most 30 solves.
+too. Neither K nor H is ever built. The p=1 K0 and the polish matrices
+are saddle matrices, stacked from their blocks by sp.bmat as CSC with
+sorted indices; every matrix here is factorized with the same
+symmetric SuperLU options (_factor_symmetric), and every refined
+solve, p=2 and polish, follows one rule (_refine): apply the next
+correction while it is at most half the previous one, for at most 30
+solves.
 
 Boundary vb data g shifts the jump vector by c = Bb g and the
 constraint right side by -Cb g in both paths. Shifting the prox
@@ -194,7 +195,7 @@ class SMatrix:
     """The iteration matrix S and the factorization that solves with it.
 
     S is the full (y, u, x) matrix. lu factorizes its (u, x) block K0
-    only (see _kkt), and BA = [B; A] in CSR form gives
+    only (module docstring), and BA = [B; A] in CSR form gives
     y = b1 + Bu and the constraint residual from u.
     """
 
@@ -229,29 +230,6 @@ def make_prox(method, k, alpha):
     if method != "wl1":
         raise ValueError(f"unknown prox method {method!r}; the only one is 'wl1'")
     return lambda q: prox_phi_weighted_l1(q, alpha, k)
-
-
-def _kkt(H, A, D=None):
-    """The symmetric saddle matrix K = [[H, A^T], [A, D]] as canonical CSC
-    (sorted indices), stacked from the blocks.
-
-    The p=1 steps take H = alpha B^T B (assemble_S) with D = 0 (None),
-    the p=1 face polish H = I and D = -delta I (_project); p=2 factorizes
-    no saddle matrix (_solve_augmented). The columns of [H; A] come
-    first, then those of [A^T; D]; with D = 0 the CSC arrays of [A^T; 0]
-    are the CSR arrays of A. The result equals sp.bmat([[H, A.T], [A,
-    D]]) in data, indices and indptr.
-    """
-    A = A.tocsr()
-    N, m = H.shape[0], A.shape[0]
-    left = sp.vstack([H.tocsc(), A.tocsc()], format="csc")
-    if D is None:
-        right = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(N + m, m))
-    else:
-        right = sp.vstack([A.T, D], format="csc")
-    K = sp.hstack([left, right], format="csc")
-    K.sort_indices()
-    return K
 
 
 def _augmented_weights(S2, A, dtype):
@@ -357,7 +335,7 @@ def _condensed(S2, A, w, blocks, failure, dtype):
 def _factor_symmetric(K, failure):
     """SuperLU factors of the symmetric or saddle matrix K in K's own
     precision: the p=2 condensed augmented block H_c (_condensed) or a
-    p=1 saddle matrix (_kkt).
+    p=1 saddle matrix (assemble_S, _project).
 
     SuperLU runs in symmetric mode: minimum degree ordering on the
     pattern of K + K^T (MMD_AT_PLUS_A), applied to rows and columns
@@ -503,7 +481,8 @@ def assemble_S(A, B, alpha):
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
     nB, N = B.shape
-    K0 = _kkt(alpha * (B.T @ B), A)
+    K0 = sp.bmat([[alpha * (B.T @ B), A.T], [A, None]], format="csc")
+    K0.sort_indices()
     lu = _factor_symmetric(K0, "factorization of S failed; A may be rank-deficient")
     top = sp.hstack([-B, sp.csr_matrix((nB, A.shape[0]))])
     S = sp.bmat([[sp.eye(nB), top], [None, K0]], format="csc")
@@ -648,7 +627,9 @@ def _project(C, r, w):
     n = C.shape[1]
     rhs = np.concatenate([np.zeros(n), r - C @ w])
     I, D = sp.identity(n), -_POLISH_DELTA * sp.identity(C.shape[0])
-    lu = _factor_symmetric(_kkt(I, C, D), "face polish projection is singular")
+    K = sp.bmat([[I, C.T], [C, D]], format="csc")
+    K.sort_indices()
+    lu = _factor_symmetric(K, "face polish projection is singular")
     return w + _refine(_saddle_residual(I, C, rhs, D), rhs, lu.solve)[0][:n]
 
 

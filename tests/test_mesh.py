@@ -52,8 +52,8 @@ def test_edge_in_three_elements_rejected():
 def test_build_uniform_rejects_bad_n():
     with pytest.raises(ValueError):
         build_uniform(0)
-    # a float n is refused, not truncated
-    for n in (2.7, 2.0):
+    # a float or bool n is refused, not truncated or read as 1
+    for n in (2.7, 2.0, True):
         with pytest.raises(ValueError, match="n must be a positive integer"):
             build_uniform(n)
     assert build_uniform(np.int64(2)).n == 2

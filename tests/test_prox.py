@@ -222,7 +222,7 @@ def test_wl1_thresholds_are_cached_read_only():
             arr[0] = 0.0
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0, True])
 @pytest.mark.parametrize(
     "prox",
     [

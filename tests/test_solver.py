@@ -599,13 +599,18 @@ def _assert_blockwise_residual(res, K, rhs, suu, A, u, lam):
 @pytest.mark.parametrize("case, k", [("const", 2), ("disc", 3), ("const", 4)])
 def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
     # every factorization keeps the symmetric ordering: a pivot off the
-    # diagonal would show as perm_r != perm_c. const, k=4 refuses the
-    # float32 route through the augmented block and factorizes that
-    # block again in float64
+    # diagonal would show as perm_r != perm_c. The p=1 step matrix K0,
+    # the two projections of a face polish, tried on the iterate a
+    # 500-step run returns, and the p=2 augmented block; const, k=4
+    # refuses the float32 route through that block and factorizes it
+    # again in float64
     field = builtin_case(case).field
     disc = Discretization(build_uniform(2), SpaceConfig(k=k))
     system = assemble_A(disc, field)
-    p1 = assemble_S(system.A, assemble_B(disc, 1).B, 16.0).lu
+    bmat = assemble_B(disc, 1)
+    cfg = SolverConfig(alpha=16.0, max_iters=500)
+    _, state, _ = solve_p1(system, bmat, k, cfg)
+    p1 = assemble_S(system.A, bmat.B, cfg.alpha).lu
     factors = []
 
     def recording_splu(*args, **kwargs):
@@ -613,15 +618,18 @@ def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(pdwg.solver, "splu", recording_splu)
+    prox = make_prox(cfg.prox_method, k, cfg.alpha)
+    polish_face(state, system.A, bmat.B, system.fvec, cfg.alpha, prox)
     solve_p2(system, assemble_S2(disc)[0])
     for lu in (p1, *factors):
         assert np.array_equal(lu.perm_r, lu.perm_c)
-    # p=1 keeps float64 factors; p=2 factorizes its augmented block in
-    # float32 and refines, and falls back to float64 factors of that
-    # block only where the float32 route fails
-    assert p1.U.dtype == np.float64
+    # p=1 and its polish keep float64 factors; p=2 factorizes its
+    # augmented block in float32 and refines, and falls back to float64
+    # factors of that block only where the float32 route fails
+    polish, p2 = factors[:2], factors[2:]
+    assert [lu.U.dtype for lu in (p1, *polish)] == [np.float64] * 3
     want = [np.float32, np.float64] if k == 4 else [np.float32]
-    assert [lu.U.dtype for lu in factors] == want
+    assert [lu.U.dtype for lu in p2] == want
 
 
 def _p2_saddle(case, k, n=2):
@@ -853,31 +861,6 @@ def test_solve_p2_warns_on_inconsistent_rank_deficient_constraints(case, k):
     r = np.concatenate([-(suu @ u) - A.T @ lam, f - A @ u])
     assert res == np.abs(r).max()
     assert np.isfinite(res) and res > 1e-3
-
-
-@pytest.mark.parametrize("matrix", ["p2-float64", "p1-K0", "polish"])
-def test_kkt_from_blocks_equals_bmat(matrix):
-    # every saddle matrix is stacked from its blocks by _kkt, equal to
-    # sp.bmat's K, index arrays included, so SuperLU sees the same
-    # matrix: the p=1 step matrix K0 and a face polish matrix
-    # [[I, C^T], [C, -delta I]]; solve_p2 builds no saddle matrix, and
-    # its K, stacked here too, is the tests' reference
-    disc = Discretization(build_uniform(2), SpaceConfig(k=3))
-    A = assemble_A(disc, builtin_case("disc").field).A
-    B = assemble_B(disc, 1).B
-    D = None
-    if matrix == "p2-float64":
-        H = assemble_S2(disc)[0]
-    elif matrix == "p1-K0":
-        H = 16.0 * (B.T @ B)
-    else:
-        A = sp.vstack([A, B[::3]], format="csr")
-        H, D = sp.identity(A.shape[1]), -1e-12 * sp.identity(A.shape[0])
-    K = pdwg.solver._kkt(H, A, D)
-    want = sp.bmat([[H, A.T], [A, D]], format="csc")
-    assert K.format == "csc" and K.dtype == np.float64 and K.has_sorted_indices
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(K, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
