@@ -9,10 +9,10 @@ s_tilde(e_h) + ||Q_h L e_0||_{0,p} with e_h = Q_h u - u_h.
 
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
+from ._checks import integer
 from .fe_space import Discretization, SpaceConfig, WeakFunction, project_Qh
 from .fe_space import _project_Wh_values, derivative_map
 from .mesh import build_uniform
@@ -244,12 +244,14 @@ def rates(errors, n):
 
 def check_study(problem, p, n_list):
     """Raise ValueError unless run_study can solve problem at p on every level of n_list."""
-    if isinstance(p, bool) or p not in (1, 2):
-        raise ValueError(f"no solver for p={p}; use 1 or 2")
+    try:
+        known = integer("p", p) in (1, 2)
+    except ValueError:
+        known = False
+    if not known:
+        raise ValueError(f"no solver for p={p!r}; use 1 or 2")
     for n in n_list:
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-            raise ValueError(f"mesh sizes n must be positive integers, got n={n!r}")
-        if problem == "disc" and n % 2:
+        if integer("n", n, low=1) % 2 and problem == "disc":
             raise ValueError(
                 f"the disc case needs even n so mesh lines track the "
                 f"coefficient jumps; got n={n}"

@@ -30,10 +30,11 @@ its coefficients rather than sampled values wherever exactness matters.
 
 from dataclasses import dataclass
 from math import comb, perm
-from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from ._checks import integer
 
 __all__ = [
     "SpaceConfig",
@@ -66,14 +67,10 @@ class SpaceConfig:
     l: int = None
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
-            raise ValueError(f"k must be an integer, got k={self.k!r}")
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got k={self.k}")
+        integer("k", self.k, low=2)
         if self.l is None:
             object.__setattr__(self, "l", self.k - 1)
-        if isinstance(self.l, bool) or not isinstance(self.l, Integral):
-            raise ValueError(f"l must be an integer, got l={self.l!r}")
+        integer("l", self.l)
         if self.l not in (self.k - 2, self.k - 1):
             raise ValueError(f"l must be k-2 or k-1, got l={self.l} with k={self.k}")
 
@@ -527,7 +524,7 @@ def eval_v0(v, element, pts, deriv=(0, 0)):
     """
     layout = v.layout
     mesh = layout.mesh
-    if not 0 <= element < mesh.num_elements:
+    if not 0 <= integer("element", element) < mesh.num_elements:
         raise IndexError(f"element id {element} out of range")
     exps = poly_exponents(layout.cfg.k)
     table = eval_basis(

@@ -12,9 +12,9 @@ the rest of the package refers to that parametrization, which is what
 lets the two elements sharing an interior edge agree on edge data.
 """
 
-from numbers import Integral
-
 import numpy as np
+
+from ._checks import integer
 
 __all__ = ["Mesh", "build_uniform", "refine", "edge_param"]
 
@@ -159,9 +159,7 @@ def build_uniform(n):
     -------
     Mesh
     """
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise ValueError(f"n must be a positive integer, got n={n!r}")
-    n = int(n)
+    n = integer("n", n, low=1)
 
     side = np.linspace(0.0, 1.0, n + 1)
     xs, ys = np.meshgrid(side, side)

@@ -23,11 +23,11 @@ on the true objective) are reference functions for tests and
 `pdwg verify`, not solver options.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
+from ._checks import integer, positive_finite
 from .stabilizer import integral_abs_poly
 
 __all__ = [
@@ -58,16 +58,9 @@ def integral_abs_linear(a, b):
     return -a - b / 2 - a * a / b
 
 
-def _check_parameter(name, value):
-    """Raise ValueError unless a prox parameter is positive and finite
-    (a bool is neither)."""
-    if isinstance(value, bool) or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def soft_threshold(q, tau):
     """Componentwise shrinkage: sign(q) * max(|q| - tau, 0)."""
-    _check_parameter("threshold", tau)
+    positive_finite("threshold", tau)
     q = np.asarray(q, dtype=float)
     return np.sign(q) * np.maximum(np.abs(q) - tau, 0.0)
 
@@ -113,8 +106,7 @@ def project_omega0(point, c):
     one reflected through the origin, so its candidates come from
     projecting the reflected point.
     """
-    if c <= 0:
-        raise ValueError(f"scale must be positive, got {c}")
+    positive_finite("c", c)
     px, py = float(point[0]), float(point[1])
     if abs(px) <= c and -_upper_arc(-px, c) <= py <= _upper_arc(px, c):
         return np.array([px, py])
@@ -131,7 +123,7 @@ def project_omega0(point, c):
 
 def prox_phi_k1(v, alpha):
     """Exact blockwise prox of (1/alpha)*phi for k = 1 (2-blocks)."""
-    _check_parameter("alpha", alpha)
+    positive_finite("alpha", alpha)
     v = np.asarray(v, dtype=float)
     if v.size % 2:
         raise ValueError("k=1 prox expects an even-length stacked vector")
@@ -153,9 +145,9 @@ def prox_phi_weighted_l1(v, alpha, k):
     to the length of v, so each pass is one flat loop rather than one
     (k+1)-element loop per block.
     """
-    _check_parameter("alpha", alpha)
+    positive_finite("alpha", alpha)
     v = np.asarray(v, dtype=float)
-    bs = k + 1
+    bs = integer("k", k, low=0) + 1
     if v.size % bs:
         raise ValueError(f"length {v.size} is not a multiple of block size {bs}")
     lo, hi = _wl1_thresholds(alpha, bs, v.size)
@@ -215,9 +207,9 @@ def prox_phi_oracle(v, alpha, k, cap=200000):
     # 13 MB to every `import pdwg` (2-core Xeon VM)
     from scipy.optimize import minimize
 
-    _check_parameter("alpha", alpha)
+    positive_finite("alpha", alpha)
     v = np.asarray(v, dtype=float)
-    bs = k + 1
+    bs = integer("k", k, low=0) + 1
     if v.shape != (bs,):
         raise ValueError(f"expected one block of size {bs}")
     if bs > 4:

@@ -99,12 +99,12 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from ._checks import integer, positive_finite
 from .prox import prox_phi_weighted_l1
 
 # Face polish (module docstring): a clip pattern is tried when it has
@@ -155,28 +155,25 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
+    """Settings of the p=1 fixed-point iteration (solve_p1).
+
+    alpha is the proximity parameter and residual_tol the bound on r2
+    and r3 that counts as converged; both must be real numbers strictly
+    between 0 and inf. max_iters is a positive integer and prox_method
+    a name make_prox knows ("wl1"). A bad value raises ValueError
+    naming the field when the config is built.
+    """
+
     alpha: float = 1.0
     residual_tol: float = 1e-8
     max_iters: int = 200000
     prox_method: str = "wl1"
 
     def __post_init__(self):
-        for name in ("alpha", "residual_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if (
-            isinstance(self.max_iters, bool)
-            or not isinstance(self.max_iters, Integral)
-            or self.max_iters < 1
-        ):
-            raise ValueError(
-                f"max_iters must be an integer of at least 1, got {self.max_iters!r}"
-            )
-        if self.prox_method != "wl1":
-            raise ValueError(
-                f"unknown prox method {self.prox_method!r}; the only one is 'wl1'"
-            )
+        positive_finite("alpha", self.alpha)
+        positive_finite("residual_tol", self.residual_tol)
+        integer("max_iters", self.max_iters, low=1)
+        make_prox(self.prox_method, 2, self.alpha)  # the one holder of the method names
 
 
 @dataclass
@@ -208,6 +205,16 @@ class SMatrix:
 
 @dataclass
 class Diagnostics:
+    """How a solve_p1 run ended.
+
+    stop_reason is "residual" (converged, also through an accepted face
+    polish), "max_iters" or "nonfinite". iterations is the step of the
+    returned iterate: the last one on a converged run, the best one
+    seen (smallest max(r2, r3)) otherwise. residual_history holds one
+    (r2, r3) row per checked step, so len(residual_history) - 1 is the
+    last step checked. r1, r2 and r3 belong to the returned iterate.
+    """
+
     converged: bool = False
     stop_reason: str = ""
     iterations: int = 0
@@ -254,18 +261,11 @@ def _check_v0_blocks(blocks, N):
     """Raise ValueError unless blocks = (T, nv0) names T >= 1 element
     blocks of nv0 >= 1 leading v0 columns that leave skeleton columns
     among the N unknowns (ConstraintSystem.v0_blocks)."""
-    ok = (
-        isinstance(blocks, tuple)
-        and len(blocks) == 2
-        and all(isinstance(b, Integral) and not isinstance(b, bool) for b in blocks)
-        and min(blocks) >= 1
-        and blocks[0] * blocks[1] < N
-    )
-    if not ok:
-        raise ValueError(
-            f"v0_blocks must be (T, nv0), positive integers with T * nv0 < N = {N}; "
-            f"got {blocks!r}"
-        )
+    if not (isinstance(blocks, tuple) and len(blocks) == 2):
+        raise ValueError(f"v0_blocks must be a pair (T, nv0), got {blocks!r}")
+    T, nv0 = (integer("v0_blocks", b, low=1) for b in blocks)
+    if T * nv0 >= N:
+        raise ValueError(f"v0_blocks must be (T, nv0) with T * nv0 < N = {N}, got {blocks!r}")
 
 
 def _condensed(S2, A, w, blocks, failure, dtype):
@@ -478,8 +478,7 @@ def _refine(residual, rhs, solve):
 
 def assemble_S(A, B, alpha):
     """Build S and factorize its (u, x) block K0 (one time per config)."""
-    if not 0 < alpha < np.inf:
-        raise ValueError("alpha must be positive and finite")
+    positive_finite("alpha", alpha)
     nB, N = B.shape
     K0 = sp.bmat([[alpha * (B.T @ B), A.T], [A, None]], format="csc")
     K0.sort_indices()
@@ -665,7 +664,11 @@ def solve_p1(system, bmat, k, cfg, g=None):
 
     Returns (u_coeffs, state, diagnostics).
     """
-    if not isinstance(k, Integral) or k != bmat.block_size - 1:
+    try:
+        match = integer("k", k) == bmat.block_size - 1
+    except ValueError:
+        match = False
+    if not match:
         raise ValueError(f"k={k!r} does not match the jump matrix's k={bmat.block_size - 1}")
     if g is not None:
         _check_boundary_data(system, g)

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._checks import integer
+
 __all__ = [
     "BMatrix",
     "assemble_B",
@@ -100,7 +102,7 @@ def _sparse(entries, shape):
 
 def assemble_B(disc, p):
     """Build the jump matrix pair (B, Bb) for p in {1, 2}."""
-    if p not in (1, 2):
+    if integer("p", p) not in (1, 2):
         raise ValueError(f"unsupported p={p} for jump assembly")
     layout = disc.layout
     ee = disc.mesh.elem_edges
@@ -175,7 +177,7 @@ def integral_abs_poly(coeffs):
 def eval_phi(q, k):
     """phi(q) = sum over (k+1)-blocks of the exact integral of |poly|."""
     q = np.asarray(q, dtype=float)
-    bs = k + 1
+    bs = integer("k", k, low=0) + 1
     if q.size % bs:
         raise ValueError(f"length {q.size} is not a multiple of block size {bs}")
     return float(sum(_abs_integrals(q.reshape(-1, bs))))
@@ -271,7 +273,7 @@ def _jump_coeffs(disc, v):
 
 def eval_s(disc, v, p):
     """Evaluate the stabilizer for p in {1, 2, inf}."""
-    if p not in (1, 2, np.inf):
+    if p != np.inf and integer("p", p) not in (1, 2):
         raise ValueError(f"unsupported p={p}")
     mesh = disc.mesh
     he = mesh.edge_length[mesh.elem_edges]

@@ -240,7 +240,7 @@ def test_run_study_rejects_odd_disc_and_bad_p(monkeypatch):
         run_study(builtin_case("disc"), 2, [2, 3])
     # so do a level below 1 and a fractional one
     for n_list in ([8, 0], [2, 2.5]):
-        with pytest.raises(ValueError, match="positive integers"):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
             run_study(builtin_case("const"), 2, n_list)
     assert calls == []
     with pytest.raises(ValueError):

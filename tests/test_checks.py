@@ -1,0 +1,126 @@
+"""One rule for scalar arguments, at every entry point that takes one.
+
+Integer fields take Python or numpy integers, real fields Python or
+numpy reals strictly between 0 and inf; bools of either kind, strings,
+NaN and inf are refused with a ValueError that names the field. The
+rule lives in pdwg._checks alone, so the copies cannot drift apart.
+"""
+
+import re
+from functools import cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pdwg
+from pdwg.analysis import builtin_case, check_study
+from pdwg.fe_space import Discretization, SpaceConfig, WeakFunction, eval_v0
+from pdwg.mesh import build_uniform
+from pdwg.prox import (
+    project_omega0,
+    prox_phi_k1,
+    prox_phi_oracle,
+    prox_phi_weighted_l1,
+    soft_threshold,
+)
+from pdwg.solver import SolverConfig, _check_v0_blocks, assemble_S, solve_p1
+from pdwg.stabilizer import assemble_B, eval_phi, eval_s
+from pdwg.weak_assembly import assemble_A
+
+REAL = (True, np.True_, np.nan, np.inf, "2")
+INTEGER = REAL + (2.5,)
+DEGREE = INTEGER + (-1,)
+
+
+@cache
+def _p1():
+    disc = Discretization(build_uniform(1), SpaceConfig(k=2))
+    system = assemble_A(disc, builtin_case("const").field)
+    zero = WeakFunction(disc.layout, np.zeros(disc.layout.N))
+    return disc, system, assemble_B(disc, 1), zero
+
+
+def _assemble_S(alpha):
+    _, system, bmat, _ = _p1()
+    return assemble_S(system.A, bmat.B, alpha)
+
+
+def _solve_p1(k):
+    _, system, bmat, _ = _p1()
+    return solve_p1(system, bmat, k, SolverConfig(max_iters=3))
+
+
+# entry point: (field, refused values, call with the value, accepted numpy value)
+ENTRIES = {
+    "build_uniform": ("n", INTEGER, build_uniform, np.int64(1)),
+    "SpaceConfig.k": ("k", DEGREE, lambda v: SpaceConfig(k=v), np.int64(3)),
+    "SpaceConfig.l": ("l", INTEGER, lambda v: SpaceConfig(k=3, l=v), np.int64(1)),
+    "check_study.p": ("p", INTEGER, lambda v: check_study("const", v, [2]), np.int64(2)),
+    "check_study.n": ("n", INTEGER, lambda v: check_study("const", 2, [v]), np.int64(2)),
+    "SolverConfig.alpha": ("alpha", REAL, lambda v: SolverConfig(alpha=v), np.float32(2)),
+    "SolverConfig.residual_tol": (
+        "residual_tol", REAL, lambda v: SolverConfig(residual_tol=v), np.float32(1e-6)
+    ),
+    "SolverConfig.max_iters": (
+        "max_iters", INTEGER, lambda v: SolverConfig(max_iters=v), np.int64(5)
+    ),
+    "assemble_S": ("alpha", REAL, _assemble_S, np.float32(2)),
+    "solve_p1.k": ("k", DEGREE, _solve_p1, np.int64(2)),
+    "v0_blocks": ("v0_blocks", INTEGER, lambda v: _check_v0_blocks((v, 1), 3), np.int64(1)),
+    "soft_threshold": (
+        "threshold", REAL, lambda v: soft_threshold(np.ones(3), v), np.float32(0.5)
+    ),
+    "prox_phi_k1": ("alpha", REAL, lambda v: prox_phi_k1(np.ones(2), v), np.float32(2)),
+    "prox_phi_weighted_l1.alpha": (
+        "alpha", REAL, lambda v: prox_phi_weighted_l1(np.ones(3), v, 2), np.float32(2)
+    ),
+    "prox_phi_weighted_l1.k": (
+        "k", DEGREE, lambda v: prox_phi_weighted_l1(np.ones(3), 1.0, v), np.int64(2)
+    ),
+    "prox_phi_oracle.alpha": (
+        "alpha", REAL, lambda v: prox_phi_oracle(np.zeros(2), v, 1), np.float32(2)
+    ),
+    "prox_phi_oracle.k": (
+        "k", DEGREE, lambda v: prox_phi_oracle(np.zeros(2), 1.0, v), np.int64(1)
+    ),
+    "project_omega0": ("c", REAL, lambda v: project_omega0(np.ones(2), v), np.float32(1)),
+    "assemble_B": ("p", INTEGER, lambda v: assemble_B(_p1()[0], v), np.int64(1)),
+    # p = inf is the sup form of the stabilizer, not a hole
+    "eval_s": (
+        "p",
+        tuple(v for v in INTEGER if v is not np.inf),
+        lambda v: eval_s(_p1()[0], _p1()[3], v),
+        np.int64(2),
+    ),
+    "eval_phi": ("k", DEGREE, lambda v: eval_phi(np.ones(3), v), np.int64(2)),
+    "eval_v0": ("element", INTEGER, lambda v: eval_v0(_p1()[3], v, np.zeros(2)), np.int64(0)),
+}
+REFUSALS = [(entry, value) for entry, spec in ENTRIES.items() for value in spec[1]]
+
+
+@pytest.mark.parametrize(
+    "entry, value", REFUSALS, ids=[f"{entry}-{value!r}" for entry, value in REFUSALS]
+)
+def test_scalar_argument_refused_naming_the_field(entry, value):
+    field, _, call, _ = ENTRIES[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{field}=")):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_numpy_scalars_accepted(entry):
+    _, _, call, good = ENTRIES[entry]
+    call(good)
+
+
+def test_scalar_rule_has_one_owner():
+    # only _checks.py may spell out the rule: the numbers ABCs and the
+    # bool exclusion are the parts that drifted between hand-made copies
+    owners = []
+    for path in sorted(Path(pdwg.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        imports_numbers = re.search(r"^\s*(from numbers import|import numbers\b)", text, re.M)
+        if imports_numbers or re.search(r"isinstance\([^)]*\bbool", text):
+            owners.append(path.name)
+    assert owners == ["_checks.py"]
