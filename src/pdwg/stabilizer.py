@@ -87,46 +87,33 @@ def _jump_weights(disc, p):
     return he * hT ** (1 - 2 * p), he * hT ** (1 - p)
 
 
-def _sparse(entries, shape):
-    """CSR matrix from (rows, cols, vals) triples of broadcastable arrays.
-
-    Exact zeros are left out.
-    """
-    parts = [np.broadcast_arrays(*e) for e in entries]
-    rows, cols, vals = (np.concatenate([p[i].ravel() for p in parts]) for i in range(3))
-    keep = vals != 0
-    return sp.csr_matrix(
-        sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
-    )
-
-
 def assemble_B(disc, p):
     """Build the jump matrix pair (B, Bb) for p in {1, 2}."""
     if integer("p", p) not in (1, 2):
         raise ValueError(f"unsupported p={p} for jump assembly")
     layout = disc.layout
-    ee = disc.mesh.elem_edges
     bs = layout.nvb
     T = disc.mesh.num_elements
     num_pairs = 3 * T
-    section = bs * num_pairs
     w_val, w_grad = _jump_weights(disc, p)
     scale = np.stack([w_val, w_grad, w_grad])  # (3 sections, T, 3)
     w = scale[..., None]
 
-    rows = np.arange(section).reshape(T, 3, bs)  # value-jump rows of each pair
-    v0 = layout.elem_cols[:, None, None, : layout.nv0]
-    entries = [
-        (rows[..., None], v0, w[0, ..., None] * disc.trace_val),
-        (rows, layout.vb_cols[ee], -w[0]),
-    ]
-    for j in range(2):
-        r = (1 + j) * section + rows
-        entries.append((r[..., None], v0, w[1 + j, ..., None] * disc.trace_grad[:, :, j]))
-        entries.append((r[..., : layout.nvg], layout.vg_cols[j][ee], -w[1 + j]))
-
-    full = _sparse(entries, (3 * section, layout.N + layout.NB))
-    B, Bb = full[:, : layout.N], full[:, layout.N :]
+    # rows by (section, element, local edge, coefficient), each with its
+    # v0 entries and then one vb or vg entry; column -1 marks an absent
+    # entry, as at the top coefficient of a gradient jump (vg has degree k-1)
+    nv0 = layout.nv0
+    vals = np.empty((3, T, 3, bs, nv0 + 1))
+    vals[0, ..., :nv0] = w[0, ..., None] * disc.trace_val
+    vals[1:, ..., :nv0] = w[1:, ..., None] * np.moveaxis(disc.trace_grad, 2, 0)
+    vals[..., nv0] = -w
+    v0_cols, vb_cols, vg_cols = layout.local_views(layout.elem_cols)
+    cols = np.full(vals.shape, -1)
+    cols[..., :nv0] = v0_cols[:, None, None]
+    cols[0, ..., nv0] = vb_cols
+    cols[1:, ..., : layout.nvg, nv0] = vg_cols.transpose(1, 0, 2, 3)
+    cols[vals == 0] = -1  # B stores no exact zero
+    B, Bb = layout.assemble(cols, vals)
     return BMatrix(B=B, Bb=Bb, scale=scale.ravel(), block_size=bs, num_pairs=num_pairs)
 
 
@@ -259,15 +246,11 @@ def _jump_coeffs(disc, v):
 
     Returns v0-vb as (T, 3, k+1) and grad v0 - vg as (T, 3, 2, k+1).
     """
-    layout = v.layout
-    T = disc.mesh.num_elements
-    nv0, nvb, nvg = layout.nv0, layout.nvb, layout.nvg
-    loc = v.local_dofs()
-    v0 = loc[:, :nv0]
+    v0, vb, vg = v.layout.local_views(v.local_dofs())
     jv = np.einsum("tlrn,tn->tlr", disc.trace_val, v0)
-    jv -= loc[:, nv0 : nv0 + 3 * nvb].reshape(T, 3, nvb)
+    jv -= vb
     jg = np.einsum("tljrn,tn->tljr", disc.trace_grad, v0)
-    jg[..., :nvg] -= loc[:, nv0 + 3 * nvb :].reshape(T, 2, 3, nvg).transpose(0, 2, 1, 3)
+    jg[..., : v.layout.nvg] -= vg.transpose(0, 2, 1, 3)
     return jv, jg
 
 

@@ -10,8 +10,9 @@ and the constraint A v = f expresses (sum_ij a_ij D_ij, psi_m)_T =
 (f, psi_m)_T for every test basis function psi_m. Boundary vb data is
 eliminated from the unknown vector: the constraint is assembled over
 the unknowns and the boundary columns of the layout at once and split
-at N, so its boundary coupling is a separate matrix Cb and
-inhomogeneous boundary values enter the right side as f - Cb g.
+at N by DofLayout.assemble, so its boundary coupling is a separate
+matrix Cb and inhomogeneous boundary values enter the right side as
+f - Cb g.
 
 Edge integrals here are exact: both factors are polynomials in the edge
 parameter, so each pairing reduces to a Hilbert-type Gram product of
@@ -104,33 +105,31 @@ def _weak_hessian_maps(disc, i, j):
     """
     layout = disc.layout
     mesh = disc.mesh
-    l = disc.cfg.l
-    T = mesh.num_elements
-    nv0, nvb, nvg, mw = layout.nv0, layout.nvb, layout.nvg, layout.mw
-    R = np.zeros((T, mw, layout.elem_cols.shape[1]))
+    l, mw = disc.cfg.l, layout.mw
+    R = np.zeros((mesh.num_elements, mw, layout.elem_cols.shape[1]))
+    R_v0, R_vb, R_vg = layout.local_views(R)
 
     # (v0, d2_ji psi_m)_T = (D^T mass_v)_mn with D the exact P_l derivative
     # map; it vanishes for l <= 1
     if l >= 2:
         D = derivative_map(l, (2 - i - j, i + j), mesh.elem_h)
-        R[:, :, :nv0] = np.swapaxes(D, -1, -2) @ disc.mass_v[:, :mw]
+        R_v0[...] = np.swapaxes(D, -1, -2) @ disc.mass_v[:, :mw]
     he = mesh.edge_length[mesh.elem_edges]
     nrm = mesh.elem_normals
 
     def edge_blocks(scale, gram, trace):
-        # (T, 3, mw, ncols) blocks scale * (gram @ trace)^T, laid out per local
-        # edge; matmul rounds each block exactly as a per-element product would
+        # (T, mw, 3, ncols) blocks scale * (gram @ trace)^T by local edge;
+        # matmul rounds each block exactly as a per-element product would
         blocks = scale[..., None, None] * np.swapaxes(gram @ trace, -1, -2)
-        return blocks.transpose(0, 2, 1, 3).reshape(T, mw, -1)
+        return blocks.transpose(0, 2, 1, 3)
 
     # -<vb n_i, d_j psi>
-    R[:, :, nv0 : nv0 + 3 * nvb] = edge_blocks(
-        -nrm[..., i] * he, disc.edge_gram[:nvb, : l + 1], disc.trace_w_grad[:, :, j]
+    R_vb[...] = edge_blocks(
+        -nrm[..., i] * he, disc.edge_gram[: layout.nvb, : l + 1], disc.trace_w_grad[:, :, j]
     )
     # +<vg_i, psi n_j>
-    c0 = nv0 + 3 * nvb + i * 3 * nvg
-    R[:, :, c0 : c0 + 3 * nvg] = edge_blocks(
-        nrm[..., j] * he, disc.edge_gram[:nvg, : l + 1], disc.trace_w_val
+    R_vg[:, :, i] = edge_blocks(
+        nrm[..., j] * he, disc.edge_gram[: layout.nvg, : l + 1], disc.trace_w_val
     )
     return disc.mass_w_inv @ R
 
@@ -165,8 +164,6 @@ def assemble_A(disc, field):
     coefficients are handled without pre-projection.
     """
     layout = disc.layout
-    T = disc.mesh.num_elements
-    mw = layout.mw
 
     aq = np.asarray(field.a(disc.quad_pts))  # (T, q, 2, 2)
     fq = np.asarray(field.f(disc.quad_pts))
@@ -180,21 +177,10 @@ def assemble_A(disc, field):
             W_a = np.swapaxes(weighted, 1, 2) @ disc.basis_w
             local = local + W_a @ _weak_hessian_maps(disc, i, j)
 
-    rows, cols = np.broadcast_arrays(
-        np.arange(T * mw).reshape(T, mw, 1), layout.elem_cols[:, None, :]
-    )
-    full = sp.csr_matrix(
-        sp.coo_matrix(
-            (local.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(layout.M, layout.N + layout.NB),
-        )
-    )
-    return ConstraintSystem(
-        A=full[:, : layout.N],
-        Cb=full[:, layout.N :],
-        fvec=fvec,
-        v0_blocks=(T, layout.nv0),
-    )
+    # every entry of the element blocks, zeros included (fe_space docstring)
+    A, Cb = layout.assemble(layout.elem_cols[:, None, :], local)
+    v0_blocks = (disc.mesh.num_elements, layout.nv0)
+    return ConstraintSystem(A=A, Cb=Cb, fvec=fvec, v0_blocks=v0_blocks)
 
 
 def apply_Lw(disc, field, v, system=None):

@@ -3,7 +3,9 @@
 Integer fields take Python or numpy integers, real fields Python or
 numpy reals strictly between 0 and inf; bools of either kind, strings,
 NaN and inf are refused with a ValueError that names the field. The
-rule lives in pdwg._checks alone, so the copies cannot drift apart.
+rule lives in pdwg._checks alone, so the copies cannot drift apart;
+likewise the assembly of operators over the column space lives in
+DofLayout.assemble alone.
 """
 
 import re
@@ -14,8 +16,16 @@ import numpy as np
 import pytest
 
 import pdwg
-from pdwg.analysis import builtin_case, check_study
-from pdwg.fe_space import Discretization, SpaceConfig, WeakFunction, eval_v0
+from pdwg.analysis import builtin_case, check_study, rates
+from pdwg.fe_space import (
+    Discretization,
+    SpaceConfig,
+    WeakFunction,
+    edge_rule,
+    eval_v0,
+    poly_exponents,
+    triangle_rule,
+)
 from pdwg.mesh import build_uniform
 from pdwg.prox import (
     project_omega0,
@@ -95,6 +105,10 @@ ENTRIES = {
     ),
     "eval_phi": ("k", DEGREE, lambda v: eval_phi(np.ones(3), v), np.int64(2)),
     "eval_v0": ("element", INTEGER, lambda v: eval_v0(_p1()[3], v, np.zeros(2)), np.int64(0)),
+    "edge_rule": ("npoints", DEGREE + (0,), edge_rule, np.int64(2)),
+    "triangle_rule": ("degree", DEGREE, triangle_rule, np.int64(0)),
+    "poly_exponents": ("degree", DEGREE, poly_exponents, np.int64(0)),
+    "rates": ("n", DEGREE + (0,), lambda v: rates([1e-2, 1e-3], [v, 3]), np.int64(2)),
 }
 REFUSALS = [(entry, value) for entry, spec in ENTRIES.items() for value in spec[1]]
 
@@ -124,3 +138,20 @@ def test_scalar_rule_has_one_owner():
         if imports_numbers or re.search(r"isinstance\([^)]*\bbool", text):
             owners.append(path.name)
     assert owners == ["_checks.py"]
+
+
+# a column slice of an operator at N: [:, :N], [:, : layout.N], [:, self.N :]
+_SPLIT_AT_N = re.compile(r"\[:,\s*(:\s*[\w.]*\bN\b|[\w.]*\bN\b\s*:)\s*\]")
+
+
+def test_column_space_has_one_builder():
+    assert _SPLIT_AT_N.search("full[:, : layout.N]") and _SPLIT_AT_N.search("x[:, self.N :]")
+    assert not _SPLIT_AT_N.search("out[: layout.N]") and not _SPLIT_AT_N.search("c[:, :nv0]")
+    # only fe_space.py (DofLayout.assemble) may build a COO matrix or split
+    # an operator at N, so A/Cb and B/Bb cannot come out in two formats
+    others = []
+    for path in sorted(Path(pdwg.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name != "fe_space.py" and ("coo_matrix" in text or _SPLIT_AT_N.search(text)):
+            others.append(path.name)
+    assert others == []

@@ -2,7 +2,9 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from pdwg.analysis import builtin_case
 from pdwg.fe_space import (
     Discretization,
     SpaceConfig,
@@ -18,7 +20,9 @@ from pdwg.fe_space import (
     project_Wh,
     triangle_rule,
 )
-from pdwg.mesh import build_uniform
+from pdwg.mesh import build_uniform, refine
+from pdwg.stabilizer import assemble_B
+from pdwg.weak_assembly import _weak_hessian_maps, assemble_A
 
 
 def ref_triangle_moment(a, b):
@@ -164,6 +168,25 @@ def test_layout_index_arrays_match_slices():
         assert np.all(cols[: layout.nv0] < layout.N) and np.all(cols[vb.stop :] < layout.N)
         vg = np.concatenate([span(layout.vg_slice(e, j)) for j in range(2) for e in edges])
         assert np.array_equal(cols[vb.stop :], vg)
+
+
+def test_local_views_split_elem_cols_in_place():
+    mesh = build_uniform(2)
+    layout = make_layout(mesh, SpaceConfig(k=3))
+    v0, vb, vg = layout.local_views(layout.elem_cols)
+    assert np.array_equal(v0, np.arange(layout.N1).reshape(-1, layout.nv0))
+    assert np.array_equal(vb, layout.vb_cols[mesh.elem_edges])
+    assert np.array_equal(vg, layout.vg_cols[:, mesh.elem_edges].transpose(1, 0, 2, 3))
+    R = np.zeros((mesh.num_elements, 4) + layout.elem_cols.shape[1:])
+    views = layout.local_views(R)
+    assert [v.shape for v in views] == [
+        (mesh.num_elements, 4, layout.nv0),
+        (mesh.num_elements, 4, 3, layout.nvb),
+        (mesh.num_elements, 4, 2, 3, layout.nvg),
+    ]
+    for i, view in enumerate(views):
+        view[...] = i + 1
+    assert sorted(np.unique(R)) == [1, 2, 3]  # the views cover R and write to it
 
 
 def test_weak_function_validation():
@@ -377,3 +400,85 @@ def test_mass_matrices_spd():
         for t in range(disc.mesh.num_elements):
             assert np.allclose(M[t], M[t].T, atol=1e-15)
             assert np.linalg.eigvalsh(M[t]).min() > 0
+
+
+def _csr_pair(nrows, layout, rows, cols, vals):
+    """Reference split at N: the unknowns' and the boundary data's entries
+    assembled as two separate COO matrices."""
+    inner = cols < layout.N
+    X = sp.coo_matrix((vals[inner], (rows[inner], cols[inner])), shape=(nrows, layout.N))
+    Xb = sp.coo_matrix(
+        (vals[~inner], (rows[~inner], cols[~inner] - layout.N)), shape=(nrows, layout.NB)
+    )
+    return X.tocsr(), Xb.tocsr()
+
+
+def _A_blocks(disc, field):
+    """(T, mw, nloc) element blocks of the constraint, as assemble_A forms them."""
+    aq = np.asarray(field.a(disc.quad_pts))
+    local = 0.0
+    for i in range(2):
+        for j in range(2):
+            weighted = disc.basis_w * (disc.quad_w * aq[:, :, i, j])[..., None]
+            W_a = np.swapaxes(weighted, 1, 2) @ disc.basis_w
+            local = local + W_a @ _weak_hessian_maps(disc, i, j)
+    return local
+
+
+def _B_entries(disc, bmat):
+    """(rows, cols, vals) of the jump matrix, one (element, local edge) pair at a time."""
+    layout, mesh = disc.layout, disc.mesh
+    bs, T = layout.nvb, mesh.num_elements
+    scale = bmat.scale.reshape(3, T, 3)
+    r = np.arange(bs)
+    out = []
+    for t in range(T):
+        v0 = layout.elem_cols[t, : layout.nv0]
+        for le, e in enumerate(mesh.elem_edges[t]):
+            rows = (3 * t + le) * bs + r
+            out.append((rows[:, None], v0, scale[0, t, le] * disc.trace_val[t, le]))
+            out.append((rows, layout.vb_cols[e], -scale[0, t, le]))
+            for j in range(2):
+                rows_j = rows + (1 + j) * 3 * T * bs
+                w = scale[1 + j, t, le]
+                out.append((rows_j[:, None], v0, w * disc.trace_grad[t, le, j]))
+                out.append((rows_j[: layout.nvg], layout.vg_cols[j, e], -w))
+    flat = [np.broadcast_arrays(*e) for e in out]
+    return (np.concatenate([f[i].ravel() for f in flat]) for i in range(3))
+
+
+_MESHES = {f"n{n}": (lambda n=n: build_uniform(n)) for n in (1, 2, 3)}
+_MESHES["refined2"] = lambda: refine(build_uniform(2))
+
+
+@pytest.mark.parametrize("mesh", _MESHES)
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("case", ["const", "var", "disc"])
+def test_assembled_operators_are_canonical_and_match_coo_reference(case, k, mesh):
+    disc = Discretization(_MESHES[mesh](), SpaceConfig(k=k))
+    layout = disc.layout
+    T, nloc = layout.elem_cols.shape
+    field = builtin_case(case).field
+    system = assemble_A(disc, field)
+    # A keeps every entry of its element blocks, zeros included
+    assert system.A.nnz + system.Cb.nnz == T * layout.mw * nloc
+    rows, cols = np.broadcast_arrays(
+        np.arange(layout.M).reshape(T, layout.mw, 1), layout.elem_cols[:, None, :]
+    )
+    local = _A_blocks(disc, field)
+    want = {"A": _csr_pair(layout.M, layout, rows.ravel(), cols.ravel(), local.ravel())}
+    got = {"A": (system.A, system.Cb)}
+    for p in (1, 2):
+        bmat = assemble_B(disc, p)
+        got[f"B{p}"] = (bmat.B, bmat.Bb)
+        r, c, v = _B_entries(disc, bmat)
+        keep = v != 0
+        want[f"B{p}"] = _csr_pair(bmat.num_rows, layout, r[keep], c[keep], v[keep])
+        assert np.all(bmat.B.data != 0) and np.all(bmat.Bb.data != 0)
+    for name, pair in got.items():
+        for X, ref in zip(pair, want[name]):
+            assert X.format == "csr" and X.has_canonical_format
+            assert X.indices.dtype == X.indptr.dtype == np.int32
+            assert X.shape == ref.shape
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(X, part), getattr(ref, part)), (name, part)
