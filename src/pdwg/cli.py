@@ -24,7 +24,6 @@ from .solver import (
     assemble_S,
     fixed_point_step,
     make_bn,
-    make_prox,
     polish_face,
     residual_2_90,
     solve_p1,
@@ -281,7 +280,7 @@ def _run_verify(_cfg):
     bad = []
     for alpha in (0.5, 1.0, 2.0):
         try:
-            smat = assemble_S(system.A, bmat.B, alpha)
+            smat = assemble_S(system, bmat, SolverConfig(alpha=alpha))
             piv = np.abs(smat.lu.U.diagonal())
             if piv.min() <= 1e-12 * (1.0 + piv.max()):
                 bad.append(alpha)
@@ -321,25 +320,21 @@ def _run_verify(_cfg):
 
 def _p1_step_replay(system, bmat):
     """Replay solve_p1 (alpha=16) from the zero state through assemble_S,
-    make_prox, make_bn, fixed_point_step and residual_2_90 up to the
-    solver's last step, then through polish_face if the solver polished
-    there; returns (ok, detail), ok only if the final u, y, x and every
-    (r2, r3) row equal the solver's bit for bit."""
+    make_bn, fixed_point_step and residual_2_90 up to the solver's last
+    step, then through polish_face if the solver polished there; returns
+    (ok, detail), ok only if the final u, y, x and every (r2, r3) row
+    equal the solver's bit for bit."""
     cfg = SolverConfig(alpha=16.0)
-    k = bmat.block_size - 1
-    _, final, diag = solve_p1(system, bmat, k, cfg)
-    A, B, f = system.A, bmat.B, system.fvec
-    smat = assemble_S(A, B, cfg.alpha)
-    prox = make_prox(cfg.prox_method, k, cfg.alpha)
-    state = SaddleState(
-        y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
-    )
-    rows = [residual_2_90(state, A, B, f, cfg.alpha, prox)[1:]]
+    _, final, diag = solve_p1(system, bmat, bmat.block_size - 1, cfg)
+    smat = assemble_S(system, bmat, cfg)
+    (nB, N), M = smat.B.shape, smat.A.shape[0]
+    state = SaddleState(y=np.zeros(nB), u=np.zeros(N), x=np.zeros(M))
+    rows = [residual_2_90(state, smat)[1:]]
     for _ in range(diag.iterations):
-        state = fixed_point_step(state, smat, make_bn(state, B, f, cfg.alpha, prox))
-        rows.append(residual_2_90(state, A, B, f, cfg.alpha, prox)[1:])
+        state = fixed_point_step(state, smat, make_bn(state, smat))
+        rows.append(residual_2_90(state, smat)[1:])
     if diag.polished_at is not None:
-        state, (_, r2, r3) = polish_face(state, A, B, f, cfg.alpha, prox)
+        state, (_, r2, r3) = polish_face(state, smat)
         rows[-1] = (r2, r3)
     same_rows = np.array_equal(rows, diag.residual_history)
     same_iterate = all(

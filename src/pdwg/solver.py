@@ -24,8 +24,8 @@ r1 = |A^T x + alpha B^T y| measures only that solve's roundoff.
 
 S is block upper-triangular: the symmetric KKT block
 K0 = [[alpha B^T B, A^T], [A, 0]] gives (u, x) from (b2, b3), then
-y = b1 + Bu. K0 alone is factorized, once per run; S is built only so
-that callers can check a step against it.
+y = b1 + Bu. K0 alone is factorized, once per run, and S itself is
+never built.
 
 A p=1 step is therefore the K0 solve, the products [B; A]u and B^T b1,
 and a few flat array passes. The prox (prox_phi_weighted_l1)
@@ -36,6 +36,12 @@ right-hand side whose tail holds b3 for the whole run; it calls the same
 private helpers (_jumps, _step_rhs, _solve_step, _sup_gaps) as make_bn,
 fixed_point_step and residual_2_90, so those public functions replay
 its iterates and residuals bit for bit.
+
+One p=1 problem is one SMatrix: assemble_S checks and lifts the
+boundary data, builds the prox and factorizes K0 once, and solve_p1 and
+the public step functions (make_bn, fixed_point_step, residual_2_90,
+polish_face) all read the problem from it, so a replay cannot pair a K0
+factorized at one alpha with a prox or a lifting of another problem.
 
 The prox is piecewise linear, so the clip pattern sign(P) names a face
 of the p=1 linear program: Z, the rows with P == 0, and on the others
@@ -153,7 +159,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Settings of the p=1 fixed-point iteration (solve_p1).
 
@@ -161,7 +167,8 @@ class SolverConfig:
     and r3 that counts as converged; both must be real numbers strictly
     between 0 and inf. max_iters is a positive integer and prox_method
     a name make_prox knows ("wl1"). A bad value raises ValueError
-    naming the field when the config is built.
+    naming the field when the config is built, and the config is frozen,
+    so a checked field cannot be changed afterwards.
     """
 
     alpha: float = 1.0
@@ -189,18 +196,26 @@ class SaddleState:
 
 @dataclass
 class SMatrix:
-    """The iteration matrix S and the factorization that solves with it.
+    """One p=1 problem, built once by assemble_S (module docstring).
 
-    S is the full (y, u, x) matrix. lu factorizes its (u, x) block K0
-    only (module docstring), and BA = [B; A] in CSR form gives
-    y = b1 + Bu and the constraint residual from u.
+    A is the constraint matrix and B the jump matrix, BT = B^T in CSR
+    form, and BA = [B; A] in CSR form gives y = b1 + Bu and the
+    constraint residual from u. fp = f - Cb g is the constraint right
+    side and c = Bb g the jump offset of the boundary data g (c is None
+    without it). prox is make_prox's closure at alpha, and lu factorizes
+    the (u, x) block K0 of the iteration matrix S; S itself is never
+    built.
     """
 
-    S: sp.csc_matrix
-    lu: object
-    nB: int
-    N: int
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    BT: sp.csr_matrix
     BA: sp.csr_matrix
+    fp: np.ndarray
+    c: np.ndarray
+    alpha: float
+    prox: object
+    lu: object
 
 
 @dataclass
@@ -476,31 +491,42 @@ def _refine(residual, rhs, solve):
     return z, np.abs(r).max()
 
 
-def assemble_S(A, B, alpha):
-    """Build S and factorize its (u, x) block K0 (one time per config)."""
-    positive_finite("alpha", alpha)
-    nB, N = B.shape
+def assemble_S(system, bmat, cfg, g=None):
+    """The p=1 problem (SMatrix) of the constraint system (A, Cb, fvec),
+    the p=1 jump matrices bmat and the SolverConfig cfg.
+
+    g is the optional boundary vb data: one finite value per column of
+    system.Cb, checked first. Lifts it to fp = f - Cb g and c = Bb g,
+    builds the prox of cfg.prox_method at cfg.alpha for the block size
+    of bmat, and factorizes K0 = [[alpha B^T B, A^T], [A, 0]]; a
+    singular K0 raises RuntimeError.
+    """
+    fp, c = system.fvec, None
+    if g is not None:
+        _check_boundary_data(system, g)
+        fp, c = system.fvec - system.Cb @ g, bmat.Bb @ g
+    A, B, alpha = system.A, bmat.B, cfg.alpha
     K0 = sp.bmat([[alpha * (B.T @ B), A.T], [A, None]], format="csc")
     K0.sort_indices()
     lu = _factor_symmetric(K0, "factorization of S failed; A may be rank-deficient")
-    top = sp.hstack([-B, sp.csr_matrix((nB, A.shape[0]))])
-    S = sp.bmat([[sp.eye(nB), top], [None, K0]], format="csc")
-    return SMatrix(S=S, lu=lu, nB=nB, N=N, BA=sp.vstack([B, A], format="csr"))
+    prox = make_prox(cfg.prox_method, bmat.block_size - 1, alpha)
+    BA = sp.vstack([B, A], format="csr")
+    return SMatrix(A=A, B=B, BT=B.T.tocsr(), BA=BA, fp=fp, c=c, alpha=alpha, prox=prox, lu=lu)
 
 
-def make_bn(state, B, fvec, alpha, prox, c=None):
+def make_bn(state, smat):
     """Right-hand side b^n of the linear step S v^{n+1} = b^n.
 
-    c is the constant jump offset from boundary data (zero when absent):
-    the effective jump vector is Bu + c and the prox acts on Bu + c + y.
-    x is not read: b2 = -alpha B^T b1 (module docstring).
+    With boundary data the effective jump vector is Bu + c and the prox
+    acts on Bu + c + y (smat.c). x is not read: b2 = -alpha B^T b1
+    (module docstring).
     """
-    nB, N = B.shape
-    Ju = _jumps(B @ state.u, c)
-    P = prox(Ju + state.y)
-    bn = np.empty(nB + N + len(fvec))
-    bn[nB + N :] = fvec
-    bn[:nB] = _step_rhs(state.y, P, c, B.T, alpha, bn[nB:])
+    nB, N = smat.B.shape
+    Ju = _jumps(smat.B @ state.u, smat.c)
+    P = smat.prox(Ju + state.y)
+    bn = np.empty(nB + N + len(smat.fp))
+    bn[nB + N :] = smat.fp
+    bn[:nB] = _step_rhs(state.y, P, smat.c, smat.BT, smat.alpha, bn[nB:])
     return bn
 
 
@@ -531,7 +557,7 @@ def _step_rhs(y, P, c, BT, alpha, rhs):
 def _solve_step(smat, rhs, b1):
     """Next iterate (y, u, x, [B; A]u) from the (u, x) right-hand side rhs
     and b1: K0 (u, x) = rhs, then y = b1 + Bu."""
-    nB, N = smat.nB, smat.N
+    nB, N = smat.B.shape
     ux = smat.lu.solve(rhs)
     u = ux[:N]
     BAu = smat.BA @ u
@@ -557,40 +583,41 @@ def fixed_point_step(state, smat, bn):
     S is block upper-triangular: (u, x) solves K0 (u, x) = (b2, b3)
     with the factorization from assemble_S, then y = b1 + Bu.
     """
-    nB = smat.nB
+    nB = smat.B.shape[0]
     y, u, x, _ = _solve_step(smat, bn[nB:], bn[:nB])
     return SaddleState(y=y, u=u, x=x, iteration=state.iteration + 1)
 
 
-def _first_residual(state, A, B, alpha):
+def _first_residual(state, smat):
     """Sup-norm residual r1 of the first fixed-point equation."""
-    return np.abs(A.T @ state.x + alpha * (B.T @ state.y)).max()
+    return np.abs(smat.A.T @ state.x + smat.alpha * (smat.BT @ state.y)).max()
 
 
-def residual_2_90(state, A, B, fvec, alpha, prox, c=None):
-    """Sup-norm residuals of the three fixed-point equations."""
-    Ju = _jumps(B @ state.u, c)
-    P = prox(Ju + state.y)
-    r2, r3 = _sup_gaps(P, Ju, A @ state.u, fvec, np.empty(len(P) + len(fvec)))
-    return _first_residual(state, A, B, alpha), r2, r3
+def residual_2_90(state, smat):
+    """Sup-norm residuals (r1, r2, r3) of the three fixed-point equations."""
+    Ju = _jumps(smat.B @ state.u, smat.c)
+    P = smat.prox(Ju + state.y)
+    r2, r3 = _sup_gaps(P, Ju, smat.A @ state.u, smat.fp, np.empty(smat.BA.shape[0]))
+    return _first_residual(state, smat), r2, r3
 
 
-def polish_face(state, A, B, fvec, alpha, prox, c=None):
+def polish_face(state, smat):
     """Face polish of an iterate: the candidate that solve_p1 tries when
     the clip pattern of prox(Bu + c + y) has held still (module docstring).
 
     Returns (candidate, (r1, r2, r3)), the candidate as a SaddleState
     with state's iteration number and its sup-norm residuals; solve_p1
-    accepts it only if all three are at most residual_tol. Called on the
-    plain iterate that solve_p1 replaced (Diagnostics.polished_at), it
-    returns that solver's final iterate bit for bit. A projection whose
+    accepts it only if all three are at most residual_tol. Called with
+    the run's problem (assemble_S of solve_p1's arguments) on the plain
+    iterate that solve_p1 replaced (Diagnostics.polished_at), it returns
+    that solver's final iterate bit for bit. A projection whose
     matrix SuperLU cannot factorize raises RuntimeError.
     """
-    Ju = _jumps(B @ state.u, c)
-    return _polish(state, Ju, prox(Ju + state.y), A, B, fvec, alpha, prox, c)
+    Ju = _jumps(smat.B @ state.u, smat.c)
+    return _polish(smat, state, Ju, smat.prox(Ju + state.y))
 
 
-def _polish(state, Ju, P, A, B, fp, alpha, prox, c):
+def _polish(smat, state, Ju, P):
     """Candidate and its (r1, r2, r3) on the face named by P = prox(Ju + y).
 
     Z are the rows with P == 0. On the others Ju + y - P is the clipped
@@ -600,12 +627,13 @@ def _polish(state, Ju, P, A, B, fp, alpha, prox, c):
     B_Zc^T y_Zc}. residual_2_90 gives the residuals, from the same
     helpers as the loop's.
     """
+    A, B, alpha, c = smat.A, smat.B, smat.alpha, smat.c
     Z = P == 0
     off = ~Z
     BZ, M = B[Z], len(state.x)
     y = Ju + state.y - P
     cZ = np.zeros(BZ.shape[0]) if c is None else -c[Z]
-    u = _project(sp.vstack([A, BZ]), np.concatenate([fp, cZ]), state.u)
+    u = _project(sp.vstack([A, BZ]), np.concatenate([smat.fp, cZ]), state.u)
     w = _project(
         sp.vstack([A, alpha * BZ]).T,
         -alpha * (B[off].T @ y[off]),
@@ -613,7 +641,7 @@ def _polish(state, Ju, P, A, B, fp, alpha, prox, c):
     )
     y[Z] = w[M:]
     cand = SaddleState(y=y, u=u, x=w[:M], iteration=state.iteration)
-    return cand, residual_2_90(cand, A, B, fp, alpha, prox, c)
+    return cand, residual_2_90(cand, smat)
 
 
 def _project(C, r, w):
@@ -648,8 +676,8 @@ def solve_p1(system, bmat, k, cfg, g=None):
     """Run the fixed-point proximity iteration for the p=1 scheme.
 
     system is the assembled constraint (A, Cb, fvec), bmat the jump
-    matrices for p=1, g the optional boundary vb data: one finite value
-    per column of system.Cb, checked before S is factorized. The first
+    matrices for p=1 with block size k + 1, g the optional boundary vb
+    data; assemble_S checks g and builds the problem (SMatrix). The first
     fixed-point equation holds by construction (module docstring), so
     the loop checks the other two: it stops with converged=True only
     when r2 and r3 are at most cfg.residual_tol (stop_reason
@@ -670,21 +698,12 @@ def solve_p1(system, bmat, k, cfg, g=None):
         match = False
     if not match:
         raise ValueError(f"k={k!r} does not match the jump matrix's k={bmat.block_size - 1}")
-    if g is not None:
-        _check_boundary_data(system, g)
-    A, fvec, B = system.A, system.fvec, bmat.B
-    prox = make_prox(cfg.prox_method, k, cfg.alpha)
-    alpha = cfg.alpha
-
-    c = None if g is None else bmat.Bb @ g
-    fp = fvec if g is None else fvec - system.Cb @ g
-
-    smat = assemble_S(A, B, alpha)
-    nB, N = smat.nB, smat.N
-    BT = B.T.tocsr()
+    smat = assemble_S(system, bmat, cfg, g)
+    BT, fp, c, alpha, prox = smat.BT, smat.fp, smat.c, smat.alpha, smat.prox
+    nB, N = smat.B.shape
     # the iterate (y, u, x, [B; A]u) as plain arrays; each step allocates
     # new ones, so the best iterate is kept by reference
-    y, u, x = np.zeros(nB), np.zeros(N), np.zeros(A.shape[0])
+    y, u, x = np.zeros(nB), np.zeros(N), np.zeros(smat.A.shape[0])
     BAu = np.zeros(smat.BA.shape[0])
     rhs = np.empty(N + len(fp))  # (b2, b3): b3 = fp for the whole run
     rhs[N:] = fp
@@ -728,10 +747,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
             tried[key], last_try = still, it
             attempts += 1
             try:
-                cand, r = _polish(
-                    SaddleState(y=y, u=u, x=x, iteration=it),
-                    Ju, P, A, B, fp, alpha, prox, c,
-                )
+                cand, r = _polish(smat, SaddleState(y=y, u=u, x=x, iteration=it), Ju, P)
             except RuntimeError:  # a singular projection rejects the candidate
                 cand = None
             if cand is not None and all(v <= tol for v in r):
@@ -752,7 +768,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
         converged=converged,
         stop_reason=reason,
         iterations=it,
-        r1=_first_residual(state, A, B, alpha),
+        r1=_first_residual(state, smat),
         wall_time=time.perf_counter() - t0,
         residual_history=hist[:count].copy(),
         polish_attempts=attempts,

@@ -2,15 +2,7 @@
 
 import numpy as np
 
-from pdwg.solver import (
-    SaddleState,
-    assemble_S,
-    fixed_point_step,
-    make_bn,
-    make_prox,
-    polish_face,
-    residual_2_90,
-)
+from pdwg.solver import SaddleState, fixed_point_step, make_bn, polish_face, residual_2_90
 from pdwg.weak_assembly import CoefficientField
 
 
@@ -34,50 +26,37 @@ def poly_field():
     )
 
 
-def plain_iterates(system, bmat, cfg, g=None):
-    """The plain p=1 iterates from the zero state, with their (r2, r3),
-    through the public step functions; endless, the caller stops. g is
-    the optional boundary vb data, as in solve_p1."""
-    A, B = system.A, bmat.B
-    c, f = _lifting(system, bmat, g)
-    k = bmat.block_size - 1
-    smat = assemble_S(A, B, cfg.alpha)
-    prox = make_prox(cfg.prox_method, k, cfg.alpha)
-    state = SaddleState(
-        y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
-    )
+def zero_state(smat):
+    """The zero (y, u, x) of the p=1 problem smat, where solve_p1 starts."""
+    (nB, N), M = smat.B.shape, smat.A.shape[0]
+    return SaddleState(y=np.zeros(nB), u=np.zeros(N), x=np.zeros(M))
+
+
+def plain_iterates(smat):
+    """The plain p=1 iterates of the problem smat (assemble_S) from the
+    zero state, with their (r2, r3), through the public step functions;
+    endless, the caller stops."""
+    state = zero_state(smat)
     while True:
-        yield state, residual_2_90(state, A, B, f, cfg.alpha, prox, c=c)[1:]
-        state = fixed_point_step(
-            state, smat, make_bn(state, B, f, cfg.alpha, prox, c=c)
-        )
+        yield state, residual_2_90(state, smat)[1:]
+        state = fixed_point_step(state, smat, make_bn(state, smat))
 
 
-def replay_p1(system, bmat, cfg, diag, visit=None, g=None):
-    """Replay a solve_p1 run: plain steps up to its last step
-    diag.iterations, each plain iterate passed to visit, then polish_face
-    if it polished there. Returns the final state and the (r2, r3) rows,
-    to compare bit for bit with the solver's state and
+def replay_p1(smat, diag, visit=None):
+    """Replay a solve_p1 run of the problem smat (assemble_S of the same
+    system, jump matrices, config and boundary data): plain steps up to
+    its last step diag.iterations, each plain iterate passed to visit,
+    then polish_face if it polished there. Returns the final state and
+    the (r2, r3) rows, to compare bit for bit with the solver's state and
     diag.residual_history."""
     rows = []
-    for state, row in plain_iterates(system, bmat, cfg, g):
+    for state, row in plain_iterates(smat):
         if visit is not None:
             visit(state)
         rows.append(row)
         if state.iteration == diag.iterations:
             break
     if diag.polished_at is not None:
-        c, f = _lifting(system, bmat, g)
-        prox = make_prox(cfg.prox_method, bmat.block_size - 1, cfg.alpha)
-        state, (_, r2, r3) = polish_face(
-            state, system.A, bmat.B, f, cfg.alpha, prox, c=c
-        )
+        state, (_, r2, r3) = polish_face(state, smat)
         rows[-1] = (r2, r3)
     return state, np.array(rows)
-
-
-def _lifting(system, bmat, g):
-    """Jump offset c and constraint right side of boundary data g."""
-    if g is None:
-        return None, system.fvec
-    return bmat.Bb @ g, system.fvec - system.Cb @ g

@@ -20,7 +20,7 @@ from pdwg.fe_space import (
 )
 from pdwg.mesh import build_uniform
 from pdwg.prox import prox_phi_k1, prox_phi_oracle, soft_threshold
-from pdwg.solver import SolverConfig, solve_p1, solve_p2
+from pdwg.solver import SolverConfig, assemble_S, solve_p1, solve_p2
 from pdwg.stabilizer import assemble_B, assemble_S2, eval_phi, eval_s
 from pdwg.weak_assembly import assemble_A
 
@@ -205,7 +205,7 @@ def test_05_summed_increment_energy_bound(p1_study):
             inc.append(np.sum((prev[0] - Bu) ** 2) + np.sum((state.y - prev[1]) ** 2))
         prev = Bu, state.y
 
-    final, rows = replay_p1(system, bmat, P1_CFG, diag, visit)
+    final, rows = replay_p1(assemble_S(system, bmat, P1_CFG), diag, visit)
     assert np.array_equal(rows, diag.residual_history)
     for name in "uyx":
         assert np.array_equal(getattr(final, name), getattr(limit, name)), name

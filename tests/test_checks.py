@@ -5,7 +5,8 @@ numpy reals strictly between 0 and inf; bools of either kind, strings,
 NaN and inf are refused with a ValueError that names the field. The
 rule lives in pdwg._checks alone, so the copies cannot drift apart;
 likewise the assembly of operators over the column space lives in
-DofLayout.assemble alone.
+DofLayout.assemble alone, and the p=1 problem in solver.assemble_S.
+Arrays of the wrong shape are refused with a ValueError too.
 """
 
 import re
@@ -52,8 +53,9 @@ def _p1():
 
 
 def _assemble_S(alpha):
+    # alpha reaches assemble_S only through the checked, frozen config
     _, system, bmat, _ = _p1()
-    return assemble_S(system.A, bmat.B, alpha)
+    return assemble_S(system, bmat, SolverConfig(alpha=alpha))
 
 
 def _solve_p1(k):
@@ -128,6 +130,25 @@ def test_numpy_scalars_accepted(entry):
     call(good)
 
 
+SHAPES = {
+    "WeakFunction.boundary": (
+        lambda: WeakFunction(_p1()[3].layout, _p1()[3].coeffs, boundary=np.zeros(1)),
+        "boundary vector length does not match layout",
+    ),
+    "prox_phi_k1": (lambda: prox_phi_k1(np.ones(3), 1.0), "even-length"),
+    "prox_phi_oracle": (
+        lambda: prox_phi_oracle(np.zeros(3), 1.0, 1), "one block of size 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", SHAPES)
+def test_array_of_the_wrong_shape_refused(entry):
+    call, message = SHAPES[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_scalar_rule_has_one_owner():
     # only _checks.py may spell out the rule: the numbers ABCs and the
     # bool exclusion are the parts that drifted between hand-made copies
@@ -153,5 +174,22 @@ def test_column_space_has_one_builder():
     for path in sorted(Path(pdwg.__file__).parent.glob("*.py")):
         text = path.read_text()
         if path.name != "fe_space.py" and ("coo_matrix" in text or _SPLIT_AT_N.search(text)):
+            others.append(path.name)
+    assert others == []
+
+
+# the jump offset c = Bb g of boundary data g
+_LIFTING = re.compile(r"\.Bb\s*@")
+
+
+def test_p1_problem_has_one_builder():
+    assert _LIFTING.search("c = bmat.Bb @ g") and not _LIFTING.search("full = B @ v")
+    # only solver.py (assemble_S) may build the prox or lift boundary
+    # data into the jumps, so no caller can pair a prox or an offset with
+    # a factorization of another problem
+    others = []
+    for path in sorted(Path(pdwg.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name != "solver.py" and ("make_prox(" in text or _LIFTING.search(text)):
             others.append(path.name)
     assert others == []

@@ -37,7 +37,7 @@ from pdwg.solver import (
 from pdwg.stabilizer import assemble_B, assemble_S2, eval_s
 from pdwg.weak_assembly import assemble_A
 
-from conftest import plain_iterates, poly_field, replay_p1
+from conftest import plain_iterates, poly_field, replay_p1, zero_state
 
 
 def setup(n, field, p=1):
@@ -45,6 +45,19 @@ def setup(n, field, p=1):
     system = assemble_A(disc, field)
     bmat = assemble_B(disc, p)
     return disc, system, bmat
+
+
+def paper_S(A, B, alpha):
+    """The paper's iteration matrix S = [[I, -B, 0], [0, alpha B^T B, A^T],
+    [0, A, 0]], dense, built here from A and B alone as the reference that
+    a step v^{n+1} = S^-1 b^n is checked against."""
+    A, B = A.toarray(), B.toarray()
+    (nB, N), M = B.shape, A.shape[0]
+    return np.block([
+        [np.eye(nB), -B, np.zeros((nB, M))],
+        [np.zeros((N, nB)), alpha * (B.T @ B), A.T],
+        [np.zeros((M, nB)), A, np.zeros((M, M))],
+    ])
 
 
 def test_solver_config_validation():
@@ -72,11 +85,19 @@ def test_solver_config_validation():
     # beta only rescaled the multiplier x, so it is fixed at 1
     with pytest.raises(TypeError):
         SolverConfig(beta=1.0)
-    # assemble_S applies the same rule to alpha rather than blaming A
-    _, system, bmat = setup(1, builtin_case("const").field)
-    for alpha in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            assemble_S(system.A, bmat.B, alpha)
+
+
+def test_solver_config_is_frozen():
+    # the checks run when the config is built, so no field may change
+    # afterwards: max_iters = 0 would leave solve_p1 without a step, and
+    # residual_tol = nan would run silently to max_iters
+    cfg = SolverConfig()
+    bad = {"alpha": 0.0, "residual_tol": np.nan, "max_iters": 0, "prox_method": "exact"}
+    assert set(bad) == {f.name for f in dataclasses.fields(SolverConfig)}
+    for name, value in bad.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg == SolverConfig()
 
 
 def test_default_config_runs():
@@ -128,39 +149,17 @@ def test_make_prox_selectors():
             make_prox(method, k, 1.0)
 
 
-def test_S_dimension_and_block_scaling():
-    _, system, bmat = setup(1, poly_field())
-    A, B = system.A, bmat.B
-    nB, N = B.shape
-    M = A.shape[0]
-    assert (nB, N, M) == (54, 35, 6)
-    s1 = assemble_S(A, B, 1.0).S.toarray()
-    s2 = assemble_S(A, B, 2.0).S.toarray()
-    assert s1.shape == (95, 95)
-    # identity block and -B are alpha-independent
-    assert np.allclose(s2[:nB, :nB], np.eye(nB))
-    assert np.allclose(s2[:nB, nB : nB + N], -B.toarray())
-    # doubling alpha doubles the alpha B^T B block, not the A blocks
-    assert np.allclose(s2[nB : nB + N, nB : nB + N], 2 * s1[nB : nB + N, nB : nB + N])
-    assert np.allclose(s2[nB + N :, nB : nB + N], A.toarray())
-    assert np.allclose(s2[nB : nB + N, nB + N :], A.T.toarray())
-
-
 def test_S_factorization_no_zero_pivots():
     _, system, bmat = setup(1, poly_field())
     rng = np.random.default_rng(11)
     for alpha in (0.5, 1.0, 2.0):
-        smat = assemble_S(system.A, bmat.B, alpha)
+        smat = assemble_S(system, bmat, SolverConfig(alpha=alpha))
         piv = np.abs(smat.lu.U.diagonal())
         assert piv.min() > 1e-12 * (1.0 + piv.max())
-        b = rng.normal(size=smat.S.shape[0])
-        state = SaddleState(
-            y=np.zeros(bmat.B.shape[0]),
-            u=np.zeros(bmat.B.shape[1]),
-            x=np.zeros(system.A.shape[0]),
-        )
-        z = fixed_point_step(state, smat, b).flat()
-        assert np.abs(smat.S @ z - b).max() <= 1e-10 * np.abs(b).max()
+        S = paper_S(system.A, bmat.B, alpha)
+        b = rng.normal(size=S.shape[0])
+        z = fixed_point_step(zero_state(smat), smat, b).flat()
+        assert np.abs(S @ z - b).max() <= 1e-10 * np.abs(b).max()
 
 
 @pytest.mark.parametrize("alpha", [0.5, 16.0])
@@ -170,8 +169,7 @@ def test_fixed_point_step_matches_dense_solve(alpha):
     field = builtin_case("const").field
     disc, system, bmat = setup(2, field)
     A, B = system.A, bmat.B
-    smat = assemble_S(A, B, alpha)
-    S = smat.S.toarray()
+    S = paper_S(A, B, alpha)
     rng = np.random.default_rng(17)
     state = SaddleState(
         y=rng.normal(size=B.shape[0]),
@@ -180,14 +178,9 @@ def test_fixed_point_step_matches_dense_solve(alpha):
     )
     # a nonzero boundary trace gives a nonzero jump offset c = Bb g
     g = project_boundary(lambda p: 1.0 + p[..., 0] * np.exp(p[..., 1]), disc)
-    c = bmat.Bb @ g
-    assert np.abs(c).max() > 0.1
-    prox = make_prox("wl1", 2, alpha)
-    fp = system.fvec - system.Cb @ g
-    for bn in (
-        rng.normal(size=S.shape[0]),
-        make_bn(state, B, fp, alpha, prox, c=c),
-    ):
+    smat = assemble_S(system, bmat, SolverConfig(alpha=alpha), g)
+    assert np.abs(smat.c).max() > 0.1
+    for bn in (rng.normal(size=S.shape[0]), make_bn(state, smat)):
         z = np.linalg.solve(S, bn)
         new = fixed_point_step(state, smat, bn)
         assert new.iteration == state.iteration + 1
@@ -195,20 +188,17 @@ def test_fixed_point_step_matches_dense_solve(alpha):
 
 
 def test_assemble_S_singular_raises():
-    B = sp.eye(3, 4, format="csr")
-    A = sp.csr_matrix((2, 4))
-    with pytest.raises(RuntimeError):
-        assemble_S(A, B, 1.0)
+    _, system, bmat = setup(1, poly_field())
+    zero_A = dataclasses.replace(system, A=sp.csr_matrix(system.A.shape))
+    with pytest.raises(RuntimeError, match="factorization of S failed"):
+        assemble_S(zero_A, bmat, SolverConfig())
 
 
 def test_b0_is_zero_zero_beta_f():
     _, system, bmat = setup(1, poly_field())
-    A, B, f = system.A, bmat.B, system.fvec
-    state = SaddleState(
-        y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
-    )
-    prox = make_prox("wl1", 2, 1.0)
-    b = make_bn(state, B, f, 1.0, prox)
+    B, f = bmat.B, system.fvec
+    smat = assemble_S(system, bmat, SolverConfig())
+    b = make_bn(zero_state(smat), smat)
     nB, N = B.shape
     assert np.allclose(b[: nB + N], 0.0)
     assert np.allclose(b[nB + N :], f)
@@ -218,30 +208,27 @@ def test_third_subvector_always_beta_f():
     _, system, bmat = setup(1, poly_field())
     A, B, f = system.A, bmat.B, system.fvec
     rng = np.random.default_rng(5)
-    prox = make_prox("wl1", 2, 2.0)
+    smat = assemble_S(system, bmat, SolverConfig(alpha=2.0))
     for _ in range(3):
         state = SaddleState(
             y=rng.normal(size=B.shape[0]),
             u=rng.normal(size=B.shape[1]),
             x=rng.normal(size=A.shape[0]),
         )
-        b = make_bn(state, B, f, 2.0, prox)
+        b = make_bn(state, smat)
         assert np.allclose(b[B.shape[0] + B.shape[1] :], f)
 
 
 def test_manual_iteration_matches_step_helper():
     _, system, bmat = setup(1, poly_field())
-    A, B, f = system.A, bmat.B, system.fvec
-    prox = make_prox("wl1", 2, 1.0)
-    smat = assemble_S(A, B, 1.0)
-    state = SaddleState(
-        y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
-    )
+    smat = assemble_S(system, bmat, SolverConfig())
+    S = paper_S(system.A, bmat.B, 1.0)
+    state = zero_state(smat)
     for expected_iter in (1, 2, 3):
-        b = make_bn(state, B, f, 1.0, prox)
+        b = make_bn(state, smat)
         state = fixed_point_step(state, smat, b)
         assert state.iteration == expected_iter
-        assert np.abs(smat.S @ state.flat() - b).max() <= 1e-11 * (1 + np.abs(b).max())
+        assert np.abs(S @ state.flat() - b).max() <= 1e-11 * (1 + np.abs(b).max())
 
 
 def test_constraint_and_first_equation_hold_from_iteration_one():
@@ -254,15 +241,11 @@ def test_constraint_and_first_equation_hold_from_iteration_one():
     assert np.all(hist[1:, 1] <= 1e-9 * fscale)
     assert hist[1, 1] <= 1e-10 * fscale
     # the loop does not check r1, so the same 60 steps are replayed
-    A, B, f = system.A, bmat.B, system.fvec
-    smat = assemble_S(A, B, cfg.alpha)
-    prox = make_prox(cfg.prox_method, 2, cfg.alpha)
-    state = SaddleState(
-        y=np.zeros(B.shape[0]), u=np.zeros(B.shape[1]), x=np.zeros(A.shape[0])
-    )
+    smat = assemble_S(system, bmat, cfg)
+    state = zero_state(smat)
     for _ in range(cfg.max_iters):
-        state = fixed_point_step(state, smat, make_bn(state, B, f, cfg.alpha, prox))
-        assert residual_2_90(state, A, B, f, cfg.alpha, prox)[0] <= 1e-11
+        state = fixed_point_step(state, smat, make_bn(state, smat))
+        assert residual_2_90(state, smat)[0] <= 1e-11
 
 
 @pytest.mark.parametrize("case,k", [("const", 2), ("disc", 3)])
@@ -275,8 +258,7 @@ def test_p1_first_equation_holds_by_construction(case, k):
     cfg = SolverConfig(alpha=16.0)
     _, state, diag = solve_p1(system, bmat, k, cfg)
     assert diag.stop_reason == "residual"
-    prox = make_prox(cfg.prox_method, k, cfg.alpha)
-    r1, _, _ = residual_2_90(state, system.A, bmat.B, system.fvec, cfg.alpha, prox)
+    r1, _, _ = residual_2_90(state, assemble_S(system, bmat, cfg))
     assert r1 <= 1e-11
 
 
@@ -333,11 +315,12 @@ def test_p1_vanishing_increments_and_bounded_energy():
     field = builtin_case("const").field
     _, system, bmat = setup(1, field)
     cfg = SolverConfig()
+    smat = assemble_S(system, bmat, cfg)
     B = bmat.B
     total = []  # |y^n|^2 + |Bu^n|^2
     steps = []  # |v^{n+1} - v^n| / (1 + |v^n|)
     prev = None
-    for state, (r2, r3) in plain_iterates(system, bmat, cfg):
+    for state, (r2, r3) in plain_iterates(smat):
         Bu = B @ state.u
         total.append(state.y @ state.y + Bu @ Bu)
         if prev is not None:
@@ -359,7 +342,7 @@ def test_p1_vanishing_increments_and_bounded_energy():
     _, limit, diag = solve_p1(system, bmat, 2, cfg)
     assert diag.converged
     assert diag.iterations <= state.iteration
-    final, rows = replay_p1(system, bmat, cfg, diag)
+    final, rows = replay_p1(smat, diag)
     assert np.array_equal(rows, diag.residual_history)
     for name in "uyx":
         assert np.array_equal(getattr(final, name), getattr(limit, name)), name
@@ -405,17 +388,16 @@ def test_p1_polish_accepts_after_a_rejected_attempt():
     _, limit, diag = solve_p1(system, bmat, 2, cfg)
     assert diag.converged
     assert (diag.polish_attempts, diag.polished_at, diag.iterations) == (3, 3468, 3468)
-    A, B, f = system.A, bmat.B, system.fvec
-    prox = make_prox(cfg.prox_method, 2, cfg.alpha)
+    smat = assemble_S(system, bmat, cfg)
     signs, rejected = {}, {}
 
     def visit(state):
         if 335 <= state.iteration <= 536 or 3417 <= state.iteration:
-            signs[state.iteration] = np.sign(prox(B @ state.u + state.y)).tobytes()
+            signs[state.iteration] = np.sign(smat.prox(smat.B @ state.u + state.y)).tobytes()
         if state.iteration in (386, 536):
-            rejected[state.iteration] = polish_face(state, A, B, f, cfg.alpha, prox)
+            rejected[state.iteration] = polish_face(state, smat)
 
-    final, rows = replay_p1(system, bmat, cfg, diag, visit)
+    final, rows = replay_p1(smat, diag, visit)
     assert signs[335] != signs[336]
     assert {signs[n] for n in range(336, 537)} == {signs[536]}
     assert signs[3417] != signs[3418]
@@ -427,7 +409,7 @@ def test_p1_polish_accepts_after_a_rejected_attempt():
     assert np.array_equal(rows, diag.residual_history)
     for name in "uyx":
         assert np.array_equal(getattr(final, name), getattr(limit, name)), name
-    assert max(residual_2_90(limit, A, B, f, cfg.alpha, prox)) <= cfg.residual_tol
+    assert max(residual_2_90(limit, smat)) <= cfg.residual_tol
 
 
 @pytest.mark.parametrize("case, k", [("const", 2), ("var", 2), ("disc", 3)])
@@ -443,8 +425,8 @@ def test_p1_short_polish_trigger_never_ends_a_run_later(case, k, monkeypatch):
     polish = pdwg.solver._polish
     tries = {}  # step of each attempt -> the candidate's (r1, r2, r3)
 
-    def record(state, *args):
-        cand, r = polish(state, *args)
+    def record(smat, state, *args):
+        cand, r = polish(smat, state, *args)
         tries[state.iteration] = r
         return cand, r
 
@@ -468,6 +450,29 @@ def test_p1_short_polish_trigger_never_ends_a_run_later(case, k, monkeypatch):
     assert short.polish_attempts <= long.polish_attempts + math.ceil(
         short.iterations / 1000
     )
+
+
+def test_p1_singular_polish_projection_rejects_the_candidate(monkeypatch):
+    # a projection SuperLU cannot factorize rejects the candidate as a
+    # failed residual test does: the loop goes on from the plain iterate,
+    # so the run is the plain scheme's, bit for bit
+    _, system, bmat = setup(1, builtin_case("const").field)
+    cfg = SolverConfig(alpha=16.0)
+    factor = pdwg.solver._factor_symmetric
+
+    def singular_polish(K, failure):
+        if failure.startswith("face polish projection"):
+            raise RuntimeError(failure)
+        return factor(K, failure)
+
+    monkeypatch.setattr(pdwg.solver, "_factor_symmetric", singular_polish)
+    _, state, diag = solve_p1(system, bmat, 2, cfg)
+    assert diag.converged
+    assert diag.polished_at is None and diag.polish_attempts > 0
+    final, rows = replay_p1(assemble_S(system, bmat, cfg), diag)
+    assert np.array_equal(rows, diag.residual_history)
+    for name in "uyx":
+        assert np.array_equal(getattr(final, name), getattr(state, name)), name
 
 
 @pytest.mark.slow
@@ -502,14 +507,11 @@ def test_p1_polished_result_is_certified_and_replays(case, k, boundary):
     _, state, diag = solve_p1(system, bmat, k, cfg, g=g)
     assert diag.converged and diag.stop_reason == "residual"
     assert diag.polished_at == diag.iterations == state.iteration
-    prox = make_prox(cfg.prox_method, k, cfg.alpha)
-    c, fp = None, system.fvec
-    if boundary:
-        c, fp = bmat.Bb @ g, system.fvec - system.Cb @ g
-    r = residual_2_90(state, system.A, bmat.B, fp, cfg.alpha, prox, c=c)
+    smat = assemble_S(system, bmat, cfg, g)
+    r = residual_2_90(state, smat)
     assert r == (diag.r1, diag.r2, diag.r3)
     assert max(r) <= cfg.residual_tol
-    final, rows = replay_p1(system, bmat, cfg, diag, g=g)
+    final, rows = replay_p1(smat, diag)
     assert np.array_equal(rows, diag.residual_history)
     for name in "uyx":
         assert np.array_equal(getattr(final, name), getattr(state, name)), name
@@ -536,11 +538,7 @@ def test_residual_2_90_matches_diagnostics(n, boundary):
     cfg = SolverConfig(prox_method="wl1")
     g = project_boundary(poly_field().u, disc) if boundary else None
     u, state, diag = solve_p1(system, bmat, 2, cfg, g)
-    prox = make_prox("wl1", 2, cfg.alpha)
-    c, fp = None, system.fvec
-    if boundary:
-        c, fp = bmat.Bb @ g, system.fvec - system.Cb @ g
-    r1, r2, r3 = residual_2_90(state, system.A, bmat.B, fp, cfg.alpha, prox, c=c)
+    r1, r2, r3 = residual_2_90(state, assemble_S(system, bmat, cfg, g))
     assert np.allclose((r1, r2, r3), (diag.r1, diag.r2, diag.r3), rtol=1e-12, atol=0)
     assert max(r1, r2, r3) <= cfg.residual_tol
 
@@ -610,7 +608,7 @@ def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
     bmat = assemble_B(disc, 1)
     cfg = SolverConfig(alpha=16.0, max_iters=500)
     _, state, _ = solve_p1(system, bmat, k, cfg)
-    p1 = assemble_S(system.A, bmat.B, cfg.alpha).lu
+    smat = assemble_S(system, bmat, cfg)
     factors = []
 
     def recording_splu(*args, **kwargs):
@@ -618,9 +616,9 @@ def test_kkt_factorizations_pivot_on_the_diagonal(case, k, monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(pdwg.solver, "splu", recording_splu)
-    prox = make_prox(cfg.prox_method, k, cfg.alpha)
-    polish_face(state, system.A, bmat.B, system.fvec, cfg.alpha, prox)
+    polish_face(state, smat)
     solve_p2(system, assemble_S2(disc)[0])
+    p1 = smat.lu
     for lu in (p1, *factors):
         assert np.array_equal(lu.perm_r, lu.perm_c)
     # p=1 and its polish keep float64 factors; p=2 factorizes its
@@ -1015,6 +1013,24 @@ def test_solve_p2_singular_saddle_raises():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeError, match="saddle system is singular"):
             solve_p2(bad, suu, sub, g=project_boundary(field.u, disc))
+
+
+def test_solve_p2_raises_on_a_v0_block_that_is_not_positive_definite(monkeypatch):
+    # an indefinite v0 block of the augmented block fails its batched
+    # Cholesky factorization (_condensed), in float32 and again in the
+    # float64 fallback, before SuperLU runs
+    disc = Discretization(build_uniform(1), SpaceConfig(k=2))
+    system = assemble_A(disc, builtin_case("const").field)
+    suu = assemble_S2(disc)[0].tolil()
+    suu[0, 1] = suu[1, 0] = 10 * max(suu[0, 0], suu[1, 1])
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("factorized with an indefinite v0 block")
+
+    monkeypatch.setattr(pdwg.solver, "splu", no_splu)
+    with pytest.raises(RuntimeError, match="saddle system is singular") as info:
+        solve_p2(system, suu.tocsr())
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_augmented_weights_stay_finite():
