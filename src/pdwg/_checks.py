@@ -1,20 +1,28 @@
-"""The one rule for scalar arguments.
+"""The input rules that more than one entry point shares.
 
-An integer field takes a Python or numpy integer; a real field takes a
-Python or numpy integer or float strictly between 0 and inf. Python and
-numpy bools, strings, NaN and +-inf are refused with a ValueError that
-names the field. The checks test concrete types rather than the
-`numbers` ABCs: prox_phi_weighted_l1 checks its alpha and k on every
-p=1 step, and an isinstance test against numbers.Real costs about four
-times as much as one against the tuple of concrete types (400 against
-110 ns on a 2-core Xeon VM).
+* Scalars. An integer field takes a Python or numpy integer; a real
+  field takes a Python or numpy integer or float strictly between 0 and
+  inf. Python and numpy bools, strings, NaN and +-inf are refused with a
+  ValueError that names the field.
+* Ids. An element, edge or block id is an integer in 0..size-1; one out
+  of range raises an IndexError that names the field, so -1 never wraps
+  round to the last entry.
+* Jump vectors. phi and its proxes act on (k+1)-coefficient blocks, so
+  a vector whose length is not a whole number of blocks raises a
+  ValueError.
+
+The checks test concrete types rather than the `numbers` ABCs:
+prox_phi_weighted_l1 checks its alpha and k on every p=1 step, and an
+isinstance test against numbers.Real costs about four times as much as
+one against the tuple of concrete types (400 against 110 ns on a 2-core
+Xeon VM).
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["integer", "positive_finite"]
+__all__ = ["integer", "positive_finite", "index", "block_vector"]
 
 _INTEGERS = (int, np.integer)
 _REALS = (float, int, np.floating, np.integer)
@@ -37,3 +45,20 @@ def positive_finite(name, value):
     bad = isinstance(value, bool) or not isinstance(value, _REALS)
     if bad or not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {name}={value!r}")
+
+
+def index(name, value, size):
+    """Return value as an int; raise IndexError naming `name` unless
+    0 <= value < size (ValueError, as in `integer`, for a non-integer)."""
+    if not 0 <= integer(name, value) < size:
+        raise IndexError(f"{name}={value!r} out of range 0..{size - 1}")
+    return int(value)
+
+
+def block_vector(v, k):
+    """Return (v as a float array, the block size k + 1); raise
+    ValueError unless v is a whole number of (k+1)-blocks."""
+    v, bs = np.asarray(v, dtype=float), integer("k", k, low=0) + 1
+    if v.size % bs:
+        raise ValueError(f"length {v.size} is not a multiple of block size {bs}")
+    return v, bs

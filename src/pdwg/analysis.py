@@ -226,12 +226,12 @@ def _v0_derivative(disc, v0, deriv):
 
 def rates(errors, n):
     """Rates log2(e_i / e_{i+1}) / log2(n_{i+1} / n_i) of errors on meshes
-    of sizes n. Needs positive errors, positive integer sizes and no two
-    consecutive sizes equal."""
+    of sizes n. Needs positive finite errors, positive integer sizes and
+    no two consecutive sizes equal."""
     e = np.asarray(errors, dtype=float)
     n = np.asarray([integer("n", m, low=1) for m in n], dtype=float)
-    if np.any(e <= 0):
-        raise ValueError("rates need strictly positive errors")
+    if not np.all((0 < e) & (e < np.inf)):
+        raise ValueError("rates need positive finite errors")
     if n.shape != e.shape or np.any(n[1:] == n[:-1]):
         raise ValueError(
             "rates need one mesh size per error, no two consecutive ones equal"

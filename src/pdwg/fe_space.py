@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from ._checks import integer
+from ._checks import index, integer
 
 __all__ = [
     "SpaceConfig",
@@ -348,21 +348,22 @@ class DofLayout:
         return tuple(pair)
 
     def v0_slice(self, t):
+        t = index("t", t, len(self.elem_cols))
         return slice(t * self.nv0, (t + 1) * self.nv0)
 
     def vb_slice(self, e):
         """Slice of the vb block of interior edge e; None on the boundary."""
-        start = self.vb_cols[e, 0]
+        start = self.vb_cols[index("e", e, len(self.vb_cols)), 0]
         return None if start >= self.N else slice(start, start + self.nvb)
 
     def vg_slice(self, e, j):
         """Slice of gradient component j (0 or 1) on edge e."""
-        start = self.vg_cols[j, e, 0]
+        start = self.vg_cols[index("j", j, 2), index("e", e, len(self.vb_cols)), 0]
         return slice(start, start + self.nvg)
 
     def boundary_vb_slice(self, e):
         """Slice into the boundary-data vector for boundary edge e."""
-        start = self.vb_cols[e, 0] - self.N
+        start = self.vb_cols[index("e", e, len(self.vb_cols)), 0] - self.N
         if start < 0:
             raise ValueError(f"edge {e} is not a boundary edge")
         return slice(start, start + self.nvb)
@@ -571,8 +572,7 @@ def eval_v0(v, element, pts, deriv=(0, 0)):
     """
     layout = v.layout
     mesh = layout.mesh
-    if not 0 <= integer("element", element) < mesh.num_elements:
-        raise IndexError(f"element id {element} out of range")
+    element = index("element", element, mesh.num_elements)
     exps = poly_exponents(layout.cfg.k)
     table = eval_basis(
         exps, pts, mesh.elem_centroid[element], mesh.elem_h[element], deriv=deriv

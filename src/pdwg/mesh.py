@@ -14,7 +14,7 @@ lets the two elements sharing an interior edge agree on edge data.
 
 import numpy as np
 
-from ._checks import integer
+from ._checks import index, integer
 
 __all__ = ["Mesh", "build_uniform", "refine", "edge_param"]
 
@@ -203,7 +203,7 @@ def edge_param(mesh, edge_id):
     t=0 at the lower-id endpoint and t=1 at the higher-id endpoint.
     Accepts scalar or array t.
     """
-    lo, hi = mesh.edges[edge_id]
+    lo, hi = mesh.edges[index("edge_id", edge_id, mesh.num_edges)]
     p_lo = mesh.vertices[lo]
     p_hi = mesh.vertices[hi]
 

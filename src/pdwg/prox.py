@@ -16,8 +16,10 @@ independent small problems, one per block of size k+1:
   j-th coefficient by 1/(a*j), the exact prox of the separable
   surrogate sum_j |q_j|/j that brackets the block integral.
 
-The spaces always have k >= 2, so prox_phi_weighted_l1 is the only
-operator the solver uses. The closed-form k <= 1 proxes and a
+The block integral itself is stabilizer.integral_abs_poly, the one
+implementation of int_0^1 |poly|; integral_abs_linear is its degree-1
+case. The spaces always have k >= 2, so prox_phi_weighted_l1 is the
+only operator the solver uses. The closed-form k <= 1 proxes and a
 derivative-free numerical prox (Nelder-Mead plus pattern-search polish
 on the true objective) are reference functions for tests and
 `pdwg verify`, not solver options.
@@ -27,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import integer, positive_finite
+from ._checks import block_vector, integer, positive_finite
 from .stabilizer import integral_abs_poly
 
 __all__ = [
@@ -42,20 +44,9 @@ __all__ = [
 
 
 def integral_abs_linear(a, b):
-    """Exact integral of |a + b*s| over [0, 1], by sign cases.
-
-    Same-sign a, b give |a| + |b|/2; otherwise the line crosses zero
-    and the crossing point may or may not fall inside (0, 1).
-    """
-    if a * b >= 0:
-        return abs(a) + abs(b) / 2
-    if b > 0:
-        if a + b <= 0:
-            return -a - b / 2
-        return a + b / 2 + a * a / b
-    if a + b >= 0:
-        return a + b / 2
-    return -a - b / 2 - a * a / b
+    """Exact integral of |a + b*s| over [0, 1]: the degree-1 case of
+    integral_abs_poly, the block integral of phi for k = 1."""
+    return integral_abs_poly((a, b))
 
 
 def soft_threshold(q, tau):
@@ -124,9 +115,7 @@ def project_omega0(point, c):
 def prox_phi_k1(v, alpha):
     """Exact blockwise prox of (1/alpha)*phi for k = 1 (2-blocks)."""
     positive_finite("alpha", alpha)
-    v = np.asarray(v, dtype=float)
-    if v.size % 2:
-        raise ValueError("k=1 prox expects an even-length stacked vector")
+    v, _ = block_vector(v, 1)
     blocks = v.reshape(-1, 2)
     out = np.empty_like(blocks)
     c = 1.0 / alpha
@@ -146,10 +135,7 @@ def prox_phi_weighted_l1(v, alpha, k):
     (k+1)-element loop per block.
     """
     positive_finite("alpha", alpha)
-    v = np.asarray(v, dtype=float)
-    bs = integer("k", k, low=0) + 1
-    if v.size % bs:
-        raise ValueError(f"length {v.size} is not a multiple of block size {bs}")
+    v, bs = block_vector(v, k)
     lo, hi = _wl1_thresholds(alpha, bs, v.size)
     if v.ndim != 1:
         lo, hi = lo.reshape(v.shape), hi.reshape(v.shape)
@@ -188,7 +174,11 @@ def _fd_grad(f, w, h=1e-5):
     return g
 
 
-def prox_phi_oracle(v, alpha, k, cap=200000):
+# pattern-search evaluations prox_phi_oracle may spend before it gives up
+_ORACLE_CAP = 200000
+
+
+def prox_phi_oracle(v, alpha, k):
     """Numerical prox of one block by direct minimization (test oracle).
 
     Minimizes 0.5*|w - v|^2 + (1/alpha)*int_0^1 |poly_w| with
@@ -199,8 +189,9 @@ def prox_phi_oracle(v, alpha, k, cap=200000):
     objective is smooth and flat; the gradient stage covers the smooth
     case and is accepted only if it drives the sampled gradient under
     the finite-difference noise floor (minima at kinks fail that test
-    and keep the pattern result). Raises RuntimeError if the evaluation
-    cap is hit before the pattern step shrinks below 1e-11.
+    and keep the pattern result). Raises RuntimeError if the pattern
+    search spends _ORACLE_CAP evaluations before its step shrinks below
+    1e-11.
     """
     # imported here, not at module level: nothing else in the package
     # needs scipy.optimize, and importing it would add about 0.14 s and
@@ -235,7 +226,7 @@ def prox_phi_oracle(v, alpha, k, cap=200000):
         improved = False
         for d in dirs:
             evals += 1
-            if evals > cap:
+            if evals > _ORACLE_CAP:
                 raise RuntimeError("prox oracle failed to converge")
             trial = w + step * d
             ft = f(trial)

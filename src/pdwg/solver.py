@@ -508,7 +508,7 @@ def assemble_S(system, bmat, cfg, g=None):
     A, B, alpha = system.A, bmat.B, cfg.alpha
     K0 = sp.bmat([[alpha * (B.T @ B), A.T], [A, None]], format="csc")
     K0.sort_indices()
-    lu = _factor_symmetric(K0, "factorization of S failed; A may be rank-deficient")
+    lu = _factor_symmetric(K0, "factorization of K0 failed; A may be rank-deficient")
     prox = make_prox(cfg.prox_method, bmat.block_size - 1, alpha)
     BA = sp.vstack([B, A], format="csr")
     return SMatrix(A=A, B=B, BT=B.T.tocsr(), BA=BA, fp=fp, c=c, alpha=alpha, prox=prox, lu=lu)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._checks import integer
+from ._checks import block_vector, index, integer
 
 __all__ = [
     "BMatrix",
@@ -75,6 +75,7 @@ class BMatrix:
 def block_slice(bmat, kind, pair):
     """Rows of one jump block: kind 0 = value, 1/2 = gradient components."""
     bs = bmat.block_size
+    kind, pair = index("kind", kind, 3), index("pair", pair, bmat.num_pairs)
     start = (kind * bmat.num_pairs + pair) * bs
     return slice(start, start + bs)
 
@@ -163,10 +164,7 @@ def integral_abs_poly(coeffs):
 
 def eval_phi(q, k):
     """phi(q) = sum over (k+1)-blocks of the exact integral of |poly|."""
-    q = np.asarray(q, dtype=float)
-    bs = integer("k", k, low=0) + 1
-    if q.size % bs:
-        raise ValueError(f"length {q.size} is not a multiple of block size {bs}")
+    q, bs = block_vector(q, k)
     return float(sum(_abs_integrals(q.reshape(-1, bs))))
 
 
@@ -179,18 +177,22 @@ def _abs_integrals(blocks):
     Candidate split points are taken generously (near-real companion
     eigenvalues, Newton-polished): splitting at a non-root is harmless,
     missing a sign change is not. Blocks are batched by the span
-    lo..hi of their nonzero coefficients: one stacked eigvals call
-    finds the roots of every block's c_lo + ... + c_hi t^(hi-lo) (the
-    polynomial divided by t^lo, as np.roots reduces it; t = 0 is an
-    endpoint anyway), and the Newton polish and the antiderivative run
-    on all blocks of the span at once.
+    lo..hi of their terms above 2^-1000 of the block's largest: one
+    stacked eigvals call finds the roots of every block's
+    c_lo + ... + c_hi t^(hi-lo) (the polynomial divided by t^lo, as
+    np.roots reduces it; t = 0 is an endpoint anyway), and the Newton
+    polish and the antiderivative run on all blocks of the span at
+    once. A smaller term moves the integral far below rounding, so the
+    terms past hi are dropped and those before lo are kept in the
+    antiderivative only; that way any finite block is accepted, where
+    dividing by a tiny top term would overflow the companion matrix.
     """
     c = blocks.reshape(-1, blocks.shape[-1])
     out = np.zeros(len(c))
-    nz = c != 0
-    live = nz.any(axis=1)
-    lo = nz.argmax(axis=1)
-    hi = c.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+    big = np.abs(c) > 2.0**-1000 * np.abs(c).max(axis=1, keepdims=True)
+    live = big.any(axis=1)
+    lo = big.argmax(axis=1)
+    hi = c.shape[1] - 1 - big[:, ::-1].argmax(axis=1)
     for span in set(zip(lo[live].tolist(), hi[live].tolist())):
         rows = np.flatnonzero(live & (lo == span[0]) & (hi == span[1]))
         out[rows] = _span_integrals(c[rows, : span[1] + 1], span[0])
@@ -206,8 +208,8 @@ def _horner(desc, x):
 
 
 def _span_integrals(c, lo):
-    """_abs_integrals of the rows of c, whose first nonzero coefficient
-    is c[:, lo] and whose last column is nonzero."""
+    """_abs_integrals of the rows of c, whose span (_abs_integrals)
+    starts at column lo and ends at the last column."""
     if c.shape[1] == 1:
         return np.abs(c[:, 0])
     m, deg = c.shape[0], c.shape[1] - 1 - lo

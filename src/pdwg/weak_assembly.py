@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._checks import index
 from .fe_space import derivative_map
 
 __all__ = [
@@ -87,6 +88,7 @@ def local_dof_columns(disc, t):
     and the other is -1; glob indexes the unknowns and bnd the separate
     boundary-data vector.
     """
+    t = index("t", t, disc.mesh.num_elements)
     cols, N = disc.layout.elem_cols[t], disc.layout.N
     inner = cols < N
     return np.where(inner, cols, -1), np.where(inner, -1, cols - N)
@@ -94,7 +96,7 @@ def local_dof_columns(disc, t):
 
 def gather_local(disc, t, v):
     """Local DOF sub-vector of a WeakFunction on element t."""
-    return v.local_dofs()[t]
+    return v.local_dofs()[index("t", t, disc.mesh.num_elements)]
 
 
 def _weak_hessian_maps(disc, i, j):

@@ -136,8 +136,9 @@ def test_w2ph_is_one_homogeneous_for_p1():
 def test_rates_values_and_validation():
     assert np.allclose(rates([1e-2, 2.5e-3], [2, 4]), [2.0])
     assert np.allclose(rates([8e-3, 1e-3], [2, 4]), [3.0])
-    with pytest.raises(ValueError):
-        rates([1e-2, 0.0], [2, 4])
+    for bad in ([1e-2, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="positive finite errors"):
+            rates(bad, [2, 4])
 
 
 def test_rates_divide_by_the_log_of_the_mesh_ratio():

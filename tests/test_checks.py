@@ -2,9 +2,11 @@
 
 Integer fields take Python or numpy integers, real fields Python or
 numpy reals strictly between 0 and inf; bools of either kind, strings,
-NaN and inf are refused with a ValueError that names the field. The
-rule lives in pdwg._checks alone, so the copies cannot drift apart;
-likewise the assembly of operators over the column space lives in
+NaN and inf are refused with a ValueError that names the field. An id
+out of range raises an IndexError naming the field, and a jump vector
+that is not a whole number of blocks a ValueError. These rules live in
+pdwg._checks alone, so the copies cannot drift apart; likewise the
+assembly of operators over the column space lives in
 DofLayout.assemble alone, and the p=1 problem in solver.assemble_S.
 Arrays of the wrong shape are refused with a ValueError too.
 """
@@ -27,7 +29,7 @@ from pdwg.fe_space import (
     poly_exponents,
     triangle_rule,
 )
-from pdwg.mesh import build_uniform
+from pdwg.mesh import build_uniform, edge_param
 from pdwg.prox import (
     project_omega0,
     prox_phi_k1,
@@ -36,8 +38,8 @@ from pdwg.prox import (
     soft_threshold,
 )
 from pdwg.solver import SolverConfig, _check_v0_blocks, assemble_S, solve_p1
-from pdwg.stabilizer import assemble_B, eval_phi, eval_s
-from pdwg.weak_assembly import assemble_A
+from pdwg.stabilizer import assemble_B, block_slice, eval_phi, eval_s
+from pdwg.weak_assembly import assemble_A, gather_local, local_dof_columns
 
 REAL = (True, np.True_, np.nan, np.inf, "2")
 INTEGER = REAL + (2.5,)
@@ -135,7 +137,9 @@ SHAPES = {
         lambda: WeakFunction(_p1()[3].layout, _p1()[3].coeffs, boundary=np.zeros(1)),
         "boundary vector length does not match layout",
     ),
-    "prox_phi_k1": (lambda: prox_phi_k1(np.ones(3), 1.0), "even-length"),
+    "prox_phi_k1": (
+        lambda: prox_phi_k1(np.ones(3), 1.0), "length 3 is not a multiple of block size 2"
+    ),
     "prox_phi_oracle": (
         lambda: prox_phi_oracle(np.zeros(3), 1.0, 1), "one block of size 2"
     ),
@@ -147,6 +151,38 @@ def test_array_of_the_wrong_shape_refused(entry):
     call, message = SHAPES[entry]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@cache
+def _ids():
+    disc, _, bmat, zero = _p1()
+    layout, mesh = disc.layout, disc.mesh
+    T, E = mesh.num_elements, mesh.num_edges
+    # entry point: (field, size, call with the id)
+    return {
+        "edge_param": ("edge_id", E, lambda i: edge_param(mesh, i)),
+        "v0_slice": ("t", T, layout.v0_slice),
+        "vb_slice": ("e", E, layout.vb_slice),
+        "vg_slice.e": ("e", E, lambda i: layout.vg_slice(i, 0)),
+        "vg_slice.j": ("j", 2, lambda i: layout.vg_slice(0, i)),
+        "boundary_vb_slice": ("e", E, layout.boundary_vb_slice),
+        "local_dof_columns": ("t", T, lambda i: local_dof_columns(disc, i)),
+        "gather_local": ("t", T, lambda i: gather_local(disc, i, zero)),
+        "block_slice.kind": ("kind", 3, lambda i: block_slice(bmat, i, 0)),
+        "block_slice.pair": ("pair", bmat.num_pairs, lambda i: block_slice(bmat, 0, i)),
+        "eval_v0": ("element", T, lambda i: eval_v0(zero, i, np.zeros(2))),
+    }
+
+
+IDS = [(entry, end) for entry in _ids() for end in ("-1", "size")]
+
+
+@pytest.mark.parametrize("entry, end", IDS, ids=[f"{e}-{end}" for e, end in IDS])
+def test_id_out_of_range_refused_naming_the_field(entry, end):
+    # -1 would wrap round to the last entry and size run past the end
+    field, size, call = _ids()[entry]
+    with pytest.raises(IndexError, match=re.escape(f"{field}=")):
+        call(-1 if end == "-1" else size)
 
 
 def test_scalar_rule_has_one_owner():
@@ -191,5 +227,17 @@ def test_p1_problem_has_one_builder():
     for path in sorted(Path(pdwg.__file__).parent.glob("*.py")):
         text = path.read_text()
         if path.name != "solver.py" and ("make_prox(" in text or _LIFTING.search(text)):
+            others.append(path.name)
+    assert others == []
+
+
+def test_input_rules_have_one_owner():
+    # only _checks.py may spell out the block-length or the id rule
+    others = []
+    for path in sorted(Path(pdwg.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name != "_checks.py" and (
+            "is not a multiple of block size" in text or "raise IndexError" in text
+        ):
             others.append(path.name)
     assert others == []

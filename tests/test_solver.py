@@ -190,7 +190,7 @@ def test_fixed_point_step_matches_dense_solve(alpha):
 def test_assemble_S_singular_raises():
     _, system, bmat = setup(1, poly_field())
     zero_A = dataclasses.replace(system, A=sp.csr_matrix(system.A.shape))
-    with pytest.raises(RuntimeError, match="factorization of S failed"):
+    with pytest.raises(RuntimeError, match="factorization of K0 failed"):
         assemble_S(zero_A, bmat, SolverConfig())
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from pdwg.fe_space import Discretization, SpaceConfig, WeakFunction, eval_v0, project_Qh
@@ -159,6 +163,25 @@ def test_integral_abs_poly_against_gauss_oracle():
         1 / 3 - 1 / 2 + 1 / 4, abs=1e-12
     )
     assert integral_abs_poly(np.zeros(3)) == 0.0
+
+
+def test_integral_abs_poly_negligible_top_terms():
+    # dividing by a top coefficient this small against the block's
+    # largest overflows the companion matrix (LinAlgError), and its share
+    # of the integral is far below rounding
+    assert integral_abs_poly((1.0, 5e-324)) == 1.0
+    assert integral_abs_poly((1e10, 1e-300)) == 1e10
+    assert eval_phi([1.0, 0.0, 1e-320], 2) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
+def test_integral_abs_poly_accepts_any_finite_coefficients(c):
+    # |sum c_j t^j| <= sum |c_j| t^j, whose integral is sum |c_j| / (j+1);
+    # the two sums round in a different order, hence the few ulps
+    val = integral_abs_poly(c)
+    bound = sum(abs(x) / (j + 1) for j, x in enumerate(c))
+    assert 0 <= val <= bound + 8 * math.ulp(bound)
 
 
 def integral_abs_poly_per_block(coeffs):
