@@ -8,29 +8,30 @@ independent small problems, one per block of size k+1:
 * k = 1: Moreau's identity gives prox_{(1/a)phi}(v) = v - P(v) with P
   the Euclidean projection onto (1/a)*Omega0, where Omega0 is the
   region between two parabolic arcs that equals the subdifferential of
-  the block integral at 0. The projection is computed by exhaustive
-  candidate enumeration: the point itself if inside, otherwise the
-  foot points on both arcs (real roots of a cubic) and the two corner
-  points.
+  the block integral at 0. The projection keeps a point inside;
+  otherwise it takes the nearest of the two corner points and the foot
+  points on both arcs, the real roots of one cubic per arc. The cubics
+  of all blocks go to one batched call of stabilizer._real_roots.
 * k >= 2: no closed form is known. The production operator shrinks the
   j-th coefficient by 1/(a*j), the exact prox of the separable
   surrogate sum_j |q_j|/j that brackets the block integral.
 
 The block integral itself is stabilizer.integral_abs_poly, the one
-implementation of int_0^1 |poly|; integral_abs_linear is its degree-1
-case. The spaces always have k >= 2, so prox_phi_weighted_l1 is the
-only operator the solver uses. The closed-form k <= 1 proxes and a
-derivative-free numerical prox (Nelder-Mead plus pattern-search polish
-on the true objective) are reference functions for tests and
-`pdwg verify`, not solver options.
+implementation of int_0^1 |poly|, built on the same root finder;
+integral_abs_linear is its degree-1 case. The spaces always have
+k >= 2, so prox_phi_weighted_l1 is the only operator the solver uses.
+The closed-form k <= 1 proxes and a derivative-free numerical prox
+(Nelder-Mead plus pattern-search polish on the true objective) are
+reference functions for tests and `pdwg verify`, not solver options.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from ._checks import block_vector, integer, positive_finite
-from .stabilizer import integral_abs_poly
+from .stabilizer import _real_roots, integral_abs_poly
 
 __all__ = [
     "integral_abs_linear",
@@ -61,67 +62,54 @@ def _upper_arc(x, c):
     return c / 4 + x / 2 - x * x / (4 * c)
 
 
-def _upper_foot_candidates(px, py, c):
-    """Real stationary x of the squared distance to the upper arc."""
-    # d/dx [ (x-px)^2 + (U(x)-py)^2 ] = 0 expands to this cubic
-    b0 = c / 4 - py
-    poly = [
-        1.0 / (8 * c * c),
-        -3.0 / (8 * c),
-        1.25 - b0 / (2 * c),
-        b0 / 2 - px,
-    ]
-    out = []
-    dpoly = np.polyder(poly)
-    for r in np.roots(poly):
-        if abs(r.imag) > 1e-8 * max(1.0, abs(r.real)):
-            continue
-        x = r.real
-        for _ in range(2):
-            d = np.polyval(dpoly, x)
-            if d == 0.0:
-                break
-            x -= np.polyval(poly, x) / d
-        if -c <= x <= c:
-            out.append(x)
-    return out
-
-
 def project_omega0(point, c):
-    """Euclidean projection onto c*Omega0.
+    """Euclidean projection onto c*Omega0 of a point, or of each point
+    along the last axis of an array.
 
     Omega0 = {(x,y): (1+x)^2/4 - 1/2 <= y <= 1/2 - (1-x)^2/4}, the
     region between two parabolic arcs meeting at (+-1, +-1/2). Interior
-    points are returned unchanged; otherwise the nearest of all arc
-    foot points and the two corners wins. The lower arc is the upper
-    one reflected through the origin, so its candidates come from
-    projecting the reflected point.
+    points are returned unchanged; otherwise the nearest of the two
+    corners and the arc foot points wins. A foot point on the upper arc
+    is a real root x in [-c, c] of the cubic d/dx [(x-px)^2 +
+    (U(x)-py)^2] = 0; the lower arc is the upper one reflected through
+    the origin, so its foot points come from the reflected point. The
+    cubics of every exterior point and its reflection go to one batched
+    root finder (stabilizer._real_roots).
     """
     positive_finite("c", c)
-    px, py = float(point[0]), float(point[1])
-    if abs(px) <= c and -_upper_arc(-px, c) <= py <= _upper_arc(px, c):
-        return np.array([px, py])
-
-    cands = [(c, c / 2), (-c, -c / 2)]
-    for x in _upper_foot_candidates(px, py, c):
-        cands.append((x, _upper_arc(x, c)))
-    for x in _upper_foot_candidates(-px, -py, c):
-        cands.append((-x, -_upper_arc(x, c)))
-    cands = np.array(cands)
-    d2 = (cands[:, 0] - px) ** 2 + (cands[:, 1] - py) ** 2
-    return cands[np.argmin(d2)]
+    pts = np.array(point, dtype=float)
+    out = pts.reshape(-1, 2)
+    px, py = out[:, 0], out[:, 1]
+    outside = ~((np.abs(px) <= c) & (-_upper_arc(-px, c) <= py) & (py <= _upper_arc(px, c)))
+    px, py = px[outside], py[outside]
+    # upper-arc cubics of the points, then of their reflections
+    sx, sy = np.concatenate([px, -px]), np.concatenate([py, -py])
+    b0 = c / 4 - sy
+    cubic = np.zeros((len(sx), 4))
+    cubic[:, 0] = b0 / 2 - sx
+    cubic[:, 1] = 1.25 - b0 / (2 * c)
+    cubic[:, 2:] = -3.0 / (8 * c), 1.0 / (8 * c * c)
+    x = _real_roots(cubic)[0]
+    x[~((-c <= x) & (x <= c))] = np.nan
+    xu, xl = np.split(x, 2)
+    # candidates: the two corners, the upper and then the lower foot points
+    one = np.ones_like(px)
+    cx = np.column_stack([c * one, -c * one, xu, -xl])
+    cy = np.column_stack([c / 2 * one, -c / 2 * one, _upper_arc(xu, c), -_upper_arc(xl, c)])
+    best = np.nanargmin((cx - px[:, None]) ** 2 + (cy - py[:, None]) ** 2, axis=1)[:, None]
+    out[outside] = np.hstack([np.take_along_axis(cx, best, 1), np.take_along_axis(cy, best, 1)])
+    return pts
 
 
 def prox_phi_k1(v, alpha):
-    """Exact blockwise prox of (1/alpha)*phi for k = 1 (2-blocks)."""
+    """Exact blockwise prox of (1/alpha)*phi for k = 1 (2-blocks), all
+    blocks at once: v - P(v) with P the projection onto (1/alpha)*Omega0."""
     positive_finite("alpha", alpha)
+    c = 1.0 / float(alpha)
+    if c == math.inf:
+        raise ValueError(f"1/alpha must be finite, got alpha={alpha!r}")
     v, _ = block_vector(v, 1)
-    blocks = v.reshape(-1, 2)
-    out = np.empty_like(blocks)
-    c = 1.0 / alpha
-    for i, b in enumerate(blocks):
-        out[i] = b - project_omega0(b, c)
-    return out.reshape(v.shape)
+    return v - project_omega0(v.reshape(-1, 2), c).reshape(v.shape)
 
 
 def prox_phi_weighted_l1(v, alpha, k):

@@ -18,7 +18,9 @@ jumps, then the two gradient-jump sections. The scaling
 identity for p = 1, where phi sums int_0^1 |poly| over blocks. For
 p = 1 the vector mismatch |grad v0 - vg| is measured componentwise
 (the norm under which that identity holds); p = 2 uses the Euclidean
-norm, and p = infinity takes the componentwise maximum.
+norm, and p = infinity takes the componentwise maximum, exactly: a
+jump's maximum on an edge lies at an end or at a real root of its
+derivative.
 
 The p=2 stabilizer matrix is not assembled on its own: it is derived
 from the p=2 jump matrix as B' W B, with W block diagonal holding the
@@ -28,7 +30,9 @@ independent check of that matrix.
 
 Every integral of |poly| is computed exactly: real roots inside (0,1)
 split the interval into sign-constant pieces, and the antiderivative is
-summed piecewise. Quadrature would lose many digits at the kinks.
+summed piecewise. Quadrature would lose many digits at the kinks. The
+roots come from _real_roots, the package's one real-root finder, which
+prox.project_omega0 uses as well.
 """
 
 from dataclasses import dataclass
@@ -153,7 +157,7 @@ def assemble_S2(disc):
 
 
 # ---------------------------------------------------------------------------
-# exact integrals of |polynomial|
+# real roots, exact integrals and maxima of |polynomial|
 
 
 def integral_abs_poly(coeffs):
@@ -172,71 +176,100 @@ def _abs_integrals(blocks):
     """Exact integral of |c0 + c1 t + ...| over [0, 1] for every
     coefficient vector along the last axis.
 
-    Real roots inside (0, 1) split the interval into pieces of constant
-    sign, where the integral is |F(b) - F(a)| with F the antiderivative.
-    Candidate split points are taken generously (near-real companion
-    eigenvalues, Newton-polished): splitting at a non-root is harmless,
-    missing a sign change is not. Blocks are batched by the span
-    lo..hi of their terms above 2^-1000 of the block's largest: one
-    stacked eigvals call finds the roots of every block's
-    c_lo + ... + c_hi t^(hi-lo) (the polynomial divided by t^lo, as
-    np.roots reduces it; t = 0 is an endpoint anyway), and the Newton
-    polish and the antiderivative run on all blocks of the span at
-    once. A smaller term moves the integral far below rounding, so the
-    terms past hi are dropped and those before lo are kept in the
-    antiderivative only; that way any finite block is accepted, where
-    dividing by a tiny top term would overflow the companion matrix.
+    The real roots inside (0, 1) (_real_roots) split the interval into
+    pieces of constant sign, where the integral is |F(b) - F(a)| with F
+    the antiderivative. Candidates are taken generously: splitting at a
+    non-root is harmless, missing a sign change is not. F is evaluated
+    on each block scaled as _real_roots scaled it, so it stays in range
+    on any finite block; an integral beyond the float range is inf.
     """
+    if blocks.shape[-1] == 1:
+        return np.abs(blocks[..., 0])
     c = blocks.reshape(-1, blocks.shape[-1])
-    out = np.zeros(len(c))
-    big = np.abs(c) > 2.0**-1000 * np.abs(c).max(axis=1, keepdims=True)
-    live = big.any(axis=1)
-    lo = big.argmax(axis=1)
-    hi = c.shape[1] - 1 - big[:, ::-1].argmax(axis=1)
-    for span in set(zip(lo[live].tolist(), hi[live].tolist())):
-        rows = np.flatnonzero(live & (lo == span[0]) & (hi == span[1]))
-        out[rows] = _span_integrals(c[rows, : span[1] + 1], span[0])
-    return out.reshape(blocks.shape[:-1])
+    x, e = _real_roots(c)
+    pts = np.sort(_with_ends(x), axis=1)
+    fv = pts * _horner((np.ldexp(c, -e) / np.arange(1.0, c.shape[1] + 1))[:, ::-1], pts)
+    total = np.abs(np.diff(fv, axis=1)).sum(axis=1)
+    with np.errstate(over="ignore"):
+        return np.ldexp(total, e[:, 0]).reshape(blocks.shape[:-1])
+
+
+def _max_abs(blocks):
+    """Exact maximum of |c0 + c1 t + ...| over [0, 1] for every
+    coefficient vector along the last axis: it is taken at an end or at
+    a real root of the derivative inside."""
+    c = blocks.reshape(-1, blocks.shape[-1])
+    pts = _with_ends(_real_roots(c[:, 1:] * np.arange(1, c.shape[1]))[0])
+    return np.abs(_horner(c[:, ::-1], pts)).max(axis=1).reshape(blocks.shape[:-1])
+
+
+def _with_ends(x):
+    """Per row, 0 and 1 followed by the candidates x; one outside
+    (0, 1), or NaN, lands on an end, where it adds nothing."""
+    ends = np.zeros((len(x), 2))
+    ends[:, 1] = 1.0
+    return np.concatenate([ends, np.fmin(np.fmax(x, 0.0), 1.0)], axis=1)
 
 
 def _horner(desc, x):
     """Each row of desc (highest degree first) at the points in the same row of x."""
-    y = np.zeros_like(x)
-    for j in range(desc.shape[1]):
-        y = y * x + desc[:, j : j + 1]
+    y = np.repeat(desc[:, :1], x.shape[1], axis=1)
+    for col in desc.T[1:, :, None]:
+        y *= x
+        y += col
     return y
 
 
-def _span_integrals(c, lo):
-    """_abs_integrals of the rows of c, whose span (_abs_integrals)
-    starts at column lo and ends at the last column."""
-    if c.shape[1] == 1:
-        return np.abs(c[:, 0])
-    m, deg = c.shape[0], c.shape[1] - 1 - lo
-    desc = c[:, ::-1]
-    x = np.zeros((m, 0))  # candidate split points
-    if deg > 0:
-        # companion matrices of the reduced polynomials, as in np.roots
-        comp = np.zeros((m, deg, deg))
+def _real_roots(c):
+    """Real roots of c0 + c1 t + ... for every row of c (any finite
+    values): (x, e), x with one column fewer than c, and e the power of
+    two each row was scaled by, (m, 1).
+
+    Rows are batched by the span lo..hi of their terms above 2^-1000 of
+    the row's largest; a smaller term moves no root a caller can see,
+    and dividing by it would overflow the companion matrix. Per row the
+    slots hold the near-real eigenvalues of the companion matrix of
+    c_lo + ... + c_hi t^(hi-lo) (imaginary part at most 1e-6 of
+    max(1, |real part|)), each polished by two Newton steps on
+    c_0 + ... + c_hi t^hi, then lo zeros for the vanishing low-order
+    terms; NaN fills the rest. Each row is first scaled by 2^-e, to a
+    largest term in [0.5, 1): that moves no root and no bit of x, but
+    keeps the coefficients of the polish in range.
+    """
+    size = np.abs(c)
+    amax = size.max(axis=1, keepdims=True)
+    big = size > 2.0**-1000 * amax
+    e = np.frexp(amax)[1]
+    c = np.ldexp(c, -e)
+    out = np.full((len(c), c.shape[1] - 1), np.nan)
+    live = big.any(axis=1)
+    lo = big.argmax(axis=1)
+    hi = c.shape[1] - 1 - big[:, ::-1].argmax(axis=1)
+    for span_lo, span_hi in set(zip(lo[live].tolist(), hi[live].tolist())):
+        rows = np.flatnonzero(live & (lo == span_lo) & (hi == span_hi))
+        deg = span_hi - span_lo
+        if span_lo:
+            out[rows, deg:span_hi] = 0.0
+        if deg == 0:
+            continue
+        desc = c[rows, span_hi::-1]
+        # companion matrices of the reduced polynomials, as numpy's roots builds them
+        comp = np.zeros((len(rows), deg, deg))
         comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
         comp[:, 0, :] = -desc[:, 1 : deg + 1] / desc[:, :1]
         r = np.linalg.eigvals(comp)
-        x = r.real
-        real = np.abs(r.imag) <= 1e-6 * np.maximum(1.0, np.abs(x))
-        dpoly = desc[:, :-1] * np.arange(c.shape[1] - 1, 0, -1)
-        active = np.ones_like(real)
-        for _ in range(2):
-            dp = _horner(dpoly, x)
-            active &= dp != 0.0
-            step = np.divide(_horner(desc, x), dp, out=np.zeros_like(x), where=active)
-            x = np.where(active, x - step, x)
-        # rejected candidates collapse onto t = 0: zero-length pieces
-        x = np.where(real & (0.0 < x) & (x < 1.0), x, 0.0)
-    zero, one = np.zeros((m, 1)), np.ones((m, 1))
-    pts = np.sort(np.concatenate([zero, one, x], axis=1), axis=1)
-    anti = np.concatenate([zero, c / (np.arange(c.shape[1]) + 1.0)], axis=1)
-    fv = _horner(anti[:, ::-1], pts)
-    return np.abs(np.diff(fv, axis=1)).sum(axis=1)
+        real = np.abs(r.imag) <= 1e-6 * np.maximum(1.0, np.abs(r.real))
+        x, active = r.real, real
+        dpoly = desc[:, :-1] * np.arange(span_hi, 0, -1)
+        # far out, the terms of a polynomial overflow even at its root:
+        # such a candidate comes out non-finite, outside any interval
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                dp = _horner(dpoly, x)
+                active = active & (dp != 0.0)
+                x = x - np.divide(_horner(desc, x), dp, out=np.zeros_like(x), where=active)
+        out[rows, :deg] = np.where(real, x, np.nan)
+    return out, e
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +305,8 @@ def eval_s(disc, v, p):
         qv = np.einsum("tlr,rs,tls->tl", jv, gram, jv)
         qg = np.einsum("tljr,rs,tljs->tl", jg, gram, jg)
         return 0.5 * float(np.sum(he / hT**3 * qv + he / hT * qg))
-    ts = np.concatenate([[0.0], disc.edge_pts, [1.0]])
-    tm = np.power.outer(ts, np.arange(disc.cfg.k + 1))
-    mval = np.abs(jv @ tm.T).max(axis=(1, 2))
-    mgrad = np.abs(jg @ tm.T).max(axis=(1, 2, 3))
+    mval = _max_abs(jv).max(axis=1)
+    mgrad = _max_abs(jg).max(axis=(1, 2))
     return float((mval / mesh.elem_h**2 + mgrad / mesh.elem_h).max())
 
 

@@ -85,7 +85,10 @@ ENTRIES = {
     "soft_threshold": (
         "threshold", REAL, lambda v: soft_threshold(np.ones(3), v), np.float32(0.5)
     ),
-    "prox_phi_k1": ("alpha", REAL, lambda v: prox_phi_k1(np.ones(2), v), np.float32(2)),
+    # 1/5e-324 overflows to inf, the projection's c
+    "prox_phi_k1": (
+        "alpha", REAL + (5e-324,), lambda v: prox_phi_k1(np.ones(2), v), np.float32(2)
+    ),
     "prox_phi_weighted_l1.alpha": (
         "alpha", REAL, lambda v: prox_phi_weighted_l1(np.ones(3), v, 2), np.float32(2)
     ),
@@ -241,3 +244,19 @@ def test_input_rules_have_one_owner():
         ):
             others.append(path.name)
     assert others == []
+
+
+# a call of numpy's per-polynomial root finders, or an eigenvalue solve
+_ROOT_FINDER = re.compile(r"\bnp\.(roots|polyval|polyder)\b|\.eigvals\(")
+
+
+def test_one_real_root_finder():
+    assert _ROOT_FINDER.search("r = np.roots(p)") and _ROOT_FINDER.search("np.linalg.eigvals(m)")
+    assert not _ROOT_FINDER.search("x = _real_roots(c)") and not _ROOT_FINDER.search("eigvalsh")
+    # stabilizer._real_roots is the one root finder: the |poly| integral,
+    # the exact sup of eval_s and the k=1 projection all batch through it
+    owners = []
+    for path in sorted(Path(pdwg.__file__).parent.glob("*.py")):
+        if _ROOT_FINDER.search(path.read_text()):
+            owners.append(path.name)
+    assert owners == ["stabilizer.py"]

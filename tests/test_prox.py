@@ -121,6 +121,23 @@ def test_project_omega0_reference_points():
     )
 
 
+def test_project_omega0_foot_point_at_zero():
+    # the upper-arc cubic of (-0.875, 2) has the constant term
+    # b0/2 - px = 0 exactly, and x = 0 is its only real root: a root
+    # finder that divides out t must still report t = 0
+    assert list(project_omega0((-0.875, 2.0), 1.0)) == [0.0, 0.25]
+
+
+def test_project_omega0_projects_each_row():
+    rng = np.random.default_rng(12)
+    pts = 2.0 * rng.standard_normal((60, 2))
+    pts[:10] *= 0.1  # some inside
+    got = project_omega0(pts, 0.7)
+    assert got.shape == pts.shape
+    assert np.array_equal(got, [project_omega0(p, 0.7) for p in pts])
+    assert project_omega0(pts.reshape(3, 20, 2), 0.7).shape == (3, 20, 2)
+
+
 def test_project_omega0_membership_and_kkt():
     rng = np.random.default_rng(2)
     zs = sample_omega0(rng, 1.0, 50)

@@ -174,6 +174,15 @@ def test_integral_abs_poly_negligible_top_terms():
     assert eval_phi([1.0, 0.0, 1e-320], 2) == 1.0
 
 
+def test_integral_abs_poly_near_the_float_limit():
+    # the block is scaled by a power of two before the root polish and
+    # the antiderivative, so nothing overflows on the way; an integral
+    # beyond the float range is inf
+    assert integral_abs_poly((1e308, -1.7e308, 1e308, 1e308)) == 7.333333333333333e307
+    assert integral_abs_poly((1e-310, 3e-310)) == 2.5e-310
+    assert integral_abs_poly((1.7e308, 1.7e308)) == math.inf
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
 def test_integral_abs_poly_accepts_any_finite_coefficients(c):
@@ -286,6 +295,20 @@ def test_s_inf_linear_scaling():
     assert eval_s(disc, v2, np.inf) == pytest.approx(
         2.0 * eval_s(disc, v, np.inf), rel=1e-12
     )
+
+
+def test_s_inf_takes_the_peak_between_the_edge_nodes():
+    # the value jump v0 - vb on one interior edge is 0.91 + 0.6 t - t^2,
+    # which peaks at 1 at t = 0.3, off the edge's quadrature nodes; every
+    # other jump is 0
+    disc = Discretization(build_uniform(2), SpaceConfig(k=2))
+    e = disc.mesh.interior_edges()[0]
+    coeffs = np.zeros(disc.layout.N)
+    coeffs[disc.layout.vb_slice(e)] = [-0.91, -0.6, 1.0]
+    v = WeakFunction(disc.layout, coeffs)
+    assert np.abs(disc.edge_pts - 0.3).min() > 0.05
+    hT = disc.mesh.elem_h[np.any(disc.mesh.elem_edges == e, axis=1)]
+    assert eval_s(disc, v, np.inf) == pytest.approx(1.0 / hT.min() ** 2, rel=1e-14)
 
 
 def test_s_p1_triangle_inequality():
