@@ -2,11 +2,17 @@
 
 * Scalars. An integer field takes a Python or numpy integer; a real
   field takes a Python or numpy integer or float strictly between 0 and
-  inf. Python and numpy bools, strings, NaN and +-inf are refused with a
-  ValueError that names the field.
+  inf whose reciprocal is finite too (the p=1 scheme uses 1/alpha), so
+  anything below about 5.6e-309 is refused. An exponent p of an error
+  norm is inf or a real number of at least 1. Python and numpy bools,
+  strings, NaN and +-inf are refused with a ValueError that names the
+  field.
 * Ids. An element, edge or block id is an integer in 0..size-1; one out
   of range raises an IndexError that names the field, so -1 never wraps
   round to the last entry.
+* Shapes. An array argument of the wrong shape raises a ValueError that
+  names the field and gives the expected and the actual shape; a
+  leading ... in the expected shape stands for any leading axes.
 * Jump vectors. phi and its proxes act on (k+1)-coefficient blocks, so
   a vector whose length is not a whole number of blocks raises a
   ValueError.
@@ -22,11 +28,13 @@ import math
 
 import numpy as np
 
-__all__ = ["integer", "positive_finite", "index", "block_vector"]
+__all__ = ["integer", "positive_finite", "exponent", "index", "vector", "block_vector"]
 
 _INTEGERS = (int, np.integer)
 _REALS = (float, int, np.floating, np.integer)
 _RULES = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+# the least float with a finite reciprocal: 1/max rounds to one below it
+_TINY = math.nextafter(1 / np.finfo(float).max, 1)
 
 
 def integer(name, value, low=None):
@@ -41,10 +49,18 @@ def integer(name, value, low=None):
 
 def positive_finite(name, value):
     """Raise ValueError naming `name` unless value is a real number
-    with 0 < value < inf."""
+    with 0 < value < inf and 1/value < inf."""
     bad = isinstance(value, bool) or not isinstance(value, _REALS)
-    if bad or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {name}={value!r}")
+    if bad or not _TINY <= value < math.inf:
+        raise ValueError(f"{name} and 1/{name} must be positive and finite, got {name}={value!r}")
+
+
+def exponent(name, value):
+    """Raise ValueError naming `name` unless value is inf or a real
+    number of at least 1, the exponent of an L^p norm."""
+    bad = isinstance(value, bool) or not isinstance(value, _REALS)
+    if bad or not 1 <= value <= math.inf:
+        raise ValueError(f"{name} must be inf or a real number >= 1, got {name}={value!r}")
 
 
 def index(name, value, size):
@@ -53,6 +69,19 @@ def index(name, value, size):
     if not 0 <= integer(name, value) < size:
         raise IndexError(f"{name}={value!r} out of range 0..{size - 1}")
     return int(value)
+
+
+def vector(name, value, shape):
+    """Return value as a float array; raise ValueError naming `name`
+    unless its shape is `shape`, where a leading ... matches any
+    leading axes."""
+    v, want = np.asarray(value, dtype=float), shape
+    if shape[:1] == (...,):
+        want = v.shape[: max(v.ndim + 1 - len(shape), 0)] + shape[1:]
+    if v.shape != want:
+        shape = str(shape).replace("Ellipsis", "...")
+        raise ValueError(f"{name} must have shape {shape}, got shape {v.shape}")
+    return v
 
 
 def block_vector(v, k):

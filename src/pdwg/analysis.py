@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import integer
+from ._checks import exponent, integer, vector
 from .fe_space import Discretization, SpaceConfig, WeakFunction, project_Qh
 from .fe_space import _project_Wh_values, derivative_map
 from .mesh import build_uniform
@@ -180,6 +180,7 @@ def _elementwise_lp(disc, vals, p):
 
 def error_lp(disc, u_h, case, p):
     """||u - u_0||_{0,p} by elementwise quadrature."""
+    exponent("p", p)
     exact = case.field.u(disc.quad_pts)
     approx = np.einsum("tqn,tn->tq", disc.basis_v, _v0_blocks(disc, u_h))
     return _elementwise_lp(disc, exact - approx, p)
@@ -187,6 +188,7 @@ def error_lp(disc, u_h, case, p):
 
 def error_w1p(disc, u_h, case, p):
     """L^p norm of the pointwise Euclidean length of grad u - grad u_0."""
+    exponent("p", p)
     exact = case.field.grad_u(disc.quad_pts)
     v0 = _v0_blocks(disc, u_h)
     approx = np.stack([_v0_derivative(disc, v0, d) for d in ((1, 0), (0, 1))], axis=-1)
@@ -196,6 +198,7 @@ def error_w1p(disc, u_h, case, p):
 
 def error_w2ph(disc, u_h, case, p):
     """Discrete W^{2,p} error: s_tilde(e_h) + ||Q_h L e_0||_{0,p}, e_h = Q_h u - u_h."""
+    exponent("p", p)
     qh = project_Qh(case.field.u, case.field.grad_u, disc)
     e = WeakFunction(
         disc.layout,
@@ -226,16 +229,14 @@ def _v0_derivative(disc, v0, deriv):
 
 def rates(errors, n):
     """Rates log2(e_i / e_{i+1}) / log2(n_{i+1} / n_i) of errors on meshes
-    of sizes n. Needs positive finite errors, positive integer sizes and
-    no two consecutive sizes equal."""
+    of sizes n. Needs positive finite errors, one positive integer size
+    per error and no two consecutive sizes equal."""
     e = np.asarray(errors, dtype=float)
-    n = np.asarray([integer("n", m, low=1) for m in n], dtype=float)
+    n = vector("n", [integer("n", m, low=1) for m in n], e.shape)
     if not np.all((0 < e) & (e < np.inf)):
         raise ValueError("rates need positive finite errors")
-    if n.shape != e.shape or np.any(n[1:] == n[:-1]):
-        raise ValueError(
-            "rates need one mesh size per error, no two consecutive ones equal"
-        )
+    if np.any(n[1:] == n[:-1]):
+        raise ValueError("rates need no two consecutive mesh sizes equal")
     return list(np.log2(e[:-1] / e[1:]) / np.log2(n[1:] / n[:-1]))
 
 

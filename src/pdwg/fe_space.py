@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from ._checks import index, integer
+from ._checks import index, integer, vector
 
 __all__ = [
     "SpaceConfig",
@@ -388,13 +388,9 @@ class WeakFunction:
     boundary: np.ndarray = None
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.layout.N,):
-            raise ValueError("coefficient vector length does not match layout")
+        self.coeffs = vector("coeffs", self.coeffs, (self.layout.N,))
         if self.boundary is not None:
-            self.boundary = np.asarray(self.boundary, dtype=float)
-            if self.boundary.shape != (self.layout.NB,):
-                raise ValueError("boundary vector length does not match layout")
+            self.boundary = vector("boundary", self.boundary, (self.layout.NB,))
 
     def boundary_or_zero(self):
         if self.boundary is None:

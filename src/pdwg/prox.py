@@ -25,12 +25,11 @@ The closed-form k <= 1 proxes and a derivative-free numerical prox
 reference functions for tests and `pdwg verify`, not solver options.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from ._checks import block_vector, integer, positive_finite
+from ._checks import block_vector, integer, positive_finite, vector
 from .stabilizer import _real_roots, integral_abs_poly
 
 __all__ = [
@@ -77,7 +76,8 @@ def project_omega0(point, c):
     root finder (stabilizer._real_roots).
     """
     positive_finite("c", c)
-    pts = np.array(point, dtype=float)
+    # a copy, as the projections are written into it
+    pts = vector("point", point, (..., 2)).copy()
     out = pts.reshape(-1, 2)
     px, py = out[:, 0], out[:, 1]
     outside = ~((np.abs(px) <= c) & (-_upper_arc(-px, c) <= py) & (py <= _upper_arc(px, c)))
@@ -105,11 +105,8 @@ def prox_phi_k1(v, alpha):
     """Exact blockwise prox of (1/alpha)*phi for k = 1 (2-blocks), all
     blocks at once: v - P(v) with P the projection onto (1/alpha)*Omega0."""
     positive_finite("alpha", alpha)
-    c = 1.0 / float(alpha)
-    if c == math.inf:
-        raise ValueError(f"1/alpha must be finite, got alpha={alpha!r}")
     v, _ = block_vector(v, 1)
-    return v - project_omega0(v.reshape(-1, 2), c).reshape(v.shape)
+    return v - project_omega0(v.reshape(-1, 2), 1.0 / float(alpha)).reshape(v.shape)
 
 
 def prox_phi_weighted_l1(v, alpha, k):
@@ -187,10 +184,8 @@ def prox_phi_oracle(v, alpha, k):
     from scipy.optimize import minimize
 
     positive_finite("alpha", alpha)
-    v = np.asarray(v, dtype=float)
     bs = integer("k", k, low=0) + 1
-    if v.shape != (bs,):
-        raise ValueError(f"expected one block of size {bs}")
+    v = vector("v", v, (bs,))
     if bs > 4:
         raise ValueError("oracle supports block sizes up to 4")
 
@@ -244,8 +239,6 @@ def prox_phi_oracle(v, alpha, k):
 
 def prox_indicator(x, fvec):
     """Prox of the indicator of {f}: the constant map onto fvec."""
-    x = np.asarray(x)
-    fvec = np.asarray(fvec, dtype=float)
-    if x.shape != fvec.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {fvec.shape}")
-    return fvec.copy()
+    fvec = np.array(fvec, dtype=float)
+    vector("x", x, fvec.shape)
+    return fvec

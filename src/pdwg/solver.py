@@ -110,7 +110,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from ._checks import integer, positive_finite
+from ._checks import integer, positive_finite, vector
 from .prox import prox_phi_weighted_l1
 
 # Face polish (module docstring): a clip pattern is tried when it has
@@ -662,13 +662,7 @@ def _project(C, r, w):
 
 def _check_boundary_data(system, g):
     """Raise ValueError unless g holds one finite value per boundary vb DOF."""
-    NB = system.Cb.shape[1]
-    if np.shape(g) != (NB,):
-        raise ValueError(
-            f"g must have shape ({NB},), one value per boundary vb DOF; "
-            f"got shape {np.shape(g)}"
-        )
-    if not np.isfinite(g).all():
+    if not np.isfinite(vector("g", g, (system.Cb.shape[1],))).all():
         raise ValueError("g must be finite")
 
 

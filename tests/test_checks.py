@@ -1,14 +1,16 @@
 """One rule for scalar arguments, at every entry point that takes one.
 
 Integer fields take Python or numpy integers, real fields Python or
-numpy reals strictly between 0 and inf; bools of either kind, strings,
-NaN and inf are refused with a ValueError that names the field. An id
-out of range raises an IndexError naming the field, and a jump vector
-that is not a whole number of blocks a ValueError. These rules live in
-pdwg._checks alone, so the copies cannot drift apart; likewise the
-assembly of operators over the column space lives in
-DofLayout.assemble alone, and the p=1 problem in solver.assemble_S.
-Arrays of the wrong shape are refused with a ValueError too.
+numpy reals strictly between 0 and inf with a finite reciprocal, and
+the exponent of an error norm inf or a real number of at least 1; bools
+of either kind, strings, NaN and inf are refused with a ValueError that
+names the field. An id out of range raises an IndexError naming the
+field, an array of the wrong shape a ValueError naming the field and
+both shapes, and a jump vector that is not a whole number of blocks a
+ValueError. These rules live in pdwg._checks alone, so the copies
+cannot drift apart; likewise the assembly of operators over the column
+space lives in DofLayout.assemble alone, and the p=1 problem in
+solver.assemble_S.
 """
 
 import re
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import pdwg
-from pdwg.analysis import builtin_case, check_study, rates
+from pdwg.analysis import builtin_case, check_study, error_lp, error_w1p, error_w2ph, rates
 from pdwg.fe_space import (
     Discretization,
     SpaceConfig,
@@ -32,6 +34,7 @@ from pdwg.fe_space import (
 from pdwg.mesh import build_uniform, edge_param
 from pdwg.prox import (
     project_omega0,
+    prox_indicator,
     prox_phi_k1,
     prox_phi_oracle,
     prox_phi_weighted_l1,
@@ -41,9 +44,12 @@ from pdwg.solver import SolverConfig, _check_v0_blocks, assemble_S, solve_p1
 from pdwg.stabilizer import assemble_B, block_slice, eval_phi, eval_s
 from pdwg.weak_assembly import assemble_A, gather_local, local_dof_columns
 
-REAL = (True, np.True_, np.nan, np.inf, "2")
+# 1/5e-324 overflows, and the p=1 scheme uses 1/alpha
+REAL = (True, np.True_, np.nan, np.inf, "2", 5e-324)
 INTEGER = REAL + (2.5,)
 DEGREE = INTEGER + (-1,)
+# p = inf is the sup norm, not a hole
+EXPONENT = tuple(v for v in REAL if v is not np.inf) + (0, -1, 0.5)
 
 
 @cache
@@ -58,6 +64,11 @@ def _assemble_S(alpha):
     # alpha reaches assemble_S only through the checked, frozen config
     _, system, bmat, _ = _p1()
     return assemble_S(system, bmat, SolverConfig(alpha=alpha))
+
+
+def _error(norm):
+    # the error of the zero weak function, measured in norm with exponent p
+    return lambda p: norm(_p1()[0], _p1()[3], builtin_case("const"), p)
 
 
 def _solve_p1(k):
@@ -85,10 +96,7 @@ ENTRIES = {
     "soft_threshold": (
         "threshold", REAL, lambda v: soft_threshold(np.ones(3), v), np.float32(0.5)
     ),
-    # 1/5e-324 overflows to inf, the projection's c
-    "prox_phi_k1": (
-        "alpha", REAL + (5e-324,), lambda v: prox_phi_k1(np.ones(2), v), np.float32(2)
-    ),
+    "prox_phi_k1": ("alpha", REAL, lambda v: prox_phi_k1(np.ones(2), v), np.float32(2)),
     "prox_phi_weighted_l1.alpha": (
         "alpha", REAL, lambda v: prox_phi_weighted_l1(np.ones(3), v, 2), np.float32(2)
     ),
@@ -116,6 +124,10 @@ ENTRIES = {
     "triangle_rule": ("degree", DEGREE, triangle_rule, np.int64(0)),
     "poly_exponents": ("degree", DEGREE, poly_exponents, np.int64(0)),
     "rates": ("n", DEGREE + (0,), lambda v: rates([1e-2, 1e-3], [v, 3]), np.int64(2)),
+    "error_lp": ("p", EXPONENT, _error(error_lp), np.float32(1.5)),
+    "error_w1p": ("p", EXPONENT, _error(error_w1p), np.int64(2)),
+    # eval_s then takes p in {1, 2, inf} alone
+    "error_w2ph": ("p", EXPONENT, _error(error_w2ph), np.int64(2)),
 }
 REFUSALS = [(entry, value) for entry, spec in ENTRIES.items() for value in spec[1]]
 
@@ -136,15 +148,33 @@ def test_numpy_scalars_accepted(entry):
 
 
 SHAPES = {
+    "WeakFunction.coeffs": (
+        lambda: WeakFunction(_p1()[3].layout, np.zeros(2)),
+        r"coeffs must have shape \(\d+,\), got shape \(2,\)",
+    ),
     "WeakFunction.boundary": (
         lambda: WeakFunction(_p1()[3].layout, _p1()[3].coeffs, boundary=np.zeros(1)),
-        "boundary vector length does not match layout",
+        r"boundary must have shape \(\d+,\), got shape \(1,\)",
     ),
     "prox_phi_k1": (
         lambda: prox_phi_k1(np.ones(3), 1.0), "length 3 is not a multiple of block size 2"
     ),
     "prox_phi_oracle": (
-        lambda: prox_phi_oracle(np.zeros(3), 1.0, 1), "one block of size 2"
+        lambda: prox_phi_oracle(np.zeros(3), 1.0, 1),
+        r"v must have shape \(2,\), got shape \(3,\)",
+    ),
+    "prox_indicator": (
+        lambda: prox_indicator(np.zeros(4), np.ones(3)),
+        r"x must have shape \(3,\), got shape \(4,\)",
+    ),
+    # a reshape to (-1, 2) would pair coordinates of different points
+    "project_omega0.rows": (
+        lambda: project_omega0(np.ones((2, 3)), 1.0),
+        r"point must have shape \(\.\.\., 2\), got shape \(2, 3\)",
+    ),
+    "project_omega0.odd": (
+        lambda: project_omega0(np.ones(3), 1.0),
+        r"point must have shape \(\.\.\., 2\), got shape \(3,\)",
     ),
 }
 
@@ -234,13 +264,23 @@ def test_p1_problem_has_one_builder():
     assert others == []
 
 
+# a hand-made shape comparison: x.shape != (n,), np.shape(g) != (NB,)
+_SHAPE_TEST = re.compile(r"\.shape\s*!=|np\.shape\([^)]*\)\s*!=")
+
+
 def test_input_rules_have_one_owner():
-    # only _checks.py may spell out the block-length or the id rule
+    assert _SHAPE_TEST.search("if v.shape != (bs,):") and _SHAPE_TEST.search("np.shape(g) != s")
+    assert not _SHAPE_TEST.search("np.shape(c0) + (k,)") and not _SHAPE_TEST.search("a.shape")
+    # only _checks.py may spell out the block-length, the id, the shape or
+    # the reciprocal rule
     others = []
     for path in sorted(Path(pdwg.__file__).parent.glob("*.py")):
         text = path.read_text()
         if path.name != "_checks.py" and (
-            "is not a multiple of block size" in text or "raise IndexError" in text
+            "is not a multiple of block size" in text
+            or "raise IndexError" in text
+            or _SHAPE_TEST.search(text)
+            or "1/alpha must be finite" in text
         ):
             others.append(path.name)
     assert others == []

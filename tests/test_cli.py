@@ -45,6 +45,7 @@ def read_table(path):
         ["solve", "--beta", "2"],
         ["solve", "--residual-tol", "nan"],
         ["solve", "--alpha", "inf"],
+        ["solve", "--alpha", "5e-324"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
