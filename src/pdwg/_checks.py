@@ -11,8 +11,7 @@
   of range raises an IndexError that names the field, so -1 never wraps
   round to the last entry.
 * Shapes. An array argument of the wrong shape raises a ValueError that
-  names the field and gives the expected and the actual shape; a
-  leading ... in the expected shape stands for any leading axes.
+  names the field and gives the expected and the actual shape.
 * Jump vectors. phi and its proxes act on (k+1)-coefficient blocks, so
   a vector whose length is not a whole number of blocks raises a
   ValueError.
@@ -51,7 +50,8 @@ def positive_finite(name, value):
     """Raise ValueError naming `name` unless value is a real number
     with 0 < value < inf and 1/value < inf."""
     bad = isinstance(value, bool) or not isinstance(value, _REALS)
-    if bad or not _TINY <= value < math.inf:
+    # 0 < value first: _TINY rounds to 0 in a float32 or float16 compare
+    if bad or not 0 < value < math.inf or value < _TINY:
         raise ValueError(f"{name} and 1/{name} must be positive and finite, got {name}={value!r}")
 
 
@@ -73,13 +73,9 @@ def index(name, value, size):
 
 def vector(name, value, shape):
     """Return value as a float array; raise ValueError naming `name`
-    unless its shape is `shape`, where a leading ... matches any
-    leading axes."""
-    v, want = np.asarray(value, dtype=float), shape
-    if shape[:1] == (...,):
-        want = v.shape[: max(v.ndim + 1 - len(shape), 0)] + shape[1:]
-    if v.shape != want:
-        shape = str(shape).replace("Ellipsis", "...")
+    unless its shape is `shape`."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got shape {v.shape}")
     return v
 

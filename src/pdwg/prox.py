@@ -77,7 +77,7 @@ def project_omega0(point, c):
     """
     positive_finite("c", c)
     # a copy, as the projections are written into it
-    pts = vector("point", point, (..., 2)).copy()
+    pts = vector("point", point, np.shape(point)[:-1] + (2,)).copy()
     out = pts.reshape(-1, 2)
     px, py = out[:, 0], out[:, 1]
     outside = ~((np.abs(px) <= c) & (-_upper_arc(-px, c) <= py) & (py <= _upper_arc(px, c)))
