@@ -11,7 +11,9 @@
   of range raises an IndexError that names the field, so -1 never wraps
   round to the last entry.
 * Shapes. An array argument of the wrong shape raises a ValueError that
-  names the field and gives the expected and the actual shape.
+  names the field and gives the expected and the actual shape; nothing
+  is broadcast. One coefficient block (a polynomial's coefficients) is
+  a 1-D array of at least one value.
 * Jump vectors. phi and its proxes act on (k+1)-coefficient blocks, so
   a vector whose length is not a whole number of blocks raises a
   ValueError.
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-__all__ = ["integer", "positive_finite", "exponent", "index", "vector", "block_vector"]
+__all__ = ["integer", "positive_finite", "exponent", "index", "vector", "block", "block_vector"]
 
 _INTEGERS = (int, np.integer)
 _REALS = (float, int, np.floating, np.integer)
@@ -77,6 +79,16 @@ def vector(name, value, shape):
     v = np.asarray(value, dtype=float)
     if v.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got shape {v.shape}")
+    return v
+
+
+def block(name, value):
+    """Return value as a float array; raise ValueError naming `name`
+    unless it is one coefficient block, a 1-D array of at least one
+    value."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim != 1 or not v.size:
+        raise ValueError(f"{name} must be 1-D with at least one value, got shape {v.shape}")
     return v
 
 

@@ -85,10 +85,12 @@ def project_omega0(point, c):
     # upper-arc cubics of the points, then of their reflections
     sx, sy = np.concatenate([px, -px]), np.concatenate([py, -py])
     b0 = c / 4 - sy
-    cubic = np.zeros((len(sx), 4))
-    cubic[:, 0] = b0 / 2 - sx
-    cubic[:, 1] = 1.25 - b0 / (2 * c)
-    cubic[:, 2:] = -3.0 / (8 * c), 1.0 / (8 * c * c)
+    # each cubic times 2^e for c = f 2^e (f in [0.5, 1)), which moves no
+    # root: its top coefficient 1/(8 c^2) would underflow below c ~ 1e-162
+    f, e = np.frexp(c)
+    cubic = np.empty((len(sx), 4))
+    cubic[:, :2] = np.ldexp(np.column_stack([b0 / 2 - sx, 1.25 - b0 / (2 * c)]), e)
+    cubic[:, 2:] = -3.0 / (8 * f), 1.0 / (8 * f * c)
     x = _real_roots(cubic)[0]
     x[~((-c <= x) & (x <= c))] = np.nan
     xu, xl = np.split(x, 2)

@@ -31,11 +31,11 @@ A p=1 step is therefore the K0 solve, the products [B; A]u and B^T b1,
 and a few flat array passes. The prox (prox_phi_weighted_l1)
 soft-thresholds coefficient j of every block by 1/(alpha (j+1)), with
 the thresholds tiled once to the length of the jump vector. solve_p1
-carries (y, u, x, [B; A]u) as plain arrays and writes b2 into one (u, x)
-right-hand side whose tail holds b3 for the whole run; it calls the same
-private helpers (_jumps, _step_rhs, _solve_step, _sup_gaps) as make_bn,
-fixed_point_step and residual_2_90, so those public functions replay
-its iterates and residuals bit for bit.
+carries (y, u, x, [B; A]u) as plain arrays, adds c to the Bu rows in
+place, and writes b2 into one (u, x) right-hand side whose tail holds b3
+for the whole run; it calls the same private helpers (_step_rhs,
+_solve_step, _sup_gaps) as make_bn, fixed_point_step and residual_2_90,
+so those public functions replay its iterates and residuals bit for bit.
 
 One p=1 problem is one SMatrix: assemble_S checks and lifts the
 boundary data, builds the prox and factorizes K0 once, and solve_p1 and
@@ -97,8 +97,9 @@ solves.
 Boundary vb data g shifts the jump vector by c = Bb g and the
 constraint right side by -Cb g in both paths. Shifting the prox
 argument by c (and subtracting c back) turns the homogeneous algorithm
-into the lifted one, so the iteration formulas below carry c and reduce
-to the plain scheme when g is absent.
+into the lifted one. The p=1 problem is always the lifted one: no
+boundary data means g = 0, which gives c = 0 and fp = f, so the
+iteration formulas below carry c on every run.
 """
 
 import math
@@ -201,10 +202,10 @@ class SMatrix:
     A is the constraint matrix and B the jump matrix, BT = B^T in CSR
     form, and BA = [B; A] in CSR form gives y = b1 + Bu and the
     constraint residual from u. fp = f - Cb g is the constraint right
-    side and c = Bb g the jump offset of the boundary data g (c is None
-    without it). prox is make_prox's closure at alpha, and lu factorizes
-    the (u, x) block K0 of the iteration matrix S; S itself is never
-    built.
+    side and c = Bb g the jump offset of the boundary data g, always a
+    float array of length nB (zeros for g = 0, the default). prox is
+    make_prox's closure at alpha, and lu factorizes the (u, x) block K0
+    of the iteration matrix S; S itself is never built.
     """
 
     A: sp.csr_matrix
@@ -495,16 +496,16 @@ def assemble_S(system, bmat, cfg, g=None):
     """The p=1 problem (SMatrix) of the constraint system (A, Cb, fvec),
     the p=1 jump matrices bmat and the SolverConfig cfg.
 
-    g is the optional boundary vb data: one finite value per column of
-    system.Cb, checked first. Lifts it to fp = f - Cb g and c = Bb g,
-    builds the prox of cfg.prox_method at cfg.alpha for the block size
-    of bmat, and factorizes K0 = [[alpha B^T B, A^T], [A, 0]]; a
-    singular K0 raises RuntimeError.
+    g is the boundary vb data: one finite value per column of
+    system.Cb, checked first; None means g = 0, which takes the same
+    check and lifting. Lifts g to fp = f - Cb g and c = Bb g, builds the
+    prox of cfg.prox_method at cfg.alpha for the block size of bmat, and
+    factorizes K0 = [[alpha B^T B, A^T], [A, 0]]; a singular K0 raises
+    RuntimeError.
     """
-    fp, c = system.fvec, None
-    if g is not None:
-        _check_boundary_data(system, g)
-        fp, c = system.fvec - system.Cb @ g, bmat.Bb @ g
+    g = np.zeros(system.Cb.shape[1]) if g is None else g
+    _check_boundary_data(system, g)
+    fp, c = system.fvec - system.Cb @ g, bmat.Bb @ g
     A, B, alpha = system.A, bmat.B, cfg.alpha
     K0 = sp.bmat([[alpha * (B.T @ B), A.T], [A, None]], format="csc")
     K0.sort_indices()
@@ -517,17 +518,13 @@ def assemble_S(system, bmat, cfg, g=None):
 def make_bn(state, smat):
     """Right-hand side b^n of the linear step S v^{n+1} = b^n.
 
-    With boundary data the effective jump vector is Bu + c and the prox
-    acts on Bu + c + y (smat.c). x is not read: b2 = -alpha B^T b1
-    (module docstring).
+    The jump vector is Ju = Bu + smat.c and the prox acts on Ju + y.
+    x is not read: b2 = -alpha B^T b1 (module docstring).
     """
-    nB, N = smat.B.shape
-    Ju = _jumps(smat.B @ state.u, smat.c)
-    P = smat.prox(Ju + state.y)
-    bn = np.empty(nB + N + len(smat.fp))
-    bn[nB + N :] = smat.fp
-    bn[:nB] = _step_rhs(state.y, P, smat.c, smat.BT, smat.alpha, bn[nB:])
-    return bn
+    Ju = smat.B @ state.u + smat.c
+    rhs = np.concatenate([np.empty(smat.B.shape[1]), smat.fp])
+    b1 = _step_rhs(smat, state.y, smat.prox(Ju + state.y), rhs)
+    return np.concatenate([b1, rhs])
 
 
 # The private helpers below are the one copy of the step: solve_p1's loop
@@ -535,12 +532,7 @@ def make_bn(state, smat):
 # them, so the public step functions replay the solver bit for bit.
 
 
-def _jumps(Bu, c):
-    """Jumps Ju = Bu + c of an iterate; Bu itself when c is absent."""
-    return Bu if c is None else Bu + c
-
-
-def _step_rhs(y, P, c, BT, alpha, rhs):
+def _step_rhs(smat, y, P, rhs):
     """b1 = y - P + c of b^n, from P = prox(Bu + c + y).
 
     b2 = -alpha B^T b1 is written into the head of rhs, the (u, x)
@@ -548,9 +540,8 @@ def _step_rhs(y, P, c, BT, alpha, rhs):
     Returns b1.
     """
     b1 = y - P
-    if c is not None:
-        b1 += c
-    np.multiply(BT @ b1, -alpha, out=rhs[: BT.shape[0]])
+    b1 += smat.c
+    np.multiply(smat.BT @ b1, -smat.alpha, out=rhs[: smat.BT.shape[0]])
     return b1
 
 
@@ -595,7 +586,7 @@ def _first_residual(state, smat):
 
 def residual_2_90(state, smat):
     """Sup-norm residuals (r1, r2, r3) of the three fixed-point equations."""
-    Ju = _jumps(smat.B @ state.u, smat.c)
+    Ju = smat.B @ state.u + smat.c
     P = smat.prox(Ju + state.y)
     r2, r3 = _sup_gaps(P, Ju, smat.A @ state.u, smat.fp, np.empty(smat.BA.shape[0]))
     return _first_residual(state, smat), r2, r3
@@ -613,7 +604,7 @@ def polish_face(state, smat):
     that solver's final iterate bit for bit. A projection whose
     matrix SuperLU cannot factorize raises RuntimeError.
     """
-    Ju = _jumps(smat.B @ state.u, smat.c)
+    Ju = smat.B @ state.u + smat.c
     return _polish(smat, state, Ju, smat.prox(Ju + state.y))
 
 
@@ -627,13 +618,12 @@ def _polish(smat, state, Ju, P):
     B_Zc^T y_Zc}. residual_2_90 gives the residuals, from the same
     helpers as the loop's.
     """
-    A, B, alpha, c = smat.A, smat.B, smat.alpha, smat.c
+    A, B, alpha = smat.A, smat.B, smat.alpha
     Z = P == 0
     off = ~Z
     BZ, M = B[Z], len(state.x)
     y = Ju + state.y - P
-    cZ = np.zeros(BZ.shape[0]) if c is None else -c[Z]
-    u = _project(sp.vstack([A, BZ]), np.concatenate([smat.fp, cZ]), state.u)
+    u = _project(sp.vstack([A, BZ]), np.concatenate([smat.fp, -smat.c[Z]]), state.u)
     w = _project(
         sp.vstack([A, alpha * BZ]).T,
         -alpha * (B[off].T @ y[off]),
@@ -670,13 +660,13 @@ def solve_p1(system, bmat, k, cfg, g=None):
     """Run the fixed-point proximity iteration for the p=1 scheme.
 
     system is the assembled constraint (A, Cb, fvec), bmat the jump
-    matrices for p=1 with block size k + 1, g the optional boundary vb
-    data; assemble_S checks g and builds the problem (SMatrix). The first
-    fixed-point equation holds by construction (module docstring), so
-    the loop checks the other two: it stops with converged=True only
-    when r2 and r3 are at most cfg.residual_tol (stop_reason
-    "residual"), or when a face polish passes all three (module
-    docstring; Diagnostics.polish_attempts counts the tries and
+    matrices for p=1 with block size k + 1, g the boundary vb data
+    (None means g = 0); assemble_S checks g and builds the problem
+    (SMatrix). The first fixed-point equation holds by construction
+    (module docstring), so the loop checks the other two: it stops with
+    converged=True only when r2 and r3 are at most cfg.residual_tol
+    (stop_reason "residual"), or when a face polish passes all three
+    (module docstring; Diagnostics.polish_attempts counts the tries and
     Diagnostics.polished_at names the step whose iterate the accepted
     one replaced). r1 is computed once, on the returned iterate, into
     Diagnostics.r1. Hitting max_iters returns the best iterate seen (by
@@ -693,7 +683,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
     if not match:
         raise ValueError(f"k={k!r} does not match the jump matrix's k={bmat.block_size - 1}")
     smat = assemble_S(system, bmat, cfg, g)
-    BT, fp, c, alpha, prox = smat.BT, smat.fp, smat.c, smat.alpha, smat.prox
+    fp, c, prox = smat.fp, smat.c, smat.prox
     nB, N = smat.B.shape
     # the iterate (y, u, x, [B; A]u) as plain arrays; each step allocates
     # new ones, so the best iterate is kept by reference
@@ -714,7 +704,8 @@ def solve_p1(system, bmat, k, cfg, g=None):
     attempts, polished_at, last_try = 0, None, -_POLISH_SPACING
 
     for it in range(cfg.max_iters):
-        Ju = _jumps(BAu[:nB], c)
+        Ju = BAu[:nB]
+        Ju += c  # in place: y has been taken from this step's fresh [B; A]u
         P = prox(Ju + y)
         r2, r3 = _sup_gaps(P, Ju, BAu[nB:], fp, gaps)
         if it == len(hist):
@@ -749,7 +740,7 @@ def solve_p1(system, bmat, k, cfg, g=None):
                 hist[it] = r[1:]
                 reason, polished_at = "residual", it
                 break
-        b1 = _step_rhs(y, P, c, BT, alpha, rhs)
+        b1 = _step_rhs(smat, y, P, rhs)
         y, u, x, BAu = _solve_step(smat, rhs, b1)
 
     count = it + 1

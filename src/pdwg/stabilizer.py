@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._checks import block_vector, index, integer
+from ._checks import block, block_vector, index, integer
 
 __all__ = [
     "BMatrix",
@@ -162,8 +162,8 @@ def assemble_S2(disc):
 
 def integral_abs_poly(coeffs):
     """Exact integral of |c0 + c1 t + ...| over [0, 1]; the one-block
-    case of _abs_integrals."""
-    return float(_abs_integrals(np.asarray(coeffs, dtype=float)))
+    case of _abs_integrals. coeffs is one block of at least one value."""
+    return float(_abs_integrals(block("coeffs", coeffs)))
 
 
 def eval_phi(q, k):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._checks import index
+from ._checks import index, vector
 from .fe_space import derivative_map
 
 __all__ = [
@@ -60,10 +60,11 @@ class CoefficientField:
 def check_ellipticity(field, pts):
     """Sample a(x): verify symmetry and return (min, max) eigenvalue.
 
-    Raises ValueError if any sampled matrix has a non-finite entry, is
-    non-symmetric or is not positive definite.
+    Raises ValueError if a does not give one (2, 2) matrix per point, or
+    if any sampled matrix has a non-finite entry, is non-symmetric or is
+    not positive definite.
     """
-    A = np.asarray(field.a(np.asarray(pts, dtype=float)))
+    A = vector("a", field.a(np.asarray(pts, dtype=float)), np.shape(pts)[:-1] + (2, 2))
     if not np.isfinite(A).all():
         raise ValueError("coefficient matrix is not finite at some sample point")
     if not np.allclose(A, np.swapaxes(A, -1, -2), rtol=0, atol=1e-12):
@@ -163,12 +164,13 @@ def assemble_A(disc, field):
 
     Row block m of element t tests sum_ij a_ij D_ij against psi_m; a_ij
     is sampled at volume quadrature points, so variable and piecewise
-    coefficients are handled without pre-projection.
+    coefficients are handled without pre-projection. a must give one
+    (2, 2) matrix and f one value per quadrature point (ValueError).
     """
-    layout = disc.layout
+    layout, pts = disc.layout, disc.quad_pts
 
-    aq = np.asarray(field.a(disc.quad_pts))  # (T, q, 2, 2)
-    fq = np.asarray(field.f(disc.quad_pts))
+    aq = vector("a", field.a(pts), pts.shape[:-1] + (2, 2))
+    fq = vector("f", field.f(pts), pts.shape[:-1])
     fvec = np.einsum("tq,tq,tqm->tm", disc.quad_w, fq, disc.basis_w).ravel()
 
     local = 0.0

@@ -5,14 +5,18 @@ numpy reals strictly between 0 and inf with a finite reciprocal, and
 the exponent of an error norm inf or a real number of at least 1; bools
 of either kind, strings, NaN and inf are refused with a ValueError that
 names the field. An id out of range raises an IndexError naming the
-field, an array of the wrong shape a ValueError naming the field and
-both shapes, and a jump vector that is not a whole number of blocks a
+field, an array of the wrong shape (problem data included: a constant
+coefficient or load is not broadcast) a ValueError naming the field
+and both shapes, a coefficient block that is not 1-D with at least one
+value and a jump vector that is not a whole number of blocks a
 ValueError. These rules live in pdwg._checks alone, so the copies
 cannot drift apart; likewise the assembly of operators over the column
-space lives in DofLayout.assemble alone, and the p=1 problem in
+space lives in DofLayout.assemble alone, and the p=1 problem, always
+lifted by its boundary data (g = 0 when none is given), in
 solver.assemble_S.
 """
 
+import dataclasses
 import re
 from functools import cache
 from pathlib import Path
@@ -41,8 +45,8 @@ from pdwg.prox import (
     soft_threshold,
 )
 from pdwg.solver import SolverConfig, _check_v0_blocks, assemble_S, solve_p1
-from pdwg.stabilizer import assemble_B, block_slice, eval_phi, eval_s
-from pdwg.weak_assembly import assemble_A, gather_local, local_dof_columns
+from pdwg.stabilizer import assemble_B, block_slice, eval_phi, eval_s, integral_abs_poly
+from pdwg.weak_assembly import assemble_A, check_ellipticity, gather_local, local_dof_columns
 
 # 1/5e-324 overflows, and the p=1 scheme uses 1/alpha; a float32 zero
 # is refused too, though the float64 bound on 1/value rounds to 0 there
@@ -59,6 +63,11 @@ def _p1():
     system = assemble_A(disc, builtin_case("const").field)
     zero = WeakFunction(disc.layout, np.zeros(disc.layout.N))
     return disc, system, assemble_B(disc, 1), zero
+
+
+def _field(**data):
+    # the const case with the coefficient a or the load f replaced
+    return dataclasses.replace(builtin_case("const").field, **data)
 
 
 def _assemble_S(alpha):
@@ -177,6 +186,27 @@ SHAPES = {
         lambda: project_omega0(np.ones(3), 1.0),
         r"point must have shape \(2,\), got shape \(3,\)",
     ),
+    # problem data gives one value per point; a constant is not broadcast
+    "check_ellipticity.a": (
+        lambda: check_ellipticity(_field(a=lambda p: np.eye(2)), _p1()[0].quad_pts),
+        r"a must have shape \(\d+, \d+, 2, 2\), got shape \(2, 2\)",
+    ),
+    "assemble_A.a": (
+        lambda: assemble_A(_p1()[0], _field(a=lambda p: np.eye(2))),
+        r"a must have shape \(\d+, \d+, 2, 2\), got shape \(2, 2\)",
+    ),
+    "assemble_A.f": (
+        lambda: assemble_A(_p1()[0], _field(f=lambda p: 14.0)),
+        r"f must have shape \(\d+, \d+\), got shape \(\)",
+    ),
+    "integral_abs_poly.empty": (
+        lambda: integral_abs_poly(()),
+        r"coeffs must be 1-D with at least one value, got shape \(0,\)",
+    ),
+    "integral_abs_poly.rows": (
+        lambda: integral_abs_poly([[1.0, 2.0]]),
+        r"coeffs must be 1-D with at least one value, got shape \(1, 2\)",
+    ),
 }
 
 
@@ -252,8 +282,13 @@ def test_column_space_has_one_builder():
 _LIFTING = re.compile(r"\.Bb\s*@")
 
 
+# a branch on a missing jump offset: c is None, c is not None
+_NO_OFFSET = re.compile(r"\bc is (not )?None\b")
+
+
 def test_p1_problem_has_one_builder():
     assert _LIFTING.search("c = bmat.Bb @ g") and not _LIFTING.search("full = B @ v")
+    assert _NO_OFFSET.search("if c is not None:") and not _NO_OFFSET.search("if g is None:")
     # only solver.py (assemble_S) may build the prox or lift boundary
     # data into the jumps, so no caller can pair a prox or an offset with
     # a factorization of another problem
@@ -263,6 +298,9 @@ def test_p1_problem_has_one_builder():
         if path.name != "solver.py" and ("make_prox(" in text or _LIFTING.search(text)):
             others.append(path.name)
     assert others == []
+    # assemble_S lifts g = 0 when no boundary data is given, so every p=1
+    # run takes the one lifted path and nothing branches on the offset
+    assert not _NO_OFFSET.search((Path(pdwg.__file__).parent / "solver.py").read_text())
 
 
 # a hand-made shape comparison: x.shape != (n,), np.shape(g) != (NB,)

@@ -171,6 +171,15 @@ def test_prox_phi_k1_reference_blocks():
     assert got == pytest.approx(np.array([0.0, 5.0]) - GOLDEN_05, abs=GOLDEN_TOL)
 
 
+@pytest.mark.parametrize("alpha", [1e200, 1e300])
+def test_prox_phi_k1_at_a_tiny_scale(alpha):
+    # c = 1/alpha: the foot-point cubic's top coefficient 1/(8 c^2)
+    # underflows there, so the cubic is built scaled by a power of two
+    assert list(prox_phi_k1(np.array([5.0, 1.0]), alpha)) == [5.0, 1.0]
+    c = 1.0 / alpha
+    assert list(project_omega0((5.0, 1.0), c)) == [c, c / 2]
+
+
 def test_prox_phi_k1_moreau_identity():
     rng = np.random.default_rng(4)
     for alpha in (0.5, 1.0, 2.0):

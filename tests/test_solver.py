@@ -194,6 +194,30 @@ def test_assemble_S_singular_raises():
         assemble_S(zero_A, bmat, SolverConfig())
 
 
+def test_assemble_S_without_boundary_data_lifts_g_zero():
+    # no boundary data is g = 0: the jump offset is a float zero vector,
+    # never None, and the constraint right side is f itself
+    _, system, bmat = setup(1, poly_field())
+    smat = assemble_S(system, bmat, SolverConfig())
+    assert isinstance(smat.c, np.ndarray) and smat.c.dtype == np.float64
+    assert smat.c.shape == (bmat.B.shape[0],) and not smat.c.any()
+    assert np.array_equal(smat.fp, system.fvec)
+
+
+@pytest.mark.parametrize("case, n, k", [("const", 2, 2), ("const", 3, 2), ("disc", 2, 3)])
+def test_p1_without_boundary_data_is_the_run_with_g_zero(case, n, k):
+    disc = Discretization(build_uniform(n), SpaceConfig(k=k))
+    system = assemble_A(disc, builtin_case(case).field)
+    bmat = assemble_B(disc, 1)
+    cfg = SolverConfig(alpha=16.0)
+    u0, s0, d0 = solve_p1(system, bmat, k, cfg)
+    u1, s1, d1 = solve_p1(system, bmat, k, cfg, np.zeros(system.Cb.shape[1]))
+    assert d0.converged and (d0.iterations, d0.polished_at) == (d1.iterations, d1.polished_at)
+    pairs = [(u0, u1), (s0.y, s1.y), (s0.x, s1.x), (d0.residual_history, d1.residual_history)]
+    for a, b in pairs:  # bit for bit, signed zeros included
+        assert a.tobytes() == b.tobytes()
+
+
 def test_b0_is_zero_zero_beta_f():
     _, system, bmat = setup(1, poly_field())
     B, f = bmat.B, system.fvec
