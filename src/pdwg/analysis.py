@@ -199,6 +199,8 @@ def error_w1p(disc, u_h, case, p):
 def error_w2ph(disc, u_h, case, p):
     """Discrete W^{2,p} error: s_tilde(e_h) + ||Q_h L e_0||_{0,p}, e_h = Q_h u - u_h."""
     exponent("p", p)
+    pts = disc.quad_pts
+    aq = vector("a", case.field.a(pts), pts.shape[:-1] + (2, 2))
     qh = project_Qh(case.field.u, case.field.grad_u, disc)
     e = WeakFunction(
         disc.layout,
@@ -209,8 +211,8 @@ def error_w2ph(disc, u_h, case, p):
 
     e0 = _v0_blocks(disc, e)
     xx, xy, yy = (_v0_derivative(disc, e0, d) for d in ((2, 0), (1, 1), (0, 2)))
-    hess = _sym(disc.quad_pts, xx, xy, yy)
-    le0 = np.einsum("tqij,tqij->tq", case.field.a(disc.quad_pts), hess)
+    hess = _sym(pts, xx, xy, yy)
+    le0 = np.einsum("tqij,tqij->tq", aq, hess)
     proj = np.einsum("tqm,tm->tq", disc.basis_w, _project_Wh_values(disc, le0))
     return st + _elementwise_lp(disc, proj, p)
 

@@ -79,14 +79,15 @@ taken from the blocks, gives the correction du = H^-1 (r_u + A^T W
 r_lambda), dlambda = W (A du - r_lambda). Each element's v0 couples only
 to that element's own unknowns, so the v0-v0 part of H is block
 diagonal, and H is condensed to its skeleton unknowns (vb, vg) before
-it is factorized (_condensed): the v0 blocks get dense Cholesky
-factors, and SuperLU factorizes only the Schur complement H_c (disc,
-k=3, n=32: 6.96M L+U nonzeros, against 9.64M for H and 18.1M for K).
-H_c is factorized in float32; a solution that fails dsgesv's bound
-||z|| ||K|| eps sqrt(n), or a float32 H_c that cannot be factorized,
-falls back to the same route with H_c in float64 and a larger gamma
-(_AUGMENT_GAMMA), and solve_p2 warns if that solution fails the bound
-too. Neither K nor H is ever built. The p=1 K0 and the polish matrices
+it is factorized (_condensed), element by element: each v0 block gets
+dense Cholesky factors, the elements' Schur complements are summed in
+float64 on the structural pattern of H_c and rounded once, and SuperLU
+factorizes only H_c (disc, k=3, n=32: 6.96M L+U nonzeros, against
+9.64M for H and 18.1M for K). H_c is factorized in float32; a solution
+that fails dsgesv's bound ||z|| ||K|| eps sqrt(n), or a float32 H_c
+that cannot be factorized, falls back to the same route with H_c in
+float64 and a larger gamma (_AUGMENT_GAMMA), and solve_p2 warns if that
+solution fails the bound too. Neither K nor H is ever built. The p=1 K0 and the polish matrices
 are saddle matrices, stacked from their blocks by sp.bmat as CSC with
 sorted indices; every matrix here is factorized with the same
 symmetric SuperLU options (_factor_symmetric), and every refined
@@ -133,16 +134,23 @@ _POLISH_DELTA = 1e-12
 # its factors, as LAPACK's dsgesv does (_refine).
 _REFINE_MAX_SOLVES = 30
 # Weight gamma of the augmented term of the p=2 correction, per precision
-# of H (_augmented_weights). float32: on disc, k=3, n=32 the refined u
-# came within 1e-12 relative of the float64 solve's by about the 16th
-# solve with gamma = 100, but was still 7e-8 away after 24 solves with
-# gamma = 10 (slower contraction) and 1e-11 with gamma = 1000 (a less
-# accurate float32 H). float64, on 15 levels that fall back (const, var
-# and disc with k = 4 to 6, n = 1 to 8): with gamma = 100 the correction
-# soon stops halving and 9 of them fail dsgesv's bound (const, k=4, n=2:
-# residual 1.8e-4 after 3 solves), 1e4 passes all in 5-11 solves and 1e6
-# in 5-7.
-_AUGMENT_GAMMA = {np.float32: 100.0, np.float64: 1e6}
+# of H (_augmented_weights). float32, on the H_c that _condensed sums in
+# float64 and rounds once: over disc, k=3, n=8, 16, 32, var, k=2, n=16,
+# 32, var, k=3, n=4, 8 and const, k=3, n=8, 16 the refinement took 104
+# solves in all with gamma = 300, against 105 with 250, 108 with 400,
+# 115 with 500, 138 with 100 (slower contraction) and 176 with 1000 (a
+# less accurate float32 H_c; 30 solves at disc, n=32). float64, on 15
+# levels that fall back (const, var and disc with k = 4 to 6, n = 1 to
+# 8): with gamma = 100 the correction soon stops halving and 9 of them
+# fail dsgesv's bound (const, k=4, n=2: residual 1.8e-4 after 3 solves),
+# 1e4 passes all in 5-11 solves and 1e6 in 5-7 (measured before H_c was
+# rounded once; 1e6 now takes 4-7 on the 22 levels with n <= 4 that
+# fall back).
+_AUGMENT_GAMMA = {np.float32: 300.0, np.float64: 1e6}
+# _condensed adds the element terms of H_c this many elements at a time
+# (_add_cliques): on disc, k=3, n=32 chunks of 16 to 128 took the same
+# time, and larger chunks were slower and held more memory.
+_CONDENSE_CHUNK = 32
 
 __all__ = [
     "SolverConfig",
@@ -284,68 +292,174 @@ def _check_v0_blocks(blocks, N):
         raise ValueError(f"v0_blocks must be (T, nv0) with T * nv0 < N = {N}, got {blocks!r}")
 
 
-def _condensed(S2, A, w, blocks, failure, dtype):
+def _sample(X, rows, cols):
+    """The entries X[rows, cols] of the sparse matrix X as a dense float64
+    array of the broadcast shape of rows and cols (0 where X stores none)."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    return np.asarray(X[rows.ravel(), cols.ravel()], dtype=np.float64).reshape(rows.shape)
+
+
+def _clique_pattern(sk, Ns):
+    """The structural pattern of a sum of element cliques on Ns unknowns.
+
+    Row t of sk (T, nsk) holds the unknowns of element t's clique, with
+    Ns in a slot that holds no unknown. Returns (indptr, indices, pos):
+    the pattern of the union of the cliques sk[t] x sk[t] as canonical
+    CSR with int32 arrays, and pos (T, nsk, nsk), the index into the
+    pattern's data of entry (sk[t, a], sk[t, b]). An entry whose row or
+    column is no unknown gets some index in range; the values summed
+    there must be zero.
+
+    Row i of the pattern is the union of the cliques of the elements
+    that hold i, so rows held by the same elements (the unknowns of one
+    edge) share their columns: the union and each clique column's rank
+    in it are formed once per such element set.
+    """
+    T, nsk = sk.shape
+    flat = sk.ravel()
+    slot = np.argsort(flat, kind="stable").astype(np.int32)
+    rows = flat[slot]
+    real = slot[: np.searchsorted(rows, Ns)]
+    rows = rows[: len(real)]
+    place = np.zeros(T * nsk, dtype=np.int32)  # a slot's place among its row's elements
+    place[real] = np.arange(len(real)) - np.searchsorted(rows, rows)
+    elems = np.full((Ns, place.max() + 1), T)  # the elements of each row, padded with T
+    elems[rows, place[real]] = real // nsk
+    key = np.ravel_multi_index(elems.T, (T + 1,) * elems.shape[1])
+    _, first_row, group = np.unique(key, return_index=True, return_inverse=True)
+    union = np.vstack([sk, np.full(nsk, Ns, dtype=sk.dtype)])[elems[first_row]]
+    union = union.reshape(len(first_row), -1)
+    order = np.argsort(union, axis=1, kind="stable")
+    union = np.take_along_axis(union, order, axis=1)
+    new = union < Ns
+    new[:, 1:] &= union[:, 1:] != union[:, :-1]
+    rank = np.empty(order.shape, dtype=np.int32)
+    np.put_along_axis(rank, order, np.cumsum(new, axis=1) - 1, axis=1)
+    length = new.sum(axis=1, dtype=np.int32)
+    indptr = np.zeros(Ns + 1, dtype=np.int32)
+    np.cumsum(length[group], out=indptr[1:])
+    shift = (np.cumsum(length) - length)[group] - indptr[:-1]  # from a row to its union
+    indices = union[new][np.arange(indptr[-1], dtype=np.int32) + np.repeat(shift, length[group])]
+    del union, new, shift
+    row = np.append(group * elems.shape[1], 0).astype(np.int32)[flat] + place
+    pos = rank.reshape(-1, nsk)[row]
+    pos += np.append(indptr[:-1], 0)[flat, None]
+    return indptr, indices, pos.reshape(T, nsk, nsk)
+
+
+def _condensed(S2, A, w, blocks, elem_cols, failure, dtype):
     """The augmented block H = S2 + A^T diag(w) A with its element-interior
-    v0 unknowns eliminated exactly (static condensation).
+    v0 unknowns eliminated exactly (static condensation), element by
+    element.
 
-    blocks = (T, nv0): the first N1 = T nv0 unknowns are v0, element-major,
-    and each element's v0 couples to no other element's, so the v0-v0 part
-    H00 of H is block diagonal. With G = diag(sqrt(w)) A (float64) the v0
-    rows of H are H0 = S2[:N1] + G[:, :N1]^T G; H00 = L L^T (batched
-    Cholesky of its (T, nv0, nv0) diagonal blocks) and C = L^-1 H0[:, N1:].
-    The skeleton Schur complement
+    blocks = (T, nv0): the first N1 = T nv0 unknowns are v0,
+    element-major, and elem_cols (T, nloc) holds each element's columns,
+    its v0 block first (ConstraintSystem). S2 and A are canonical CSR.
+    Element t's M / T rows of A and its v0 rows of S2 have entries only
+    in its own columns, so its v0 rows of H come from them alone: with
+    G_t = diag(sqrt(w_t)) A_t (float64), H_t0 = S2_t0 + G_t0^T G_t,
+    H_t00 = L_t L_t^T (batched Cholesky) and C_t = L_t^-1 H_t0s. Its
+    share of the skeleton Schur complement is
+    E_t = G_ts^T G_ts - C_t^T C_t, and
 
-        H_c = H_ss - C^T C = [G_s^T, C^T, I] [G_s; -C; S2_ss]
+        H_c = S2_ss + sum_t E_t
 
-    is one sparse product in precision dtype, so no float64 H_c is built
-    for a float32 one. Entry (i, j) sums the same products in the same
-    order as entry (j, i), and S2 is symmetric, so H_c is exactly
-    symmetric and its CSR arrays are its CSC arrays. G, H0 and the
-    product's inputs are freed before this returns.
+    is summed in float64, in element chunks, on its structural pattern
+    (_clique_pattern: every entry of every element's skeleton clique is
+    stored, zeros included, so SuperLU orders a pattern that does not
+    depend on roundoff), and rounded to dtype once. S2_ss comes first and
+    then the elements in order, each E_t mirrored from its upper
+    triangle, so entry (i, j) sums the same numbers in the same order as
+    entry (j, i): H_c is exactly symmetric (S2 is), and its CSR arrays
+    are its CSC arrays. A skeleton column of an element that is boundary
+    data (>= N) is a zero column of G_ts and C_t.
 
-    A v0-v0 entry outside the diagonal blocks raises ValueError, and a
-    block that is not positive definite RuntimeError(failure), both
-    before anything is factorized.
+    v0_blocks that are not the elements' v0 blocks, or an entry of A's
+    element rows or of S2's v0 rows or skeleton block outside the
+    elements' columns, raise ValueError; a v0 block that is not positive
+    definite raises RuntimeError(failure), all before anything is
+    factorized.
 
-    Returns (H_c as canonical CSC, L^-1 as (T, nv0, nv0), C as CSR).
+    Returns (H_c as canonical CSC, L^-1 as (T, nv0, nv0), C as
+    (T, nv0, nsk), sk): sk (T, nsk) numbers each element's skeleton
+    columns among the N - N1 skeleton unknowns, with N - N1 where the
+    column is boundary data.
     """
     T, nv0 = blocks
-    N1 = T * nv0
-    sqrt_w = np.repeat(np.sqrt(w), np.diff(A.indptr))
-    G = sp.csr_matrix((A.data * sqrt_w, A.indices, A.indptr), shape=A.shape)
-    del sqrt_w
-    H0 = S2[:N1] + G[:, :N1].T.tocsr() @ G
-    v00 = H0[:, :N1].tocoo()
-    t, i = np.divmod(v00.row, nv0)
-    t_col, j = np.divmod(v00.col, nv0)
-    inside = t == t_col
-    if np.any(v00.data[~inside]):
-        raise ValueError(
-            f"the v0-v0 part of the augmented block is not block diagonal with "
-            f"v0_blocks = {blocks!r}"
-        )
-    H00 = np.zeros((T, nv0, nv0))
-    H00[t[inside], i[inside], j[inside]] = v00.data[inside]
-    del v00, t, i, t_col, j, inside
+    (M, N), N1, cols = A.shape, T * nv0, elem_cols
+    if cols.shape[0] != T or not np.array_equal(cols[:, :nv0], np.arange(N1).reshape(T, nv0)):
+        raise _not_elementwise(blocks)
+    unknown = cols < N
+    inside = np.where(unknown, cols, 0)
+    mw = M // T
+    A_t = _sample(A, np.arange(T * mw).reshape(T, mw, 1), inside[:, None]) * unknown[:, None]
+    S2_t0 = _sample(S2, np.arange(N1).reshape(T, nv0, 1), inside[:, None]) * unknown[:, None]
+    if (
+        mw * T != M
+        or np.count_nonzero(A_t) != np.count_nonzero(A.data)
+        or np.count_nonzero(S2_t0) != np.count_nonzero(S2.data[: S2.indptr[N1]])
+    ):
+        raise _not_elementwise(blocks)
+    G = A_t * np.sqrt(w).reshape(T, mw, 1)
+    del A_t
+    H0 = S2_t0 + np.swapaxes(G[:, :, :nv0], 1, 2) @ G
+    del S2_t0
     try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(H00))
+        L_inv = np.linalg.inv(np.linalg.cholesky(H0[:, :, :nv0]))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(failure) from exc
-    L_inv_diag = sp.bsr_matrix((L_inv, np.arange(T), np.arange(T + 1)), shape=(N1, N1))
-    C = (L_inv_diag @ H0[:, N1:]).tocsr()
-    del H00, H0, L_inv_diag
-    Gs = G[:, N1:].astype(dtype)
-    del G
-    Cd = C.astype(dtype)
-    S2s = S2[N1:, N1:].astype(dtype)
-    eye = sp.identity(S2s.shape[0], dtype=dtype, format="csr")
-    left = sp.hstack([Gs.T.tocsr(), Cd.T.tocsr(), eye], format="csr")
-    right = sp.vstack([Gs, -Cd, S2s], format="csr")
-    del Gs, Cd, S2s, eye  # only the two factors and H_c are held by the product
-    Hc = left @ right
-    del left, right
-    Hc.sort_indices()
-    return Hc.T, L_inv, C
+    C = L_inv @ H0[:, :, nv0:]
+    Gs = G[:, :, nv0:].copy()
+    del H0, G
+    Ns = N - N1
+    sk = np.where(unknown[:, nv0:], cols[:, nv0:] - N1, Ns).astype(np.int32)
+    indptr, indices, pos = _clique_pattern(sk, Ns)
+    S2_ss, nnz = S2[N1:, N1:].tocoo(), len(indices)
+    lookup = sp.csr_matrix((np.arange(1, nnz + 1, dtype=np.int32), indices, indptr), (Ns, Ns))
+    at = np.asarray(lookup[S2_ss.row, S2_ss.col]).ravel() - 1  # -1 outside the pattern
+    del lookup
+    found = at >= 0
+    if np.any(S2_ss.data[~found]):
+        raise _not_elementwise(blocks)
+    data = np.zeros(nnz)
+    data[at[found]] = S2_ss.data[found]
+    del S2_ss, at, found
+    _add_cliques(data, pos, Gs, C)
+    del Gs, pos
+    Hc = sp.csr_matrix((data.astype(dtype), indices, indptr), shape=(Ns, Ns))
+    return Hc.T, L_inv, C, sk
+
+
+def _canonical(X):
+    """X as CSR with sorted indices and no duplicates; X itself if it is
+    one already."""
+    X = X.tocsr()
+    if not X.has_canonical_format:
+        X = X.copy()
+        X.sum_duplicates()
+    return X
+
+
+def _not_elementwise(blocks):
+    return ValueError(
+        f"the v0-v0 part of the augmented block is not block diagonal with "
+        f"v0_blocks = {blocks!r}, or S2 or A has entries outside the element "
+        f"columns (ConstraintSystem.elem_cols)"
+    )
+
+
+def _add_cliques(data, pos, Gs, C):
+    """Add each element's E_t = G_ts^T G_ts - C_t^T C_t, mirrored from its
+    upper triangle, at its clique's positions pos (_clique_pattern) of
+    data, in element order, _CONDENSE_CHUNK elements at a time."""
+    nsk = pos.shape[1]
+    a, b = np.indices((nsk, nsk))
+    upper = (np.minimum(a, b) * nsk + np.maximum(a, b)).ravel()
+    for lo in range(0, len(pos), _CONDENSE_CHUNK):
+        part = slice(lo, lo + _CONDENSE_CHUNK)
+        g, c = Gs[part], C[part]
+        E = np.swapaxes(np.concatenate([g, c], 1), 1, 2) @ np.concatenate([g, -c], 1)
+        np.add.at(data, pos[part].ravel(), E.reshape(len(E), -1)[:, upper].ravel())
 
 
 def _factor_symmetric(K, failure):
@@ -406,7 +520,7 @@ def _saddle_residual(H, A, rhs, D=None):
     return residual
 
 
-def _solve_augmented(S2, A, blocks, rhs, failure, dtype):
+def _solve_augmented(S2, system, rhs, failure, dtype):
     """Solve the p=2 saddle system K z = rhs, K = [[S2, A^T], [A, 0]],
     from factors of the augmented block H = S2 + A^T W A, condensed to
     its skeleton unknowns, in precision dtype, refined in float64
@@ -424,38 +538,44 @@ def _solve_augmented(S2, A, blocks, rhs, failure, dtype):
     refinement converges like the augmented Lagrangian (Uzawa)
     iteration: its error contracts by a factor that falls as gamma
     grows, until the rounding of the factors, which grows with gamma,
-    limits it (float32, disc, k=3, n=16, 32: 0.15-0.3 per solve).
+    limits it (float32, disc, k=3, n=16, 32: 0.05-0.15 per solve).
 
     Only the skeleton Schur complement H_c of H is factorized
-    (_condensed, blocks = ConstraintSystem.v0_blocks): H^-1 b is
-    y = L^-1 b_0, x_s = H_c^-1 (b_s - C^T y), x_0 = L^-T (y - C x_s),
+    (_condensed, from ConstraintSystem.v0_blocks and elem_cols): H^-1 b
+    is y = L^-1 b_0, x_s = H_c^-1 (b_s - C^T y), x_0 = L^-T (y - C x_s),
     with the v0 blocks' Cholesky factors L and C = L^-1 H_0s applied in
-    float64. On disc, k=3, n=32 H_c has 6.96M L+U nonzeros against
-    9.64M for H. The residual comes from the blocks (_saddle_residual).
-    A zero weight means a zero row of A, so K is singular: it raises
+    float64 from _condensed's element arrays: batched products with each
+    L_t^-1 and C_t, C^T y scattered onto the skeleton unknowns by
+    np.bincount and x_s gathered back by sk. On disc, k=3, n=32 H_c has
+    6.96M L+U nonzeros against 9.64M for H. The residual comes from the
+    blocks (_saddle_residual). A zero weight means a zero row of A, so K
+    is singular: it raises
     RuntimeError(failure) before anything is factorized, as a singular
     H does. The factors are freed when this call returns.
 
     Returns (z, sup-norm of its residual).
     """
-    S2, A = S2.tocsr(), A.tocsr()
+    S2, A = _canonical(S2), _canonical(system.A)
     w = _augmented_weights(S2, A, dtype)
     if not w.all():
         raise RuntimeError(failure)
-    Hc, L_inv, C = _condensed(S2, A, w, blocks, failure, dtype)
+    blocks = system.v0_blocks
+    Hc, L_inv, C, sk = _condensed(S2, A, w, blocks, system.elem_cols, failure, dtype)
     lu = _factor_symmetric(Hc, failure)
     del Hc
     T, nv0 = blocks
-    N, N1, AT, CT, L_invT = S2.shape[0], T * nv0, A.T, C.T, np.swapaxes(L_inv, 1, 2)
+    N, N1, AT = S2.shape[0], T * nv0, A.T
+    Ns, sk_flat, Ct, L_invT = N - N1, sk.ravel(), np.swapaxes(C, 1, 2), np.swapaxes(L_inv, 1, 2)
 
     def correction(r):
         r_u, r_lam = r[:N], r[N:]
         b = r_u + AT @ (w * r_lam)
-        y = (L_inv @ b[:N1].reshape(T, nv0, 1)).ravel()
-        xs = lu.solve((b[N1:] - CT @ y).astype(dtype, copy=False))
-        xs = xs.astype(np.float64, copy=False)
-        x0 = (L_invT @ (y - C @ xs).reshape(T, nv0, 1)).ravel()
-        du = np.concatenate([x0, xs])
+        y = L_inv @ b[:N1].reshape(T, nv0, 1)
+        Cty = np.bincount(sk_flat, (Ct @ y).ravel(), minlength=Ns + 1)[:Ns]
+        xs = lu.solve((b[N1:] - Cty).astype(dtype, copy=False))
+        xs = np.append(xs.astype(np.float64, copy=False), 0.0)
+        x0 = L_invT @ (y - C @ xs[sk][:, :, None])
+        du = np.concatenate([x0.ravel(), xs[:Ns]])
         return np.concatenate([du, w * (A @ du - r_lam)])
 
     return _refine(_saddle_residual(S2, A, rhs), rhs, correction)
@@ -471,11 +591,12 @@ def _refine(residual, rhs, solve):
     at most half that of the correction before it (the dx test of
     LAPACK's xGERFSX), for at most _REFINE_MAX_SOLVES solves in all; the
     first correction is always applied. The correction, not the
-    residual, decides: the residual reaches its roundoff floor several
-    solves before z stops moving (disc, k=3, n=16: 2e-14 at the 13th
-    float32 solve, with u still 1.4e-11 relative from the float64
-    solution), and past it the least residual picks an iterate at
-    random. Whether z is accepted is the caller's test (solve_p2).
+    residual, decides: the residual reaches its roundoff floor some
+    solves before z stops moving (disc, k=3, n=16: it stops halving at
+    the 11th float32 solve, with u 9.6e-13 relative from the float64
+    solution; the correction halves until the 13th, 3.1e-13), and past
+    it the least residual picks an iterate at random. Whether z is
+    accepted is the caller's test (solve_p2).
 
     Returns (z, sup-norm of its residual): the last iterate applied.
     """
@@ -770,7 +891,8 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
     block H = S2 + A^T W A to its skeleton unknowns, with the v0 layout
     that system.v0_blocks names (checked first: a layout that does not fit
     raises ValueError before anything is factorized), factorizes the
-    Schur complement H_c in float32, built from S2 and A, and refines the
+    Schur complement H_c in float32, summed in float64 from S2 and A and
+    rounded once, and refines the
     solution of K with the float64 residual taken from S2 and A
     (_refine); the result is accepted if its residual passes dsgesv's
     test ||z|| ||K|| eps sqrt(n), with ||K|| from the blocks
@@ -779,11 +901,11 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
     float64 and gamma = 1e6 (_AUGMENT_GAMMA). Neither K nor H is ever
     factorized. The benchmark levels (var, k=2, n=16, 32; disc, k=3,
     n=8 to 32) and every const, var and disc level measured with k=3 are
-    accepted in float32, after 10 to 20 solves; every level with k = 4
-    to 6 and n <= 4 but disc, k=4, n=1 (accepted in float32 after 21
-    solves) falls back after 3 or 4 float32 solves, and the float64
-    route meets the bound in 5 to 9 solves (const, k=5, n=1, cond(K)
-    3.1e9: 7.1e-15). A float64 solution whose residual still fails
+    accepted in float32, after 9 to 14 solves; every level with k = 4
+    to 6 and n <= 4 but const and disc, k=4, n=1 (accepted in float32
+    after 16 and 14 solves) falls back after 3 float32 solves, and the
+    float64 route meets the bound in 4 to 7 solves (const, k=5, n=1,
+    cond(K) 3.1e9: 6.1e-15). A float64 solution whose residual still fails
     dsgesv's test is returned with a RuntimeWarning that names the
     residual and the bound; so is the answer to inconsistent
     constraints (equal rows of A with different right sides), where K
@@ -791,11 +913,14 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
 
     Refining past dsgesv's stop matters because the error norms of a
     study are differences of near-equal numbers and move with the
-    roundoff of the solve. On disc, k=3, n=32, refining the float32
-    route only until its residual stops halving (13 solves) leaves u
-    2.2e-11 relative from a float64 solve of K and e_L 1.2e-6 relative
-    from the benchmark's reference value, outside its gate; refining on
-    while the correction halves (20 solves) gives 8.7e-13 and 4.8e-7.
+    roundoff of the solve. On disc, k=3, n=32, with H_c accumulated in
+    float32 and gamma = 100, refining only until the residual stopped
+    halving (13 solves) left u 2.2e-11 relative from a float64 solve of
+    K and e_L 1.2e-6 relative from the benchmark's reference value,
+    outside its gate; refining on while the correction halved (20
+    solves) gave 8.7e-13 and 4.8e-7. On the singly rounded H_c with
+    gamma = 300 the two rules take 11 and 14 solves and give 9.6e-13 and
+    3.8e-7, and 4.4e-13 and 4.1e-7.
 
     Optional boundary vb data g (one finite value per column of system.Cb)
     needs s2ub, its coupling block of S2; both are checked before the
@@ -817,12 +942,12 @@ def solve_p2(system, s2uu, s2ub=None, g=None):
         rhs[N:] -= system.Cb @ g
     failure = "saddle system is singular; the mesh may be too coarse"
     try:
-        z, residual = _solve_augmented(s2uu, A, blocks, rhs, failure, np.float32)
+        z, residual = _solve_augmented(s2uu, system, rhs, failure, np.float32)
     except RuntimeError:
         z = None
     knorm = _kkt_norm(s2uu, A)
     if z is None or not residual <= _dsgesv_bound(z, knorm):
-        z, residual = _solve_augmented(s2uu, A, blocks, rhs, failure, np.float64)
+        z, residual = _solve_augmented(s2uu, system, rhs, failure, np.float64)
         bound = _dsgesv_bound(z, knorm)
         if not residual <= bound:
             warnings.warn(

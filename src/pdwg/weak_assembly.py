@@ -150,13 +150,18 @@ class ConstraintSystem:
     the constraint with boundary data g reads A v = fvec - Cb g.
     v0_blocks = (T, nv0) says that the first T * nv0 columns are the
     element-interior v0 DOFs, element-major, nv0 per element (DofLayout);
-    solve_p2 condenses them out of its augmented block.
+    solve_p2 condenses them out of its augmented block. elem_cols is
+    DofLayout.elem_cols, the (T, nloc) columns of each element's local
+    DOFs, its v0 block first: the M / T rows of A of element t, element-
+    major, and the v0 rows of S2 of element t have entries only there,
+    so solve_p2 condenses each element on its own.
     """
 
     A: sp.csr_matrix
     Cb: sp.csr_matrix
     fvec: np.ndarray
     v0_blocks: tuple
+    elem_cols: np.ndarray
 
 
 def assemble_A(disc, field):
@@ -184,7 +189,9 @@ def assemble_A(disc, field):
     # every entry of the element blocks, zeros included (fe_space docstring)
     A, Cb = layout.assemble(layout.elem_cols[:, None, :], local)
     v0_blocks = (disc.mesh.num_elements, layout.nv0)
-    return ConstraintSystem(A=A, Cb=Cb, fvec=fvec, v0_blocks=v0_blocks)
+    return ConstraintSystem(
+        A=A, Cb=Cb, fvec=fvec, v0_blocks=v0_blocks, elem_cols=layout.elem_cols
+    )
 
 
 def apply_Lw(disc, field, v, system=None):

@@ -195,6 +195,15 @@ SHAPES = {
         lambda: assemble_A(_p1()[0], _field(a=lambda p: np.eye(2))),
         r"a must have shape \(\d+, \d+, 2, 2\), got shape \(2, 2\)",
     ),
+    "error_w2ph.a": (
+        lambda: error_w2ph(
+            _p1()[0],
+            _p1()[3],
+            dataclasses.replace(builtin_case("const"), field=_field(a=lambda p: np.eye(2))),
+            2,
+        ),
+        r"a must have shape \(\d+, \d+, 2, 2\), got shape \(2, 2\)",
+    ),
     "assemble_A.f": (
         lambda: assemble_A(_p1()[0], _field(f=lambda p: 14.0)),
         r"f must have shape \(\d+, \d+\), got shape \(\)",

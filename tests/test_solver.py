@@ -705,18 +705,22 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
     # result is then the float64 route's bit for bit: its first solve,
     # then each next correction applied while it is at most half the one
     # before, at most 30 solves, with the residual taken from the blocks
+    # and the v0 unknowns eliminated and recovered element by element
     _, rhs, system, suu = _p2_saddle("disc", 3)
     A, N = system.A, system.A.shape[1]
     T, nv0 = system.v0_blocks
     N1 = T * nv0
+    Ns = N - N1
     # assemble_S2 returns S2 in canonical form, so this sort changes
     # nothing, and solve_p2's products with S2 take the replay's order
     assert suu.has_canonical_format
     suu.sort_indices()
     w = pdwg.solver._augmented_weights(suu, A, np.float64)
     w32 = pdwg.solver._augmented_weights(suu, A, np.float32)
-    assert np.allclose(w, 1e4 * w32, rtol=1e-15, atol=0)
-    Hc, L_inv, C = pdwg.solver._condensed(suu, A, w, (T, nv0), "singular", np.float64)
+    assert np.allclose(w, 1e6 / 300 * w32, rtol=1e-15, atol=0)
+    Hc, L_inv, C, sk = pdwg.solver._condensed(
+        suu, A, w, (T, nv0), system.elem_cols, "singular", np.float64
+    )
     lu64 = splu(
         Hc,
         permc_spec="MMD_AT_PLUS_A",
@@ -729,10 +733,11 @@ def test_solve_p2_falls_back_to_float64_factors(failure, monkeypatch):
 
     def correction(r):
         b = r[:N] + A.T @ (w * r[N:])
-        y = (L_inv @ b[:N1].reshape(T, nv0, 1)).ravel()
-        xs = lu64.solve(b[N1:] - C.T @ y)
-        x0 = (np.swapaxes(L_inv, 1, 2) @ (y - C @ xs).reshape(T, nv0, 1)).ravel()
-        du = np.concatenate([x0, xs])
+        y = L_inv @ b[:N1].reshape(T, nv0, 1)
+        Cty = np.bincount(sk.ravel(), (np.swapaxes(C, 1, 2) @ y).ravel(), minlength=Ns + 1)
+        xs = np.append(lu64.solve(b[N1:] - Cty[:Ns]), 0.0)
+        x0 = np.swapaxes(L_inv, 1, 2) @ (y - C @ xs[sk][:, :, None])
+        du = np.concatenate([x0.ravel(), xs[:Ns]])
         return np.concatenate([du, w * (A @ du - r[N:])])
 
     want = correction(rhs)
@@ -888,35 +893,101 @@ def test_solve_p2_warns_on_inconsistent_rank_deficient_constraints(case, k):
 @pytest.mark.parametrize("case, k", [("var", 2), ("disc", 3)])
 def test_condensed_block_is_symmetric_schur_complement_of_s2_plus_atwa(case, k):
     # solve_p2 factorizes the skeleton Schur complement H_c of
-    # H = S2 + A^T diag(w) A, built in float32 by one product: exactly
-    # symmetric, canonical CSC, and equal to the Schur complement of a
-    # dense float64 H up to float32 rounding of H's entries, also for
-    # k=2, where S2 has entries outside A^T A's pattern (A does not see
-    # v0). The float64 fallback builds it the same way in float64, with
-    # 1e4 times the weights
+    # H = S2 + A^T diag(w) A, summed in float64 element by element and
+    # rounded to float32 once: exactly symmetric, canonical CSC, and
+    # each entry within one float32 rounding (2^-24 of itself) of the
+    # Schur complement of a dense float64 H, up to float64 roundoff
+    # (1e-14 of H_ss's largest entry), also for k=2, where S2 has entries
+    # outside A^T A's pattern (A does not see v0). Measured: at most
+    # 3.9e-8 (var) and 1.6e-8 (disc) of H_ss's largest entry, and
+    # 3e-18 beyond one rounding; the float32 product that accumulated
+    # H_c before went 1.9e-7 and 9.4e-8 beyond it, and a float32 sum of
+    # the float64 element terms 1.6e-9 and 2.1e-10. The float64 fallback
+    # builds it the same way in float64, with 1e6 / 300 times the weights
     _, _, system, suu = _p2_saddle(case, k)
     A = system.A
     T, nv0 = system.v0_blocks
     N1 = T * nv0
+    Ns = A.shape[1] - N1
     outside = (abs(suu) > 0).astype(int) - (abs(A.T @ A) > 0).astype(int)
     assert (outside > 0).nnz > 0 if k == 2 else (outside > 0).nnz == 0
     if k == 2:
         assert abs(A[:, :N1]).max() == 0
-    for dtype, rtol in ((np.float32, 1e-6), (np.float64, 1e-14)):
+    for dtype, rounding in ((np.float32, 2.0**-24), (np.float64, 0.0)):
         w = pdwg.solver._augmented_weights(suu, A, dtype)
         assert np.isfinite(w).all() and (w > 0).all()
-        Hc, L_inv, C = pdwg.solver._condensed(suu, A, w, (T, nv0), "singular", dtype)
+        Hc, L_inv, C, sk = pdwg.solver._condensed(
+            suu, A, w, (T, nv0), system.elem_cols, "singular", dtype
+        )
         assert Hc.format == "csc" and Hc.dtype == dtype and Hc.has_canonical_format
         assert (Hc != Hc.T).nnz == 0
         H = (suu + A.T @ sp.diags(w) @ A).toarray()
         H00, H0s, Hss = H[:N1, :N1], H[:N1, N1:], H[N1:, N1:]
         want = Hss - H0s.T @ np.linalg.solve(H00, H0s)
-        assert abs(Hc.toarray() - want).max() <= rtol * abs(Hss).max()
+        error = abs(Hc.toarray() - want)
+        assert np.all(error <= rounding * abs(want) + 1e-14 * abs(Hss).max())
         # L^-1 holds the inverse Cholesky factors of H's diagonal v0
-        # blocks, and C = L^-1 H_0s
+        # blocks, and C_t = L_t^-1 H_0s on element t's skeleton columns
+        # sk[t], with a zero column where the element sees boundary data
         L_inv = sp.block_diag(L_inv).toarray()
         assert abs(L_inv @ H00 @ L_inv.T - np.eye(N1)).max() <= 1e-10
-        assert abs(L_inv @ H0s - C.toarray()).max() <= 1e-13 * abs(C).max()
+        boundary = np.broadcast_to((sk == Ns)[:, None, :], C.shape)
+        assert boundary.any() and not C[boundary].any()
+        C_full = np.zeros((N1, Ns + 1))
+        C_full[np.arange(N1).reshape(T, nv0, 1), sk[:, None, :]] = C
+        assert abs(L_inv @ H0s - C_full[:, :Ns]).max() <= 1e-13 * abs(C).max()
+
+
+def test_condensed_block_stores_its_structural_pattern(monkeypatch):
+    # H_c stores every entry of every element's skeleton clique, zeros
+    # included, so SuperLU orders a pattern that does not depend on the
+    # values: const and var (k=2, n=4) share the mesh, and they share the
+    # stored pattern and the ordering, although entries of const's H_c
+    # cancel to exact zeros and none of var's do. A build that drops
+    # such entries gives the two different patterns, and SuperLU another
+    # ordering and fill
+    factored = []
+
+    def recording_splu(K, **kwargs):
+        lu = splu(K, **kwargs)
+        factored.append((K.indptr, K.indices, np.count_nonzero(K.data == 0), lu.perm_c))
+        return lu
+
+    monkeypatch.setattr(pdwg.solver, "splu", recording_splu)
+    for case in ("const", "var"):
+        _, _, system, suu = _p2_saddle(case, 2, 4)
+        solve_p2(system, suu)
+    (p1, i1, zeros1, perm1), (p2, i2, zeros2, perm2) = factored
+    assert zeros1 > 0 and zeros2 == 0
+    assert np.array_equal(p1, p2) and np.array_equal(i1, i2)
+    assert np.array_equal(perm1, perm2)
+
+
+@pytest.mark.parametrize(
+    "case, k, n, solves", [("disc", 3, 4, 12), ("disc", 3, 8, 12), ("var", 2, 8, 9)]
+)
+def test_float32_refinement_takes_few_solves(case, k, n, solves, monkeypatch):
+    # one float32 factorization of the singly rounded H_c per level, and
+    # at most the refinement solves measured with gamma = 300 (the float32
+    # H_c accumulated in float32, with gamma = 100, took 18, 18 and 11)
+    factors = []
+
+    def counting_splu(K, **kwargs):
+        lu, entry = splu(K, **kwargs), [K.dtype, 0]
+        factors.append(entry)
+
+        class Counting:
+            def solve(self, b):
+                entry[1] += 1
+                return lu.solve(b)
+
+        return Counting()
+
+    monkeypatch.setattr(pdwg.solver, "splu", counting_splu)
+    _, _, system, suu = _p2_saddle(case, k, n)
+    solve_p2(system, suu)
+    assert len(factors) == 1 and factors[0][0] == np.float32
+    assert factors[0][1] <= solves
 
 
 def test_solve_p2_rejects_a_v0_layout_that_does_not_fit(monkeypatch):
@@ -940,10 +1011,48 @@ def test_solve_p2_rejects_a_v0_layout_that_does_not_fit(monkeypatch):
         solve_p2(dataclasses.replace(system, v0_blocks=(2 * T, nv0 // 2)), suu)
 
 
+def _outside_the_elements(system, suu, where):
+    """system and S2 with one entry added outside the element columns:
+    in S2's v0-v0 part across two elements, in S2's skeleton block, or
+    in A's first row."""
+    cols, N = system.elem_cols, system.A.shape[1]
+    T, nv0 = system.v0_blocks
+    i = next(c for c in cols[0, nv0:] if c < N)  # a skeleton unknown of element 0
+    near = np.unique(cols[(cols == i).any(axis=1)])
+    j = np.setdiff1d(np.arange(T * nv0, N), near)[0]  # one no element of i holds
+    S2, A = suu.tolil(), system.A.tolil()
+    if where == "S2 v0":
+        S2[0, nv0] = S2[nv0, 0] = 1.0
+    elif where == "S2 skeleton":
+        S2[i, j] = S2[j, i] = 1.0
+    else:
+        A[0, j] = 1.0
+    return dataclasses.replace(system, A=A.tocsr()), S2.tocsr()
+
+
+@pytest.mark.parametrize("where", ["S2 v0", "S2 skeleton", "A"])
+def test_solve_p2_rejects_entries_outside_the_element_columns(where, monkeypatch):
+    # each element is condensed from its own rows of A and of S2 alone,
+    # so an entry that couples it outside its columns (elem_cols) would
+    # be lost: it raises ValueError before anything is factorized
+    _, _, system, suu = _p2_saddle("disc", 3)
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("factorized an entry outside the element columns")
+
+    monkeypatch.setattr(pdwg.solver, "splu", no_splu)
+    bad, S2 = _outside_the_elements(system, suu, where)
+    with pytest.raises(ValueError, match="not block diagonal .* outside the element columns"):
+        solve_p2(bad, S2)
+
+
 def test_solve_p2_builds_no_float64_copy_of_k():
-    # the float32 route builds the condensed augmented block in float32
-    # only, by one product: it peaks at 19.8 bytes per stored entry of K
-    # (19.6 for the uncondensed H built the same way), while the builds
+    # the float32 route sums the condensed augmented block in float64,
+    # element chunk by element chunk, into its preallocated pattern and
+    # rounds it once: it peaks at 22.2 bytes per stored entry of K, in
+    # that sum (the float32 product it replaced peaked at 19.8). One
+    # float64 COO of every element entry peaked at 52 and a float64
+    # sparse product at 27.1; before condensation, the builds
     # (S2 + A^T W A).astype(float32) and a float32 product G^T G plus a
     # float32 S2 of the uncondensed H peaked at 54 and 37
     disc = Discretization(build_uniform(8), SpaceConfig(k=3))
@@ -1002,10 +1111,10 @@ def test_solve_p2_leaves_its_inputs_unchanged():
 
 
 def test_solve_p2_refines_past_the_residual_floor(monkeypatch):
-    # on disc, k=3, n=16 the augmented refinement reaches its residual
-    # floor (2e-14) at the 13th solve, while u is still 1.4e-11 relative
-    # from the float64 solution; refining on while the correction halves
-    # returns u within 3.2e-13 of a float64 LU solve of K refined twice
+    # on disc, k=3, n=16 the residual of the augmented refinement stops
+    # halving at the 11th solve, with u 9.6e-13 relative from the float64
+    # solution; refining on while the correction halves (13 solves) returns u
+    # within 3.1e-13 of a float64 LU solve of K refined twice
     K, rhs, system, suu = _p2_saddle("disc", 3, 16)
     dtypes = []
 
